@@ -1,8 +1,10 @@
 """Full noise estimator: parallel per-channel feature stacks over the noisy
 signal and the masked condition, per-level FiLM injection, fusion head.
 
-Also home of the parameter-tree utilities (named traversal, mapping,
-checkpoint serialization) shared by training, gradient checks, and the CLI.
+Also home of the parameter-tree utilities (one named traversal that
+mapping, lifting and checkpoint filling are built on) shared by training,
+gradient checks, and the CLI, and of checkpoints that store the model
+spec they were built from.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Graph, Var
 from .blocks import (
+    GATE_MODES,
     BridgeParams,
     ConvParams,
     FusionMoEParams,
-    LinearParams,
     RFAMoEParams,
     bridge_forward,
     fusion_moe_forward,
@@ -45,6 +47,7 @@ class BackboneParams:
     head: FusionMoEParams
     channels: int
     d_emb: int
+    gate_mode: str = "unit"
 
     @property
     def width(self) -> int:
@@ -53,6 +56,19 @@ class BackboneParams:
     @property
     def depth(self) -> int:
         return len(self.levels)
+
+    def spec(self) -> dict:
+        """The :func:`init_backbone` arguments that rebuild this structure."""
+        kernels = tuple(e.kernel_size for e in self.levels[0].main.experts) if self.levels else ()
+        return dict(
+            channels=self.channels,
+            width=self.width,
+            depth=self.depth,
+            kernel_sizes=kernels,
+            head_experts=len(self.head.experts),
+            d_emb=self.d_emb,
+            gate_mode=self.gate_mode,
+        )
 
 
 def init_backbone(
@@ -82,6 +98,7 @@ def init_backbone(
         head=init_fusion(rng, width, head_experts),
         channels=channels,
         d_emb=d_emb,
+        gate_mode=gate_mode,
     )
 
 
@@ -130,69 +147,64 @@ def _is_param_node(obj) -> bool:
     return is_dataclass(obj) or isinstance(obj, list) or isinstance(obj, _LEAF_TYPES)
 
 
-def named_params(params, prefix: str = ""):
-    """Yield (dotted name, leaf) pairs in a stable declaration order,
+def _walk(fn, tree, *others, prefix: str = ""):
+    """Rebuild ``tree`` with ``fn(name, leaf, *other_leaves)`` at every
+    array/Var leaf, walking ``others`` (trees of the same structure) in
+    lockstep. ``name`` is the leaf's dotted path in declaration order, e.g.
+    ``levels.0.main.experts.2.weight``."""
+    if isinstance(tree, _LEAF_TYPES):
+        return fn(prefix, tree, *others)
+    dot = f"{prefix}." if prefix else ""
+    if isinstance(tree, list):
+        return [
+            _walk(fn, v, *(o[i] for o in others), prefix=f"{dot}{i}") for i, v in enumerate(tree)
+        ]
+    updates = {
+        f.name: _walk(fn, v, *(getattr(o, f.name) for o in others), prefix=dot + f.name)
+        for f in fields(tree)
+        if _is_param_node(v := getattr(tree, f.name))
+    }
+    return replace(tree, **updates)
+
+
+def named_params(params) -> list:
+    """(dotted name, leaf) pairs in a stable declaration order,
     e.g. ``levels.0.main.experts.2.weight``."""
-    if isinstance(params, _LEAF_TYPES):
-        yield prefix, params
-    elif isinstance(params, list):
-        for i, v in enumerate(params):
-            yield from named_params(v, f"{prefix}.{i}" if prefix else str(i))
-    elif is_dataclass(params):
-        for f in fields(params):
-            v = getattr(params, f.name)
-            if v is None or not _is_param_node(v):
-                continue
-            yield from named_params(v, f"{prefix}.{f.name}" if prefix else f.name)
+    out = []
+
+    def visit(name, leaf):
+        out.append((name, leaf))
+        return leaf
+
+    _walk(visit, params)
+    return out
 
 
 def map_params(fn, params):
     """Rebuild the tree with ``fn`` applied to every array/Var leaf."""
-    if isinstance(params, _LEAF_TYPES):
-        return fn(params)
-    if isinstance(params, list):
-        return [map_params(fn, v) for v in params]
-    if is_dataclass(params):
-        updates = {
-            f.name: map_params(fn, getattr(params, f.name))
-            for f in fields(params)
-            if getattr(params, f.name) is not None and _is_param_node(getattr(params, f.name))
-        }
-        return replace(params, **updates)
-    return params
+    return _walk(lambda _, leaf: fn(leaf), params)
 
 
 def zip_map_params(fn, a, b):
     """Rebuild tree ``a`` with ``fn(leaf_a, leaf_b)`` over matching leaves."""
-    if isinstance(a, _LEAF_TYPES):
-        return fn(a, b)
-    if isinstance(a, list):
-        return [zip_map_params(fn, x, y) for x, y in zip(a, b)]
-    if is_dataclass(a):
-        updates = {
-            f.name: zip_map_params(fn, getattr(a, f.name), getattr(b, f.name))
-            for f in fields(a)
-            if getattr(a, f.name) is not None and _is_param_node(getattr(a, f.name))
-        }
-        return replace(a, **updates)
-    return a
+    return _walk(lambda _, x, y: fn(x, y), a, b)
 
 
 def lift_params(graph: Graph, params):
     """Clone the tree with every array replaced by a graph leaf."""
-    return map_params(lambda arr: graph.leaf(arr) if isinstance(arr, np.ndarray) else arr, params)
+    return _walk(lambda _, arr: graph.leaf(arr) if isinstance(arr, np.ndarray) else arr, params)
 
 
 def grads_like(lifted_params, grad_map: dict[int, np.ndarray]):
     """Gradient tree matching ``lifted_params`` (zeros for unreached leaves)."""
 
-    def pick(leaf):
+    def pick(_, leaf):
         if not isinstance(leaf, Var):
             raise ValueError("grads_like expects a lifted (Var) parameter tree")
         g = grad_map.get(leaf.id)
         return np.zeros_like(leaf.value) if g is None else g
 
-    return map_params(pick, lifted_params)
+    return _walk(pick, lifted_params)
 
 
 def param_count(params) -> int:
@@ -204,32 +216,43 @@ def replace_param(params, target_name: str, value):
     """Clone the tree with the named leaf swapped for ``value``."""
     found = []
 
-    def rebuild(obj, prefix):
-        if isinstance(obj, _LEAF_TYPES):
-            if prefix == target_name:
-                found.append(True)
-                return value
-            return obj
-        if isinstance(obj, list):
-            return [rebuild(v, f"{prefix}.{i}" if prefix else str(i)) for i, v in enumerate(obj)]
-        if is_dataclass(obj):
-            updates = {
-                f.name: rebuild(getattr(obj, f.name), f"{prefix}.{f.name}" if prefix else f.name)
-                for f in fields(obj)
-                if getattr(obj, f.name) is not None and _is_param_node(getattr(obj, f.name))
-            }
-            return replace(obj, **updates)
-        return obj
+    def swap(name, leaf):
+        if name != target_name:
+            return leaf
+        found.append(name)
+        return value
 
-    out = rebuild(params, "")
+    out = _walk(swap, params)
     if not found:
         raise KeyError(f"no parameter named {target_name!r}")
     return out
 
 
+def fill_params(params, records: dict[str, np.ndarray], prefix: str = ""):
+    """Clone the tree with each leaf taken from ``records[prefix + name]``;
+    a missing or wrongly shaped record raises ValueError naming it."""
+
+    def take(name, leaf):
+        key = prefix + name
+        if key not in records:
+            raise ValueError(f"checkpoint has no record {key!r}")
+        value = records[key]
+        if value.shape != leaf.shape:
+            raise ValueError(
+                f"checkpoint record {key!r} has shape {value.shape}, the model needs {leaf.shape}"
+            )
+        return value
+
+    return _walk(take, params)
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
+
+# init_backbone arguments stored as ``meta.<name>`` records, each with its
+# smallest valid value; gate_mode is stored as its index in GATE_MODES.
+_SPEC_MIN = dict(channels=1, width=1, depth=0, kernel_sizes=1, head_experts=1, d_emb=1, gate_mode=0)
 
 
 def params_to_named(params: BackboneParams) -> dict[str, np.ndarray]:
@@ -237,96 +260,54 @@ def params_to_named(params: BackboneParams) -> dict[str, np.ndarray]:
 
 
 def save_backbone(path, params: BackboneParams, extra: dict[str, np.ndarray] | None = None) -> None:
+    """Write every parameter plus the model spec as ``meta.*`` records."""
     named = params_to_named(params)
-    named["meta.channels"] = np.asarray(float(params.channels))
-    named["meta.d_emb"] = np.asarray(float(params.d_emb))
+    spec = params.spec()
+    spec["gate_mode"] = GATE_MODES.index(spec["gate_mode"])
+    named.update({f"meta.{key}": np.asarray(v, dtype=np.float64) for key, v in spec.items()})
     if extra:
         named.update(extra)
     write_checkpoint(path, named)
 
 
-def _collect(named: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
-    plen = len(prefix)
-    return {k[plen:]: v for k, v in named.items() if k.startswith(prefix)}
-
-
-def _conv_from(named, prefix) -> ConvParams:
-    return ConvParams(weight=named[f"{prefix}.weight"], bias=named[f"{prefix}.bias"])
-
-
-def _linear_from(named, prefix) -> LinearParams:
-    return LinearParams(weight=named[f"{prefix}.weight"], bias=named[f"{prefix}.bias"])
-
-
-def _indexed(named: dict[str, np.ndarray], prefix: str) -> int:
-    idx = {int(k[len(prefix) + 1 :].split(".", 1)[0]) for k in named if k.startswith(prefix + ".")}
-    return 1 + max(idx) if idx else 0
-
-
-def _rfamoe_from(named, prefix, gate_mode) -> RFAMoEParams:
-    n_exp = _indexed(named, f"{prefix}.experts")
-    has_res = f"{prefix}.res_proj.weight" in named
-    return RFAMoEParams(
-        experts=[_conv_from(named, f"{prefix}.experts.{e}") for e in range(n_exp)],
-        router=_linear_from(named, f"{prefix}.router"),
-        in_gamma=named[f"{prefix}.in_gamma"],
-        in_beta=named[f"{prefix}.in_beta"],
-        gate_proj=_conv_from(named, f"{prefix}.gate_proj"),
-        fuse=_conv_from(named, f"{prefix}.fuse"),
-        res_proj=_conv_from(named, f"{prefix}.res_proj") if has_res else None,
-        gate_mode=gate_mode,
-    ).check()
-
-
-def backbone_from_named(named: dict[str, np.ndarray], gate_mode: str = "unit") -> BackboneParams:
-    """Rebuild parameters from checkpoint records; structure is recovered
-    from record names and array shapes."""
-    meta_channels = named.get("meta.channels")
-    meta_d_emb = named.get("meta.d_emb")
-    named = {k: v for k, v in named.items() if not k.startswith(("meta.", "opt."))}
-    depth = _indexed(named, "levels")
-    levels = [
-        LevelParams(
-            main=_rfamoe_from(named, f"levels.{i}.main", gate_mode),
-            cond=_rfamoe_from(named, f"levels.{i}.cond", gate_mode),
-            bridge=BridgeParams(film=_linear_from(named, f"levels.{i}.bridge.film")),
-        )
-        for i in range(depth)
-    ]
-    head = FusionMoEParams(
-        experts=[
-            _conv_from(named, f"head.experts.{k}")
-            for k in range(_indexed(named, "head.experts"))
-        ],
-        router=_linear_from(named, "head.router"),
-    ).check()
-    lift_xt = _conv_from(named, "lift_xt")
-    width = lift_xt.weight.shape[0]
-    if depth:
-        fuse_dim = levels[0].main.fuse.weight.shape[0]
-        channels, rem = divmod(fuse_dim, width)
-        if rem:
+def _read_spec(named: dict[str, np.ndarray]) -> dict:
+    spec = {}
+    for key, least in _SPEC_MIN.items():
+        name = f"meta.{key}"
+        if name not in named:
             raise ValueError(
-                f"checkpoint fusion width {fuse_dim} is not a multiple of feature width {width}"
+                f"checkpoint has no record {name!r}: checkpoints without a stored model spec "
+                "are not supported"
             )
-        d_emb = levels[0].bridge.film.weight.shape[0]
-    else:
-        channels = int(meta_channels) if meta_channels is not None else 1
-        d_emb = int(meta_d_emb) if meta_d_emb is not None else 2
-    if meta_channels is not None:
-        channels = int(meta_channels)
-    return BackboneParams(
-        lift_xt=lift_xt,
-        lift_cond=_conv_from(named, "lift_cond"),
-        levels=levels,
-        head=head,
-        channels=channels,
-        d_emb=d_emb,
-    )
+        v = named[name]
+        ndim = 1 if key == "kernel_sizes" else 0
+        if v.ndim != ndim or not np.all(np.isfinite(v) & (v == np.floor(v)) & (v >= least)):
+            raise ValueError(f"checkpoint record {name!r} holds {v.tolist()}, not a valid {key}")
+        spec[key] = tuple(int(s) for s in v) if v.ndim else int(v)
+    if spec["gate_mode"] >= len(GATE_MODES):
+        raise ValueError(f"checkpoint record 'meta.gate_mode' holds {spec['gate_mode']}, not 0 or 1")
+    spec["gate_mode"] = GATE_MODES[spec["gate_mode"]]
+    return spec
 
 
 def load_backbone(path, gate_mode: str = "unit") -> tuple[BackboneParams, dict[str, np.ndarray]]:
-    """Read a checkpoint; returns (params, auxiliary records)."""
+    """Read a checkpoint; returns (params, auxiliary ``meta.*``/``opt.*`` records).
+
+    The model is built from the stored spec and every parameter is filled
+    by name. A missing, unexpected or wrongly shaped record, or a stored
+    gate mode other than ``gate_mode``, raises ValueError.
+    """
     named = read_checkpoint(path)
+    spec = _read_spec(named)
+    if spec["gate_mode"] != gate_mode:
+        raise ValueError(
+            f"checkpoint was trained with gate_mode={spec['gate_mode']!r}, "
+            f"cannot load it with gate_mode={gate_mode!r}"
+        )
+    # The skeleton's random draws are all replaced by stored records.
+    params = fill_params(init_backbone(np.random.default_rng(0), **spec), named)
     aux = {k: v for k, v in named.items() if k.startswith(("meta.", "opt."))}
-    return backbone_from_named(named, gate_mode=gate_mode), aux
+    unexpected = sorted(named.keys() - aux.keys() - {name for name, _ in named_params(params)})
+    if unexpected:
+        raise ValueError(f"checkpoint record {unexpected[0]!r} is not a parameter of the model")
+    return params, aux

@@ -19,6 +19,9 @@ import numpy as np
 from . import autodiff as ad
 from .tensor import as_tensor
 
+# "unit": the routed gate is renormalized to 1; "raw": the softmax probability.
+GATE_MODES = ("unit", "raw")
+
 
 @dataclass
 class ConvParams:
@@ -48,7 +51,7 @@ class RFAMoEParams:
     gate_proj: ConvParams  # pointwise, L/2 -> L
     fuse: ConvParams  # pointwise, C*L -> C*L
     res_proj: object = None  # ConvParams (L_in -> L) when widths differ, else None
-    gate_mode: str = "unit"  # "unit": routed gate renormalized to 1; "raw": softmax prob
+    gate_mode: str = "unit"  # one of GATE_MODES
 
     def check(self) -> "RFAMoEParams":
         sizes = [e.kernel_size for e in self.experts]
@@ -58,7 +61,7 @@ class RFAMoEParams:
             raise ValueError(f"rfamoe: expert kernel sizes must be distinct odd, got {sizes}")
         if self.gate_proj.kernel_size != 1 or self.fuse.kernel_size != 1:
             raise ValueError("rfamoe: gate projection and fusion convolutions must have kernel size 1")
-        if self.gate_mode not in ("unit", "raw"):
+        if self.gate_mode not in GATE_MODES:
             raise ValueError(f"rfamoe: gate_mode must be 'unit' or 'raw', got {self.gate_mode!r}")
         return self
 
@@ -106,25 +109,27 @@ def step_embedding(t: int, d_emb: int) -> np.ndarray:
 
 
 def route_top1(features, router: LinearParams, gate_mode: str = "unit"):
-    """Select one expert per feature map.
+    """Select one expert per feature map; the one place routing logits are
+    computed.
 
     ``features`` is [N, L_in, T]; maps are mean-pooled over time, routed
     through the linear layer, and the argmax expert wins (ties break to
-    the lowest index). Unit mode renormalizes the selected gate to 1.0;
-    raw mode keeps the softmax probability.
+    the lowest index). Returns (expert index [N], gate [N], logits [N, E]).
+    Unit mode computes from values only and every gate is 1.0, so no
+    gradient reaches the router. Raw mode records the logits on the tape
+    when the inputs are graph-attached, and the gate is the selected
+    softmax probability.
     """
-    feats = as_tensor(features)
+    feats = ad.value_of(features)
     if feats.ndim != 3:
         raise ValueError(f"route_top1: features must be [N, L_in, T], got shape {feats.shape}")
-    pooled = feats.mean(axis=2)
-    logits = pooled @ ad.value_of(router.weight) + ad.value_of(router.bias)
-    idx = np.argmax(logits, axis=1)
     if gate_mode == "unit":
-        gates = np.ones(len(idx))
-    else:
-        probs = ad.softmax(logits)
-        gates = probs[np.arange(len(idx)), idx]
-    return idx, gates
+        logits = feats.mean(axis=2) @ ad.value_of(router.weight) + ad.value_of(router.bias)
+        idx = np.argmax(logits, axis=1)
+        return idx, np.ones(len(idx)), logits
+    logits = ad.add(ad.matmul(ad.mean(features, axis=2), router.weight), router.bias)
+    idx = np.argmax(ad.value_of(logits), axis=1)
+    return idx, ad.gather_cols(ad.softmax(logits), idx), logits
 
 
 def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int]):
@@ -146,12 +151,7 @@ def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int]):
         raise ValueError(f"rfamoe: feature width must be even for the gated split, got {l_out}")
 
     xt = ad.transpose(x, (0, 2, 1))  # [N, L_in, T]
-
-    # Routing decisions come from values only; gradients flow to the router
-    # solely through the raw-probability gate when that mode is active.
-    pooled = ad.mean(xt, axis=2)
-    logits = ad.add(ad.matmul(pooled, params.router.weight), params.router.bias)
-    sel = np.argmax(ad.value_of(logits), axis=1)
+    sel, gates, _ = route_top1(xt, params.router, params.gate_mode)
 
     routed = None
     for e, conv in enumerate(params.experts):
@@ -163,9 +163,7 @@ def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int]):
         part = ad.scatter_rows(y, rows, n)
         routed = part if routed is None else ad.add(routed, part)
     if params.gate_mode == "raw":
-        probs = ad.softmax(logits)
-        gates = ad.reshape(ad.gather_cols(probs, sel), (n, 1, 1))
-        routed = ad.mul(routed, gates)
+        routed = ad.mul(routed, ad.reshape(gates, (n, 1, 1)))
 
     h = ad.instance_norm(routed, params.in_gamma, params.in_beta)
     half = l_out // 2

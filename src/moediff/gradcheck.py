@@ -18,7 +18,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .backbone import init_backbone, named_params, noise_estimate, replace_param
-from .blocks import bridge_forward, fusion_moe_forward, init_bridge, init_fusion, init_rfamoe, rfamoe_forward
+from .blocks import (
+    bridge_forward, fusion_moe_forward, init_bridge, init_fusion, init_rfamoe, rfamoe_forward, route_top1
+)
 
 GRAD_TOL = 1e-4
 
@@ -94,8 +96,7 @@ def check_primitive_layers(seed: int = 0, points: int = 100):
 
 def _routing_margin(x, params) -> float:
     """Smallest top-2 logit gap over the feature maps of ``x``."""
-    pooled = np.transpose(x, (0, 2, 1)).mean(axis=2)
-    logits = pooled @ params.router.weight + params.router.bias
+    _, _, logits = route_top1(np.transpose(x, (0, 2, 1)), params.router)
     if logits.shape[1] < 2:
         return np.inf
     part = np.partition(logits, -2, axis=1)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .backbone import (
     BackboneParams,
-    backbone_from_named,
+    fill_params,
     init_backbone,
     load_backbone,
     named_params,
@@ -79,12 +79,8 @@ def train(cfg: RunConfig, data: np.ndarray, out_dir, resume_from=None):
     else:
         params, aux = load_backbone(resume_from, gate_mode=cfg.gate_mode)
         start_step = int(aux.get("meta.step", np.asarray(0.0)))
-        if cfg.momentum > 0.0:
-            vel_named = {
-                k[len("opt.v.") :]: v for k, v in aux.items() if k.startswith("opt.v.")
-            }
-            if vel_named:
-                velocity = backbone_from_named(vel_named, gate_mode=cfg.gate_mode)
+        if cfg.momentum > 0.0 and any(k.startswith("opt.v.") for k in aux):
+            velocity = fill_params(params, aux, prefix="opt.v.")
     if velocity is None and cfg.momentum > 0.0:
         velocity = zip_map_params(lambda p, _: np.zeros_like(p), params, params)
 

@@ -7,7 +7,6 @@ import pytest
 
 import moediff.autodiff as ad
 from moediff.backbone import (
-    backbone_from_named,
     init_backbone,
     load_backbone,
     map_params,
@@ -18,11 +17,11 @@ from moediff.backbone import (
     replace_param,
     save_backbone,
 )
-from moediff.tensor import read_checkpoint
+from moediff.tensor import read_checkpoint, write_checkpoint
 from oracles import naive_backbone
 
 
-def _build(seed=0, channels=2, width=4, depth=1, kernels=(1, 3), k=2, d_emb=8):
+def _build(seed=0, channels=2, width=4, depth=1, kernels=(1, 3), k=2, d_emb=8, gate_mode="unit"):
     return init_backbone(
         np.random.default_rng(seed),
         channels=channels,
@@ -31,6 +30,7 @@ def _build(seed=0, channels=2, width=4, depth=1, kernels=(1, 3), k=2, d_emb=8):
         kernel_sizes=kernels,
         head_experts=k,
         d_emb=d_emb,
+        gate_mode=gate_mode,
     )
 
 
@@ -151,8 +151,7 @@ class TestCheckpoint:
         assert orig.keys() == new.keys()
         for name in orig:
             npt.assert_array_equal(np.asarray(orig[name]), np.asarray(new[name]))
-        assert loaded.channels == tiny_backbone.channels
-        assert loaded.d_emb == tiny_backbone.d_emb
+        assert loaded.spec() == tiny_backbone.spec()
 
     def test_loaded_model_same_predictions(self, tmp_path, tiny_backbone, rng):
         path = tmp_path / "model.ckp1"
@@ -176,11 +175,22 @@ class TestCheckpoint:
         _, aux = load_backbone(path)
         assert int(aux["meta.step"]) == 17
 
-    def test_from_named_rejects_inconsistent_widths(self, tiny_backbone):
-        named = params_to_named(tiny_backbone)
-        named["lift_xt.weight"] = np.zeros((3, 1, 1))  # width 3 vs fuse 8
-        with pytest.raises(ValueError, match="multiple"):
-            backbone_from_named(named)
+    @pytest.mark.parametrize("depth, gate_mode", [(0, "unit"), (2, "raw")])
+    def test_stored_spec_rebuilds_model(self, tmp_path, depth, gate_mode):
+        params = _build(depth=depth, kernels=(1, 3, 5), k=3, gate_mode=gate_mode)
+        path = tmp_path / "model.ckp1"
+        save_backbone(path, params)
+        loaded, _ = load_backbone(path, gate_mode=gate_mode)
+        assert loaded.spec() == params.spec()
+        assert params_to_named(loaded).keys() == params_to_named(params).keys()
+
+    def test_load_rejects_inconsistent_widths(self, tmp_path, tiny_backbone):
+        save_backbone(tmp_path / "model.ckp1", tiny_backbone)
+        named = read_checkpoint(tmp_path / "model.ckp1")
+        named["lift_xt.weight"] = np.zeros((3, 1, 1))  # width 3 vs stored width 4
+        write_checkpoint(tmp_path / "bad.ckp1", named)
+        with pytest.raises(ValueError, match="'lift_xt.weight' has shape"):
+            load_backbone(tmp_path / "bad.ckp1")
 
 
 class TestParamTree:

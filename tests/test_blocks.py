@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moediff.autodiff as ad
-from moediff.backbone import named_params, replace_param
+from moediff.backbone import lift_params, named_params, replace_param
 from moediff.blocks import (
     ConvParams,
     FusionMoEParams,
@@ -57,25 +57,26 @@ def _identity_router(e):
 class TestRouteTop1:
     def test_argmax_selection(self):
         feats = np.array([[[0.1], [2.0], [-1.0]]])  # pooled -> the logits themselves
-        idx, gates = route_top1(feats, _identity_router(3))
+        idx, gates, logits = route_top1(feats, _identity_router(3))
         assert idx.tolist() == [1]
         npt.assert_array_equal(gates, [1.0])
+        npt.assert_array_equal(logits, [[0.1, 2.0, -1.0]])
 
     def test_tie_breaks_to_lowest_index(self):
         feats = np.array([[[2.0], [2.0], [0.0]]])
-        idx, _ = route_top1(feats, _identity_router(3))
+        idx, _, _ = route_top1(feats, _identity_router(3))
         assert idx.tolist() == [0]
 
     def test_zero_router_selects_expert_zero(self, rng):
         feats = rng.standard_normal((5, 4, 6))
         router = LinearParams(weight=np.zeros((4, 3)), bias=np.zeros(3))
-        idx, gates = route_top1(feats, router)
+        idx, gates, _ = route_top1(feats, router)
         assert idx.tolist() == [0] * 5
         npt.assert_array_equal(gates, 1.0)
 
     def test_raw_gate_is_softmax_probability(self):
         feats = np.array([[[0.0], [math.log(2.0)]]])
-        idx, gates = route_top1(feats, _identity_router(2), gate_mode="raw")
+        idx, gates, _ = route_top1(feats, _identity_router(2), gate_mode="raw")
         assert idx.tolist() == [1]
         npt.assert_allclose(gates, [2.0 / 3.0], atol=1e-12)
 
@@ -86,8 +87,8 @@ class TestRouteTop1:
         feats = rng.standard_normal((4, 3, 5))
         router = LinearParams(weight=rng.standard_normal((3, 4)), bias=rng.standard_normal(4))
         shifted = LinearParams(weight=router.weight, bias=router.bias + shift)
-        idx_a, _ = route_top1(feats, router)
-        idx_b, _ = route_top1(feats, shifted)
+        idx_a, _, _ = route_top1(feats, router)
+        idx_b, _, _ = route_top1(feats, shifted)
         npt.assert_array_equal(idx_a, idx_b)
 
 
@@ -123,6 +124,15 @@ class TestRFAMoE:
         npt.assert_allclose(
             rfamoe_forward(x, params, (2, 2)), naive_rfamoe(x, params, 2, 2), atol=1e-10
         )
+
+    @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
+    def test_router_on_tape_only_in_raw_mode(self, rng, gate_mode):
+        g = ad.Graph()
+        params = lift_params(g, self._params(rng, gate_mode=gate_mode))
+        rfamoe_forward(g.leaf(rng.standard_normal((4, 6, 4))), params, (2, 2))
+        ops = {node.op for node in g.nodes}
+        router_ops = {"mean", "matmul", "softmax", "gather_cols"}
+        assert router_ops <= ops if gate_mode == "raw" else not router_ops & ops
 
     def test_single_map_fusion_degeneracy(self, rng):
         # B = C = 1: the cross-channel reshape is a no-op, so the output is

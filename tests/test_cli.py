@@ -3,10 +3,12 @@ byte-level reproducibility of every seeded command."""
 
 import os
 
+import numpy as np
 import pytest
 
 from moediff.cli import main
 from moediff.signals import load_signals
+from moediff.tensor import read_checkpoint, write_checkpoint
 
 TINY_CONFIG = """
 steps = 4
@@ -188,6 +190,43 @@ class TestExitCodes:
         rc = main(["impute", "--config", workspace["cfg"], "--checkpoint", workspace["ckpt"],
                    "--input", str(data3 / "dataset.tsb1"), "--out", str(tmp_path / "imp")])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "edit, config_line, located",
+        [
+            pytest.param(lambda r: r.pop("head.router.bias"), "", "'head.router.bias'", id="missing"),
+            pytest.param(
+                lambda r: r.update({"levels.0.main.router.weight": np.zeros((16, 7))}),
+                "",
+                "'levels.0.main.router.weight' has shape (16, 7)",
+                id="wrong_shape",
+            ),
+            pytest.param(
+                lambda r: r.update({"levels.0.main.experts.9.weight": np.zeros((4, 4, 1))}),
+                "",
+                "'levels.0.main.experts.9.weight'",
+                id="unexpected",
+            ),
+            pytest.param(lambda r: r.pop("meta.width"), "", "'meta.width'", id="no_stored_spec"),
+            pytest.param(
+                lambda r: r.update({"meta.gate_mode": np.asarray(7.0)}), "", "'meta.gate_mode'", id="bad_spec"
+            ),
+            pytest.param(lambda r: None, "gate_mode = raw", "gate_mode='unit'", id="gate_mode"),
+        ],
+    )
+    def test_bad_checkpoint_is_2_with_located_message(
+        self, workspace, tmp_path, capsys, edit, config_line, located
+    ):
+        records = read_checkpoint(workspace["ckpt"])
+        edit(records)
+        ckpt = tmp_path / "bad.ckp1"
+        write_checkpoint(ckpt, records)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_CONFIG + config_line + "\n")
+        rc = main(["impute", "--config", str(cfg), "--checkpoint", str(ckpt),
+                   "--input", workspace["data"], "--out", str(tmp_path / "imp")])
+        assert rc == 2
+        assert located in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -234,6 +234,28 @@ class TestTrainStep:
             losses.append(loss)
         assert np.mean(losses[-10:]) < np.mean(losses[:10])
 
+    @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
+    def test_which_routers_learn(self, sched10, rng, gate_mode):
+        # Unit mode freezes the receptive-field routers at initialisation
+        # (the selected gate is exactly 1.0, so no loss reads the logits);
+        # raw mode trains them through the softmax gate. The fusion-head
+        # router trains in both modes.
+        params = init_backbone(
+            np.random.default_rng(0), channels=2, width=4, depth=2,
+            kernel_sizes=(1, 3), head_experts=2, d_emb=8, gate_mode=gate_mode,
+        )
+        batch = rng.standard_normal((4, 2, 16))
+        _, grads = train_step(params, batch, np.ones_like(batch), sched10, rng)
+        grads = dict(named_params(grads))
+        routers = [n for n in grads if n.startswith("levels.") and ".router." in n]
+        assert len(routers) == 2 * 2 * 2  # depth x {main, cond} x {weight, bias}
+        for name in routers:
+            if gate_mode == "unit":
+                npt.assert_array_equal(grads[name], 0.0, err_msg=name)
+            else:
+                assert np.any(grads[name] != 0.0), name
+        assert np.any(grads["head.router.weight"] != 0.0)
+
     def test_gradient_tree_matches_parameters(self, tiny_backbone, sched10, rng):
         batch = rng.standard_normal((2, 2, 8))
         _, grads = train_step(tiny_backbone, batch, np.ones_like(batch), sched10, rng)
