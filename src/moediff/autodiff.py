@@ -99,7 +99,9 @@ class Var:
 
 
 def _value(x) -> np.ndarray:
-    return x.value if isinstance(x, Var) else as_tensor(x)
+    # Only the dtype is coerced: a plain operand keeps its layout, as a Var's
+    # value does, so an op sums in the same order on and off the tape.
+    return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
 
 
 def value_of(x) -> np.ndarray:

@@ -102,22 +102,30 @@ def init_backbone(
     )
 
 
-def noise_estimate(x_t, x_bar, t: int, params: BackboneParams, head_gates=None):
+def noise_estimate(x_t, x_bar, t, params: BackboneParams, head_gates=None):
     """Predict the injected noise from (x_t, masked condition, step t).
 
     Inputs are [B, C, Tlen]; each of the N = B*C channels becomes an
-    independent feature map. Per level the condition path advances first
-    and is FiLM-injected into the main path; the fusion head collapses the
-    final width-L features back to one value per timestep.
+    independent feature map. ``t`` is one step for the batch or B steps,
+    one per batch row. Per level the condition path advances first and is
+    FiLM-injected into the main path; the fusion head collapses the final
+    width-L features back to one value per timestep.
     """
     xv, cv = ad.value_of(x_t), ad.value_of(x_bar)
     if xv.shape != cv.shape:
         raise ValueError(f"noise_estimate: x_t shape {xv.shape} != x_bar shape {cv.shape}")
     if xv.ndim != 3:
         raise ValueError(f"noise_estimate: inputs must be [B, C, Tlen], got shape {xv.shape}")
-    if t < 1:
-        raise ValueError(f"noise_estimate: step must be >= 1, got {t}")
     b, c, t_len = xv.shape
+    steps = np.asarray(t)
+    if steps.shape not in ((), (b,)):
+        raise ValueError(
+            f"noise_estimate: step t has shape {steps.shape}, inputs {xv.shape} need () or ({b},)"
+        )
+    if np.any(steps < 1):
+        raise ValueError(f"noise_estimate: step must be >= 1, got {steps.tolist()}")
+    if steps.ndim:
+        steps = np.repeat(steps, c)  # one step per feature map
     if c != params.channels:
         raise ValueError(
             f"noise_estimate: input has {c} channels, parameters were built for {params.channels}"
@@ -131,7 +139,7 @@ def noise_estimate(x_t, x_bar, t: int, params: BackboneParams, head_gates=None):
     cond = ad.transpose(cond, (0, 2, 1))
     for level in params.levels:
         cond = rfamoe_forward(cond, level.cond, (b, c))
-        h = ad.add(rfamoe_forward(h, level.main, (b, c)), bridge_forward(cond, t, level.bridge))
+        h = ad.add(rfamoe_forward(h, level.main, (b, c)), bridge_forward(cond, steps, level.bridge))
     out = fusion_moe_forward(h, params.head, gates_override=head_gates)  # [N, T, 1]
     return ad.reshape(out, (b, c, t_len))
 

@@ -93,19 +93,18 @@ class FusionMoEParams:
         return self
 
 
-def step_embedding(t: int, d_emb: int) -> np.ndarray:
-    """Sinusoidal encoding of a diffusion step: interleaved
-    (sin(t / 10000^(2i/d)), cos(t / 10000^(2i/d))) pairs."""
+def step_embedding(t, d_emb: int) -> np.ndarray:
+    """Sinusoidal encoding of diffusion steps: interleaved
+    (sin(t / 10000^(2i/d)), cos(t / 10000^(2i/d))) pairs, [d_emb] for a
+    scalar ``t`` and [len(t), d_emb] for an array of steps."""
     if d_emb % 2 != 0:
         raise ValueError(f"step embedding size must be even, got {d_emb}")
-    if t < 0:
+    t = np.asarray(t)
+    if np.any(t < 0):
         raise ValueError(f"step must be >= 0, got {t}")
     i = np.arange(d_emb // 2)
-    angles = t * 10000.0 ** (-2.0 * i / d_emb)
-    emb = np.empty(d_emb)
-    emb[0::2] = np.sin(angles)
-    emb[1::2] = np.cos(angles)
-    return emb
+    angles = t[..., None] * 10000.0 ** (-2.0 * i / d_emb)
+    return np.stack([np.sin(angles), np.cos(angles)], axis=-1).reshape(*t.shape, d_emb)
 
 
 def route_top1(features, router: LinearParams, gate_mode: str = "unit"):
@@ -153,15 +152,14 @@ def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int]):
     xt = ad.transpose(x, (0, 2, 1))  # [N, L_in, T]
     sel, gates, _ = route_top1(xt, params.router, params.gate_mode)
 
-    routed = None
+    # One scatter puts every active expert's output rows back in place.
+    outs, rows = [], []
     for e, conv in enumerate(params.experts):
-        rows = np.where(sel == e)[0]
-        if rows.size == 0:
-            continue
-        sub = ad.take_rows(xt, rows)
-        y = ad.conv1d(sub, conv.weight, conv.bias, padding="same")
-        part = ad.scatter_rows(y, rows, n)
-        routed = part if routed is None else ad.add(routed, part)
+        idx = np.where(sel == e)[0]
+        if idx.size:
+            outs.append(ad.conv1d(ad.take_rows(xt, idx), conv.weight, conv.bias, padding="same"))
+            rows.append(idx)
+    routed = ad.scatter_rows(ad.concat(outs, axis=0), np.concatenate(rows), n)
     if params.gate_mode == "raw":
         routed = ad.mul(routed, ad.reshape(gates, (n, 1, 1)))
 
@@ -189,15 +187,16 @@ def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int]):
     return ad.transpose(ad.add(fused, res), (0, 2, 1))
 
 
-def bridge_forward(h, t: int, params: BridgeParams):
-    """FiLM the [N, T, L] feature map: gamma(t) * h + beta(t) per channel."""
+def bridge_forward(h, t, params: BridgeParams):
+    """FiLM the [N, T, L] feature map: gamma(t) * h + beta(t) per channel,
+    with ``t`` one step for every map or an array of N steps, one per map."""
     w = params.film.weight
     d_emb, two_l = ad.value_of(w).shape
     l = two_l // 2
-    emb = step_embedding(t, d_emb).reshape(1, d_emb)
-    gb = ad.add(ad.matmul(emb, w), params.film.bias)  # [1, 2L]
-    gamma = ad.reshape(ad.slice_axis(gb, 1, 0, l), (1, 1, l))
-    beta = ad.reshape(ad.slice_axis(gb, 1, l, two_l), (1, 1, l))
+    emb = step_embedding(t, d_emb).reshape(-1, d_emb)  # [1 or N, d_emb]
+    gb = ad.add(ad.matmul(emb, w), params.film.bias)  # [1 or N, 2L]
+    gamma = ad.reshape(ad.slice_axis(gb, 1, 0, l), (-1, 1, l))
+    beta = ad.reshape(ad.slice_axis(gb, 1, l, two_l), (-1, 1, l))
     return ad.add(ad.mul(h, gamma), beta)
 
 

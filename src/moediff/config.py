@@ -134,8 +134,3 @@ def serialize_config(cfg: RunConfig) -> str:
 def load_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
-
-
-def save_config(path, cfg: RunConfig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_config(cfg))

@@ -130,18 +130,17 @@ def train_step(
 ):
     """One noise-prediction training step.
 
-    Draws a diffusion step per batch element, corrupts the batch, and
-    returns (mse loss, gradient tree shaped like ``params``). Elements
-    sharing a step are evaluated together; the total is the exact mean
-    squared error over every entry of the batch.
+    Draws a diffusion step per batch element, corrupts the batch, runs the
+    whole batch through one ``noise_estimate`` with those per-row steps, and
+    returns (mean squared error over every entry of the batch, gradient
+    tree shaped like ``params``).
     """
     batch = require_finite(as_tensor(batch), "batch")
     mask = require_binary(as_tensor(mask))
     if batch.shape != mask.shape:
         raise ValueError(f"train_step: batch shape {batch.shape} != mask shape {mask.shape}")
 
-    b = batch.shape[0]
-    ts = rng.integers(1, sched.t_steps + 1, size=b)
+    ts = rng.integers(1, sched.t_steps + 1, size=batch.shape[0])
     eps = rng.standard_normal(batch.shape)
     abar = sched.alpha_bar[ts - 1][:, None, None]
     x_t = np.sqrt(abar) * batch + np.sqrt(1.0 - abar) * eps
@@ -149,13 +148,7 @@ def train_step(
 
     graph = ad.Graph()
     pvars = lift_params(graph, params)
-    total_sse = None
-    for t in np.unique(ts):
-        rows = np.where(ts == t)[0]
-        pred = noise_estimate(x_t[rows], x_bar[rows], int(t), pvars)
-        diff = ad.sub(pred, eps[rows])
-        sse = ad.tsum(ad.mul(diff, diff))
-        total_sse = sse if total_sse is None else ad.add(total_sse, sse)
-    loss = ad.scale(total_sse, 1.0 / batch.size)
+    diff = ad.sub(noise_estimate(x_t, x_bar, ts, pvars), eps)
+    loss = ad.scale(ad.tsum(ad.mul(diff, diff)), 1.0 / batch.size)
     grad_map = ad.backward(graph, loss)
     return float(loss.value), grads_like(pvars, grad_map)

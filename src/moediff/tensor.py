@@ -1,8 +1,9 @@
 """Dense float64 tensors and the TSB1 / CKP1 binary formats.
 
-All numeric state in this package lives in C-contiguous float64 numpy
-arrays (row-major flat storage). Arrays are treated as immutable values:
-operations always return fresh arrays and never write into their inputs.
+All numeric state in this package lives in float64 numpy arrays: inputs
+and stored records C-contiguous (row-major), intermediates such as
+transposes possibly strided views. Arrays are treated as immutable values:
+operations never write into their inputs.
 
 TSB1 is the on-disk tensor format used for signals, masks, and checkpoint
 records: magic ``TSB1``, u32 little-endian rank, rank x u32 little-endian

@@ -8,6 +8,7 @@ import pytest
 import moediff.autodiff as ad
 from moediff.backbone import (
     init_backbone,
+    lift_params,
     load_backbone,
     map_params,
     named_params,
@@ -57,6 +58,23 @@ class TestNoiseEstimate:
             naive_backbone(x_t, x_bar, 4, params),
             atol=1e-10,
         )
+
+    @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
+    def test_lifted_matches_plain_bitwise(self, gate_mode):
+        # Training (on the tape) and sampling (plain arrays) must compute
+        # the same estimate to the last bit, or a near-tie could route
+        # differently in the two.
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            params = _build(
+                seed=seed, channels=3, width=16, kernels=(3, 5, 7, 9, 11), k=4, d_emb=64,
+                gate_mode=gate_mode,
+            )
+            x_t, x_bar = rng.standard_normal((2, 4, 3, 64))
+            t = rng.integers(1, 11, size=4)
+            g = ad.Graph()
+            lifted = noise_estimate(x_t, x_bar, t, lift_params(g, params))
+            npt.assert_array_equal(lifted.value, noise_estimate(x_t, x_bar, t, params))
 
     def test_hand_sized_manual_trace(self):
         # Depth 1, width 2, length 4: same prediction as the stage-by-stage
@@ -115,6 +133,13 @@ class TestNoiseEstimate:
             noise_estimate(np.zeros((1, 3, 8)), np.zeros((1, 3, 8)), 1, params)
         with pytest.raises(ValueError, match="step"):
             noise_estimate(np.zeros((1, 2, 8)), np.zeros((1, 2, 8)), 0, params)
+        wrong_length = r"step t has shape \(2,\), inputs \(1, 2, 8\) need \(\) or \(1,\)"
+        with pytest.raises(ValueError, match=wrong_length):
+            noise_estimate(np.zeros((1, 2, 8)), np.zeros((1, 2, 8)), np.array([1, 2]), params)
+        with pytest.raises(ValueError, match=r"step t has shape \(2, 1\)"):
+            noise_estimate(np.zeros((2, 2, 8)), np.zeros((2, 2, 8)), np.ones((2, 1)), params)
+        with pytest.raises(ValueError, match=r"step must be >= 1, got \[3, 0\]"):
+            noise_estimate(np.zeros((2, 2, 8)), np.zeros((2, 2, 8)), np.array([3, 0]), params)
 
 
 class TestParamCount:

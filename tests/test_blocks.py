@@ -49,6 +49,18 @@ class TestStepEmbedding:
         with pytest.raises(ValueError, match="even"):
             step_embedding(1, 5)
 
+    def test_step_array_rows_match_scalar_calls(self):
+        ts = np.array([7, 1, 40, 7, 0])
+        emb = step_embedding(ts, 16)
+        assert emb.shape == (5, 16)
+        for row, t in zip(emb, ts):
+            npt.assert_array_equal(row, step_embedding(int(t), 16))
+
+    @pytest.mark.parametrize("t", [-1, np.array([3, -1])])
+    def test_negative_step_rejected(self, t):
+        with pytest.raises(ValueError, match=">= 0"):
+            step_embedding(t, 4)
+
 
 def _identity_router(e):
     return LinearParams(weight=np.eye(e), bias=np.zeros(e))
@@ -133,6 +145,25 @@ class TestRFAMoE:
         ops = {node.op for node in g.nodes}
         router_ops = {"mean", "matmul", "softmax", "gather_cols"}
         assert router_ops <= ops if gate_mode == "raw" else not router_ops & ops
+
+    @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
+    def test_one_scatter_per_call(self, gate_mode):
+        # The active experts' outputs go back in place through a single
+        # scatter; no per-expert full-size tensor is summed.
+        rng = np.random.default_rng(5)
+        plain = self._params(rng, c=3, kernels=(1, 3, 5), gate_mode=gate_mode)
+        plain.router.weight = 3.0 * rng.standard_normal((4, 3))
+        x = rng.standard_normal((12, 6, 4))
+        sel, _, _ = route_top1(np.transpose(x, (0, 2, 1)), plain.router, gate_mode)
+        active = len(np.unique(sel))
+        assert active >= 2
+        g = ad.Graph()
+        rfamoe_forward(g.leaf(x), lift_params(g, plain), (4, 3))
+        ops = [node.op for node in g.nodes]
+        assert ops.count("scatter_rows") == 1
+        assert ops.count("take_rows") == active
+        # The residual add, plus the router's bias add in raw mode.
+        assert ops.count("add") == (1 if gate_mode == "unit" else 2)
 
     def test_single_map_fusion_degeneracy(self, rng):
         # B = C = 1: the cross-channel reshape is a no-op, so the output is
@@ -250,6 +281,12 @@ class TestBridge:
         h = rng.standard_normal((3, 6, 4))
         for t in (1, 7, 40):
             npt.assert_allclose(bridge_forward(h, t, params), naive_bridge(h, t, params), atol=1e-12)
+        # One step per feature map: each row is FiLMed with its own step.
+        ts = np.array([40, 1, 7])
+        out = bridge_forward(h, ts, params)
+        for n, t in enumerate(ts):
+            npt.assert_allclose(out[n : n + 1], naive_bridge(h[n : n + 1], t, params), atol=1e-12)
+            npt.assert_allclose(out[n : n + 1], bridge_forward(h[n : n + 1], t, params), atol=1e-12)
 
     def test_affine_in_features(self, rng):
         params = init_bridge(rng, 6, 4)

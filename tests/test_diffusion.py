@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moediff.backbone import init_backbone, map_params, named_params
+import moediff.autodiff as ad
+from moediff.backbone import (
+    grads_like,
+    init_backbone,
+    lift_params,
+    map_params,
+    named_params,
+    noise_estimate,
+)
 from moediff.diffusion import (
     NoiseSchedule,
     forward_noise,
@@ -179,7 +187,57 @@ class TestSample:
         assert sample(params, x_bar, sched10, np.random.default_rng(1)).shape == (2, 3, 128)
 
 
+def grouped_train_step(params, batch, mask, sched, rng):
+    """Reference training step: one forward per distinct diffusion step in
+    the batch, the squared errors summed across groups. Draws from ``rng``
+    exactly as :func:`train_step` does; also returns the drawn steps."""
+    ts = rng.integers(1, sched.t_steps + 1, size=batch.shape[0])
+    eps = rng.standard_normal(batch.shape)
+    abar = sched.alpha_bar[ts - 1][:, None, None]
+    x_t = np.sqrt(abar) * batch + np.sqrt(1.0 - abar) * eps
+    x_bar = batch * mask
+    graph = ad.Graph()
+    pvars = lift_params(graph, params)
+    total_sse = None
+    for t in np.unique(ts):
+        rows = np.where(ts == t)[0]
+        diff = ad.sub(noise_estimate(x_t[rows], x_bar[rows], int(t), pvars), eps[rows])
+        sse = ad.tsum(ad.mul(diff, diff))
+        total_sse = sse if total_sse is None else ad.add(total_sse, sse)
+    loss = ad.scale(total_sse, 1.0 / batch.size)
+    return float(loss.value), grads_like(pvars, ad.backward(graph, loss)), ts
+
+
 class TestTrainStep:
+    @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
+    @pytest.mark.parametrize("distinct", [False, True])
+    def test_matches_grouped_oracle(self, sched10, gate_mode, distinct):
+        b = 4
+        # The first seed whose drawn steps are all distinct (or repeat).
+        seed = next(
+            s for s in range(100)
+            if (len(np.unique(np.random.default_rng(s).integers(1, 11, size=b))) == b) == distinct
+        )
+        params = init_backbone(
+            np.random.default_rng(0), channels=2, width=8, depth=2,
+            kernel_sizes=(1, 3, 5), head_experts=3, d_emb=16, gate_mode=gate_mode,
+        )
+        data_rng = np.random.default_rng(100)
+        batch = data_rng.standard_normal((b, 2, 24))
+        mask = (data_rng.random(batch.shape) < 0.7).astype(float)
+        loss, grads = train_step(params, batch, mask, sched10, np.random.default_rng(seed))
+        ref_loss, ref_grads, ts = grouped_train_step(
+            params, batch, mask, sched10, np.random.default_rng(seed)
+        )
+        assert (len(np.unique(ts)) == b) == distinct
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
+        # Gradients that are zero in exact arithmetic (expert biases feeding
+        # an instance norm) read ~1e-18 on both paths, so the tolerance is
+        # relative to the largest gradient in the tree, not per leaf.
+        largest = max(np.abs(g).max() for _, g in named_params(ref_grads))
+        for (name, g), (_, r) in zip(named_params(grads), named_params(ref_grads)):
+            npt.assert_allclose(g, r, rtol=0.0, atol=1e-12 * largest, err_msg=name)
+
     def test_zero_backbone_unit_loss(self, sched10):
         params = init_backbone(
             np.random.default_rng(0), channels=3, width=4, depth=1,
@@ -193,14 +251,15 @@ class TestTrainStep:
 
     def test_all_ones_mask_keeps_batch(self, sched10, rng, monkeypatch):
         # The condition x_bar must equal the batch exactly under an
-        # all-ones mask; capture it from the estimator call.
+        # all-ones mask; capture it from the estimator call. The whole
+        # batch goes through one call, whatever steps were drawn.
         import moediff.diffusion as diffusion
 
-        captured = {}
+        calls = []
         orig = diffusion.noise_estimate
 
         def spy(x_t, x_bar, t, params, head_gates=None):
-            captured["x_bar"] = np.asarray(x_bar if not hasattr(x_bar, "value") else x_bar.value)
+            calls.append((np.asarray(ad.value_of(x_bar)), np.asarray(t)))
             return orig(x_t, x_bar, t, params, head_gates=head_gates)
 
         monkeypatch.setattr(diffusion, "noise_estimate", spy)
@@ -208,9 +267,12 @@ class TestTrainStep:
             np.random.default_rng(0), channels=2, width=4, depth=1,
             kernel_sizes=(1,), head_experts=1, d_emb=4,
         )
-        batch = rng.standard_normal((1, 2, 8))
+        batch = rng.standard_normal((6, 2, 8))
         train_step(params, batch, np.ones_like(batch), sched10, rng)
-        npt.assert_array_equal(captured["x_bar"], batch)
+        assert len(calls) == 1
+        x_bar, ts = calls[0]
+        npt.assert_array_equal(x_bar, batch)
+        assert ts.shape == (6,) and len(np.unique(ts)) > 1
 
     def test_nonbinary_mask_rejected(self, tiny_backbone, sched10, rng):
         batch = rng.standard_normal((2, 2, 8))
