@@ -102,21 +102,51 @@ def init_backbone(
     )
 
 
-def noise_estimate(x_t, x_bar, t, params: BackboneParams, head_gates=None):
+def _check_inputs(where: str, x, params: BackboneParams) -> tuple[int, int, int]:
+    """(B, C, Tlen) of a [B, C, Tlen] input with the channels ``params`` expects."""
+    if x.ndim != 3:
+        raise ValueError(f"{where}: inputs must be [B, C, Tlen], got shape {x.shape}")
+    if x.shape[1] != params.channels:
+        raise ValueError(
+            f"{where}: input has {x.shape[1]} channels, parameters were built for {params.channels}"
+        )
+    return x.shape
+
+
+def condition_features(x_bar, params: BackboneParams) -> list:
+    """Run the condition path over the masked condition ``x_bar`` [B, C, Tlen].
+
+    Returns one [N, T, L] map per level (N = B*C), the input to that
+    level's FiLM bridge. The maps depend on ``x_bar`` and the weights only,
+    never on the noisy signal or the step, so a sampler computes them once
+    and hands them to every :func:`noise_estimate` call as ``cond``.
+    """
+    b, c, t_len = _check_inputs("condition_features", ad.value_of(x_bar), params)
+    n = b * c
+    h = ad.conv1d(ad.reshape(x_bar, (n, 1, t_len)), params.lift_cond.weight, params.lift_cond.bias)
+    h = ad.transpose(h, (0, 2, 1))  # [N, T, L]
+    maps = []
+    for level in params.levels:
+        h = rfamoe_forward(h, level.cond, (b, c))
+        maps.append(h)
+    return maps
+
+
+def noise_estimate(x_t, x_bar, t, params: BackboneParams, head_gates=None, *, cond=None):
     """Predict the injected noise from (x_t, masked condition, step t).
 
     Inputs are [B, C, Tlen]; each of the N = B*C channels becomes an
     independent feature map. ``t`` is one step for the batch or B steps,
-    one per batch row. Per level the condition path advances first and is
-    FiLM-injected into the main path; the fusion head collapses the final
-    width-L features back to one value per timestep.
+    one per batch row. ``cond`` holds the per-level condition maps of
+    :func:`condition_features` for ``x_bar``; when None they are computed
+    here. Each level FiLM-injects its condition map into the main path; the
+    fusion head collapses the final width-L features back to one value per
+    timestep.
     """
     xv, cv = ad.value_of(x_t), ad.value_of(x_bar)
     if xv.shape != cv.shape:
         raise ValueError(f"noise_estimate: x_t shape {xv.shape} != x_bar shape {cv.shape}")
-    if xv.ndim != 3:
-        raise ValueError(f"noise_estimate: inputs must be [B, C, Tlen], got shape {xv.shape}")
-    b, c, t_len = xv.shape
+    b, c, t_len = _check_inputs("noise_estimate", xv, params)
     steps = np.asarray(t)
     if steps.shape not in ((), (b,)):
         raise ValueError(
@@ -126,20 +156,21 @@ def noise_estimate(x_t, x_bar, t, params: BackboneParams, head_gates=None):
         raise ValueError(f"noise_estimate: step must be >= 1, got {steps.tolist()}")
     if steps.ndim:
         steps = np.repeat(steps, c)  # one step per feature map
-    if c != params.channels:
-        raise ValueError(
-            f"noise_estimate: input has {c} channels, parameters were built for {params.channels}"
-        )
     n = b * c
+    if cond is None:
+        cond = condition_features(x_bar, params)
+    want = (n, t_len, params.width)
+    shapes = [ad.value_of(m).shape for m in cond]
+    if len(shapes) != params.depth or any(s != want for s in shapes):
+        raise ValueError(
+            f"noise_estimate: condition maps have shapes {shapes}, inputs {xv.shape} "
+            f"need {params.depth} of {want}"
+        )
     h = ad.conv1d(ad.reshape(x_t, (n, 1, t_len)), params.lift_xt.weight, params.lift_xt.bias)
-    cond = ad.conv1d(
-        ad.reshape(x_bar, (n, 1, t_len)), params.lift_cond.weight, params.lift_cond.bias
-    )
     h = ad.transpose(h, (0, 2, 1))  # [N, T, L]
-    cond = ad.transpose(cond, (0, 2, 1))
-    for level in params.levels:
-        cond = rfamoe_forward(cond, level.cond, (b, c))
-        h = ad.add(rfamoe_forward(h, level.main, (b, c)), bridge_forward(cond, steps, level.bridge))
+    for level, cond_map in zip(params.levels, cond):
+        main = rfamoe_forward(h, level.main, (b, c))
+        h = ad.add(main, bridge_forward(cond_map, steps, level.bridge))
     out = fusion_moe_forward(h, params.head, gates_override=head_gates)  # [N, T, 1]
     return ad.reshape(out, (b, c, t_len))
 
@@ -298,6 +329,15 @@ def _read_spec(named: dict[str, np.ndarray]) -> dict:
     return spec
 
 
+class _ShapesOnly:
+    """Stands in for the RNG of :func:`init_backbone` when every weight is
+    about to be replaced: hands back uninitialised arrays, draws nothing."""
+
+    @staticmethod
+    def normal(loc, scale, size):
+        return np.empty(size)
+
+
 def load_backbone(path, gate_mode: str = "unit") -> tuple[BackboneParams, dict[str, np.ndarray]]:
     """Read a checkpoint; returns (params, auxiliary ``meta.*``/``opt.*`` records).
 
@@ -312,8 +352,7 @@ def load_backbone(path, gate_mode: str = "unit") -> tuple[BackboneParams, dict[s
             f"checkpoint was trained with gate_mode={spec['gate_mode']!r}, "
             f"cannot load it with gate_mode={gate_mode!r}"
         )
-    # The skeleton's random draws are all replaced by stored records.
-    params = fill_params(init_backbone(np.random.default_rng(0), **spec), named)
+    params = fill_params(init_backbone(_ShapesOnly(), **spec), named)
     aux = {k: v for k, v in named.items() if k.startswith(("meta.", "opt."))}
     unexpected = sorted(named.keys() - aux.keys() - {name for name, _ in named_params(params)})
     if unexpected:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .backbone import BackboneParams, grads_like, lift_params, noise_estimate
+from .backbone import BackboneParams, condition_features, grads_like, lift_params, noise_estimate
 from .tensor import as_tensor, require_binary, require_finite
 
 
@@ -107,15 +107,20 @@ def sample(
     ``head_gates`` optionally overrides the fusion-head router (used by the
     fixed-expert diagnostics). ``estimator`` replaces the backbone with a
     callable (x_t, x_bar, t) -> eps_hat, which lets tests drive the sampler
-    with a known noise estimate.
+    with a known noise estimate. The backbone's condition maps depend on
+    x_bar alone, so they are computed once and every reverse step reuses
+    them.
     """
     x_bar = require_finite(as_tensor(x_bar), "x_bar")
+    if estimator is None:
+        cond = condition_features(x_bar, params)
+
+        def estimator(x_t, x_bar, t):
+            return noise_estimate(x_t, x_bar, t, params, head_gates=head_gates, cond=cond)
+
     x = rng.standard_normal(x_bar.shape)
     for t in range(sched.t_steps, 0, -1):
-        if estimator is None:
-            eps_hat = noise_estimate(x, x_bar, t, params, head_gates=head_gates)
-        else:
-            eps_hat = estimator(x, x_bar, t)
+        eps_hat = estimator(x, x_bar, t)
         z = rng.standard_normal(x.shape) if t > 1 else np.zeros_like(x)
         x = reverse_step(x, eps_hat, t, sched, z)
     return x

@@ -7,6 +7,7 @@ import pytest
 
 import moediff.autodiff as ad
 from moediff.backbone import (
+    condition_features,
     init_backbone,
     lift_params,
     load_backbone,
@@ -18,6 +19,7 @@ from moediff.backbone import (
     replace_param,
     save_backbone,
 )
+from moediff.diffusion import make_schedule, sample
 from moediff.tensor import read_checkpoint, write_checkpoint
 from oracles import naive_backbone
 
@@ -72,9 +74,14 @@ class TestNoiseEstimate:
             )
             x_t, x_bar = rng.standard_normal((2, 4, 3, 64))
             t = rng.integers(1, 11, size=4)
-            g = ad.Graph()
-            lifted = noise_estimate(x_t, x_bar, t, lift_params(g, params))
-            npt.assert_array_equal(lifted.value, noise_estimate(x_t, x_bar, t, params))
+            plain = noise_estimate(x_t, x_bar, t, params)
+            lifted_params = lift_params(ad.Graph(), params)
+            lifted = noise_estimate(x_t, x_bar, t, lifted_params)
+            npt.assert_array_equal(lifted.value, plain)
+            # Likewise with the condition maps computed beforehand.
+            for tree in (params, lifted_params):
+                out = noise_estimate(x_t, x_bar, t, tree, cond=condition_features(x_bar, tree))
+                npt.assert_array_equal(ad.value_of(out), plain)
 
     def test_hand_sized_manual_trace(self):
         # Depth 1, width 2, length 4: same prediction as the stage-by-stage
@@ -140,6 +147,23 @@ class TestNoiseEstimate:
             noise_estimate(np.zeros((2, 2, 8)), np.zeros((2, 2, 8)), np.ones((2, 1)), params)
         with pytest.raises(ValueError, match=r"step must be >= 1, got \[3, 0\]"):
             noise_estimate(np.zeros((2, 2, 8)), np.zeros((2, 2, 8)), np.array([3, 0]), params)
+        # The condition path checks its input itself: a sampler reaches it
+        # before any noise_estimate call.
+        with pytest.raises(ValueError, match=r"condition_features: inputs must be \[B, C, Tlen\]"):
+            condition_features(np.zeros((2, 8)), params)
+        with pytest.raises(ValueError, match="condition_features: input has 3 channels"):
+            condition_features(np.zeros((1, 3, 8)), params)
+        with pytest.raises(ValueError, match="condition_features: input has 3 channels"):
+            sample(params, np.zeros((1, 3, 8)), make_schedule(2), np.random.default_rng(0))
+        # Precomputed condition maps must match params (one per level) and x_t.
+        x = np.zeros((1, 2, 8))
+        with pytest.raises(ValueError, match=r"condition maps have shapes \[\], .* need 1 of \(2, 8, 4\)"):
+            noise_estimate(x, x, 1, params, cond=[])
+        wrong_n = r"shapes \[\(4, 8, 4\)\], inputs \(1, 2, 8\) need 1 of \(2, 8, 4\)"
+        with pytest.raises(ValueError, match=wrong_n):
+            noise_estimate(x, x, 1, params, cond=condition_features(np.zeros((2, 2, 8)), params))
+        with pytest.raises(ValueError, match=r"shapes \[\(2, 9, 4\)\]"):
+            noise_estimate(x, x, 1, params, cond=condition_features(np.zeros((1, 2, 9)), params))
 
 
 class TestParamCount:

@@ -178,6 +178,24 @@ class TestSample:
         b = sample(tiny_backbone, x_bar, sched10, np.random.default_rng(33))
         npt.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
+    @pytest.mark.parametrize("fixed_head", [False, True])
+    def test_matches_per_step_estimate(self, sched10, gate_mode, fixed_head):
+        # Oracle: the same sampler fed an estimate that rebuilds the
+        # condition maps at every reverse step.
+        params = init_backbone(
+            np.random.default_rng(4), channels=2, width=8, depth=2,
+            kernel_sizes=(1, 3, 5), head_experts=3, d_emb=16, gate_mode=gate_mode,
+        )
+        gates = np.array([0.2, 0.5, 0.3]) if fixed_head else None
+        x_bar = np.random.default_rng(5).standard_normal((3, 2, 24))
+        out = sample(params, x_bar, sched10, np.random.default_rng(6), head_gates=gates)
+        ref = sample(
+            params, x_bar, sched10, np.random.default_rng(6),
+            estimator=lambda x, xb, t: noise_estimate(x, xb, t, params, head_gates=gates),
+        )
+        npt.assert_array_equal(out, ref)
+
     def test_output_shape(self, sched10):
         params = init_backbone(
             np.random.default_rng(0), channels=3, width=4, depth=1,
