@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
 from .tensor import as_tensor
@@ -342,19 +341,38 @@ def _conv1d_pads(s: int, padding: str) -> tuple[int, int]:
     return left, s - 1 - left  # even kernels pad one extra on the right
 
 
+def _pad_time(x: np.ndarray, pl: int, pr: int) -> np.ndarray:
+    return np.pad(x, ((0, 0), (0, 0), (pl, pr))) if (pl or pr) else x
+
+
+def _tap_sum(x: np.ndarray, w: np.ndarray, pl: int, pr: int) -> np.ndarray:
+    """``sum_j w[:, :, j] @ xp[:, :, j:j+T']`` with ``xp`` = ``x`` zero-padded
+    by (pl, pr) on the time axis: one matmul per tap, batched over the maps."""
+    xp = _pad_time(x, pl, pr)
+    t_out = xp.shape[2] - w.shape[2] + 1
+    out = w[:, :, 0] @ xp[:, :, :t_out]
+    for j in range(1, w.shape[2]):
+        out += w[:, :, j] @ xp[:, :, j : j + t_out]
+    return out
+
+
 def conv1d(x, w, b, padding: str = "same"):
-    """Cross-correlation over the last axis: [N,Cin,T] x [Cout,Cin,S] -> [N,Cout,T']."""
+    """Cross-correlation over the last axis: [N,Cin,T] x [Cout,Cin,S] -> [N,Cout,T'].
+
+    Computed one kernel tap at a time: with ``xp`` the zero-padded input,
+    ``out = sum_j w[:, :, j] @ xp[:, :, j:j+T'] + b``, each term one matmul
+    batched over the N maps. A kernel-1 convolution is the one-tap case.
+    The padded input is a temporary; the tape keeps only the pad widths.
+    """
     xv, wv, bv = _value(x), _value(w), _value(b)
     _conv1d_check(xv, wv, bv, padding)
-    s = wv.shape[2]
-    pl, pr = _conv1d_pads(s, padding)
-    xp = np.pad(xv, ((0, 0), (0, 0), (pl, pr))) if (pl or pr) else xv
-    windows = sliding_window_view(xp, s, axis=2)  # [N, Cin, T', S]
-    out = np.einsum("ncts,ocs->not", windows, wv, optimize=True) + bv[None, :, None]
+    pl, pr = _conv1d_pads(wv.shape[2], padding)
+    out = _tap_sum(xv, wv, pl, pr)
+    out += bv[:, None]
     g = _graph_of(x, w, b)
     if g is None:
         return out
-    return g._record("conv1d", _ids(g, x, w, b), out, {"pads": (pl, pr), "xp": xp})
+    return g._record("conv1d", _ids(g, x, w, b), out, {"pads": (pl, pr)})
 
 
 def gelu(x):
@@ -500,19 +518,25 @@ def _bwd_mean(node, grad, vals):
 
 
 def _bwd_conv1d(node, grad, vals):
-    _, w, _ = vals
-    xp = node.ctx["xp"]
+    """Per-tap transpose of :func:`conv1d`; the input is re-padded from its value.
+
+    ``dw[:, :, j] = sum_n grad[n] @ xp[n, :, j:j+T'].T``, one batched matmul
+    per tap; ``db`` sums ``grad`` over maps and time. ``dx`` is the same tap
+    sum as the forward, run over ``grad`` with the kernel flipped in time
+    and transposed (tap j becomes ``w[:, :, S-1-j].T``) and padded by
+    (S-1-pl, S-1-pr). That equals accumulating
+    ``dxp[:, :, j:j+T'] += w[:, :, j].T @ grad`` and dropping the padding,
+    without building ``dxp``.
+    """
+    x, w, _ = vals
     pl, pr = node.ctx["pads"]
-    s = w.shape[2]
-    windows = sliding_window_view(xp, s, axis=2)
-    dw = np.einsum("not,ncts->ocs", grad, windows, optimize=True)
-    db = grad.sum(axis=(0, 2))
-    gp = np.pad(grad, ((0, 0), (0, 0), (s - 1, s - 1)))
-    gwin = sliding_window_view(gp, s, axis=2)  # [N, Cout, T+pl+pr, S]
-    dxp = np.einsum("nots,ocs->nct", gwin, w[:, :, ::-1], optimize=True)
-    t = xp.shape[2] - pl - pr
-    dx = dxp[:, :, pl : pl + t]
-    return [dx, dw, db]
+    s, t_out = w.shape[2], grad.shape[2]
+    xp = _pad_time(x, pl, pr)
+    dw = np.empty_like(w)
+    for j in range(s):
+        dw[:, :, j] = (grad @ xp[:, :, j : j + t_out].transpose(0, 2, 1)).sum(axis=0)
+    dx = _tap_sum(grad, w[:, :, ::-1].transpose(1, 0, 2), s - 1 - pl, s - 1 - pr)
+    return [dx, dw, grad.sum(axis=(0, 2))]
 
 
 def _bwd_gelu(node, grad, vals):

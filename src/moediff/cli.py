@@ -341,6 +341,11 @@ def _cmd_error_dist(args) -> int:
     mask = spec.build(*truth.shape)
     x_bar = apply_mask(truth, mask)
     sched = make_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
+    if not 0 <= args.sample < truth.shape[0]:
+        raise ValueError(
+            f"--sample {args.sample} outside 0..{truth.shape[0] - 1}: "
+            f"{args.data} holds {truth.shape[0]} records"
+        )
     if not 0 <= args.channel < truth.shape[1]:
         raise ValueError(f"channel {args.channel} outside 0..{truth.shape[1] - 1}")
     if args.mode == "shots":

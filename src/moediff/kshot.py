@@ -18,8 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .backbone import BackboneParams
-from .diffusion import NoiseSchedule, reverse_step, sample
+from .backbone import BackboneParams, condition_features
+from .diffusion import NoiseSchedule, backbone_estimator, reverse_step, sample
 from .tensor import as_tensor
 
 _SIMPLEX_TOL = 1e-9
@@ -97,12 +97,17 @@ def kshot_ensemble(
     rng: np.random.Generator,
     head_gates=None,
 ) -> ShotEnsemble:
-    """Run the sampler ``k`` times on independent streams derived from ``rng``."""
+    """Run the sampler ``k`` times on independent streams derived from ``rng``.
+
+    The shots share one x_bar, so its condition maps are computed once.
+    """
     if k < 1:
         raise ValueError(f"shot count must be >= 1, got {k}")
     seeds = [int(s) for s in rng.integers(0, 2**63, size=k, dtype=np.uint64)]
+    x_bar = as_tensor(x_bar)
+    estimator = backbone_estimator(params, condition_features(x_bar, params), head_gates)
     shots = [
-        sample(params, x_bar, sched, np.random.default_rng(seed), head_gates=head_gates)
+        sample(params, x_bar, sched, np.random.default_rng(seed), estimator=estimator)
         for seed in seeds
     ]
     return ShotEnsemble(shots=shots, seeds=seeds)
@@ -321,20 +326,20 @@ def fixed_expert_error_table(
     channel: int,
 ):
     """Per-timestamp error of each fixed-expert head variant and of the
-    routed head, all sampled from one shared seed so only the head differs."""
+    routed head, all sampled from one shared seed so only the head differs.
+    The condition maps are computed once for every variant."""
     truth = as_tensor(truth)
     ref = truth[sample_index, channel]
+    x_bar = as_tensor(x_bar)
+    cond = condition_features(x_bar, params)
     k = len(params.head.experts)
     cols = []
-    for j in range(k):
-        one_hot = np.zeros(k)
-        one_hot[j] = 1.0
-        rec = sample(params, x_bar, sched, np.random.default_rng(seed), head_gates=one_hot)
+    for gates in [*np.eye(k), None]:  # each expert alone, then the routed head
+        estimator = backbone_estimator(params, cond, gates)
+        rec = sample(params, x_bar, sched, np.random.default_rng(seed), estimator=estimator)
         cols.append(rec[sample_index, channel] - ref)
-    routed = sample(params, x_bar, sched, np.random.default_rng(seed))
-    fused = routed[sample_index, channel] - ref
     names = ["timestamp"] + [f"expert_{j}" for j in range(k)] + ["fused"]
-    table = np.column_stack([np.arange(len(ref), dtype=np.float64)] + cols + [fused])
+    table = np.column_stack([np.arange(len(ref), dtype=np.float64)] + cols)
     return names, table
 
 

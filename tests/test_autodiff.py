@@ -49,6 +49,44 @@ class TestConv1d:
         b = rng.standard_normal(4)
         npt.assert_allclose(ad.conv1d(x, w, b, padding), naive_conv1d(x, w, b, padding), atol=1e-12)
 
+    @pytest.mark.parametrize("padding, s, t", [("same", 5, 3), ("same", 6, 2), ("same", 4, 1), ("valid", 5, 5)])
+    def test_kernel_as_long_as_or_longer_than_signal_matches_naive_oracle(self, rng, padding, s, t):
+        x = rng.standard_normal((2, 3, t))
+        w = rng.standard_normal((4, 3, s))
+        b = rng.standard_normal(4)
+        npt.assert_allclose(ad.conv1d(x, w, b, padding), naive_conv1d(x, w, b, padding), atol=1e-12)
+
+    # Kernel sizes 1, 2, 3 and 5 under both paddings, and same padding with
+    # kernels longer than the signal (every tap then overhangs an edge).
+    GRAD_CASES = [(p, s, 7) for p in ("same", "valid") for s in (1, 2, 3, 5)] + [
+        ("same", 5, 3),
+        ("same", 6, 2),
+    ]
+
+    @pytest.mark.parametrize("padding, s, t", GRAD_CASES)
+    @pytest.mark.parametrize("wrt", ["input", "weight", "bias"])
+    def test_gradient_matches_finite_differences(self, rng, padding, s, t, wrt):
+        args = {
+            "input": rng.standard_normal((2, 3, t)),
+            "weight": rng.standard_normal((4, 3, s)),
+            "bias": rng.standard_normal(4),
+        }
+
+        def f(v):
+            a = {**args, wrt: v}
+            return _sq_sum(ad.conv1d(a["input"], a["weight"], a["bias"], padding))
+
+        # The loss is quadratic in each argument, so central differences
+        # are exact up to rounding.
+        assert ad.finite_diff_check(f, args[wrt]) <= 1e-6
+
+    def test_tape_holds_no_array(self, rng):
+        g = ad.Graph()
+        out = ad.conv1d(g.leaf(rng.standard_normal((2, 3, 8))), rng.standard_normal((4, 3, 5)), np.zeros(4))
+        node = g.nodes[out.id]
+        assert node.op == "conv1d"
+        assert not any(isinstance(v, np.ndarray) for v in node.ctx.values()), node.ctx.keys()
+
     def test_even_kernel_pads_extra_right(self):
         # S=2, same padding: no left pad, one zero on the right.
         x = np.array([[[1.0, 2.0, 3.0]]])

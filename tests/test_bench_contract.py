@@ -3,7 +3,8 @@
 The traced run wraps moediff functions by module and attribute name and
 fails when one is missing; these checks catch a refactor that unhooks a
 layer without running the benchmark. The sampler's call counts are pinned
-too, since the per-step sampler metric pairs spans call by call."""
+too, since the per-step sampler metric pairs spans call by call, and so
+are the K-shot paths' condition-stack counts that the K-shot times rest on."""
 
 import importlib
 import sys
@@ -29,20 +30,11 @@ def test_measured_ops_have_backward_rules():
     assert set(measures.OPS) <= set(ad._BACKWARD)
 
 
-def test_sampler_call_counts(monkeypatch):
-    # sample_step_ms pairs each diffusion.noise_estimate span with one
-    # diffusion.reverse_step span; the condition path runs once per call.
-    import moediff.backbone as backbone
-    import moediff.diffusion as diffusion
-
-    params = backbone.init_backbone(
-        np.random.default_rng(0), channels=2, width=4, depth=2,
-        kernel_sizes=(1, 3), head_experts=2, d_emb=8,
-    )
-    sched = diffusion.make_schedule(5)
+def _spy(monkeypatch, *targets):
+    """Record (name, positional args) of every call to each (module, name)."""
     calls = []
 
-    def spy(module, name):
+    def patch(module, name):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
@@ -51,18 +43,65 @@ def test_sampler_call_counts(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    spy(diffusion, "noise_estimate")
-    spy(diffusion, "reverse_step")
-    spy(backbone, "rfamoe_forward")
+    for module, name in targets:
+        patch(module, name)
+    return calls
+
+
+def _count(calls, name, blocks=None):
+    """Calls of ``name``; with ``blocks``, only those whose second argument is one of them."""
+    return sum(n == name and (blocks is None or any(args[1] is b for b in blocks)) for n, args in calls)
+
+
+def _model():
+    import moediff.backbone as backbone
+    import moediff.diffusion as diffusion
+
+    params = backbone.init_backbone(
+        np.random.default_rng(0), channels=2, width=4, depth=2,
+        kernel_sizes=(1, 3), head_experts=2, d_emb=8,
+    )
+    return params, diffusion.make_schedule(5)
+
+
+def test_sampler_call_counts(monkeypatch):
+    # sample_step_ms pairs each diffusion.noise_estimate span with one
+    # diffusion.reverse_step span; the condition path runs once per call.
+    import moediff.backbone as backbone
+    import moediff.diffusion as diffusion
+
+    params, sched = _model()
+    calls = _spy(
+        monkeypatch,
+        (diffusion, "noise_estimate"), (diffusion, "reverse_step"), (backbone, "rfamoe_forward"),
+    )
     diffusion.sample(params, np.zeros((1, 2, 16)), sched, np.random.default_rng(1))
 
-    def count(name, blocks=None):
-        return sum(
-            n == name and (blocks is None or any(args[1] is b for b in blocks)) for n, args in calls
-        )
-
-    assert count("noise_estimate") == count("reverse_step") == sched.t_steps
+    assert _count(calls, "noise_estimate") == _count(calls, "reverse_step") == sched.t_steps
     cond_blocks = [level.cond for level in params.levels]
     main_blocks = [level.main for level in params.levels]
-    assert count("rfamoe_forward", cond_blocks) == params.depth
-    assert count("rfamoe_forward", main_blocks) == params.depth * sched.t_steps
+    assert _count(calls, "rfamoe_forward", cond_blocks) == params.depth
+    assert _count(calls, "rfamoe_forward", main_blocks) == params.depth * sched.t_steps
+
+
+def test_kshot_condition_call_counts(monkeypatch):
+    # Every shot, and every head variant of the fixed-expert table, samples
+    # the same x_bar: the condition path runs once per call, not once per run.
+    import moediff.backbone as backbone
+    import moediff.kshot as kshot
+
+    params, sched = _model()
+    x_bar = np.random.default_rng(2).standard_normal((1, 2, 16))
+    cond_blocks = [level.cond for level in params.levels]
+    main_blocks = [level.main for level in params.levels]
+    runs = {"ensemble": 3, "experts": len(params.head.experts) + 1}
+
+    for what, n_runs in runs.items():
+        calls = _spy(monkeypatch, (backbone, "rfamoe_forward"))
+        if what == "ensemble":
+            kshot.kshot_ensemble(params, x_bar, sched, n_runs, np.random.default_rng(1))
+        else:
+            kshot.fixed_expert_error_table(params, x_bar, x_bar, sched, 1, 0, 0)
+        assert _count(calls, "rfamoe_forward", cond_blocks) == params.depth, what
+        assert _count(calls, "rfamoe_forward", main_blocks) == params.depth * sched.t_steps * n_runs, what
+        monkeypatch.undo()

@@ -191,6 +191,18 @@ class TestExitCodes:
                    "--input", str(data3 / "dataset.tsb1"), "--out", str(tmp_path / "imp")])
         assert rc == 2
 
+    @pytest.mark.parametrize("index", [8, 9, -1])
+    def test_error_dist_sample_out_of_range_is_2(self, workspace, tmp_path, capsys, index):
+        # The workspace dataset holds 8 records; a bad index fails before any sampling.
+        out = tmp_path / "ed"
+        rc = main(
+            ["error-dist", "--config", workspace["cfg"], "--checkpoint", workspace["ckpt"],
+             "--data", workspace["data"], "--sample", str(index), "--out", str(out)]
+        )
+        assert rc == 2
+        assert f"--sample {index} outside 0..7" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "edit, config_line, located",
         [

@@ -32,6 +32,16 @@ class TestKshotAveraging:
         npt.assert_array_equal(ens.shots[0], direct)
         npt.assert_array_equal(ens.average(), direct)
 
+    @pytest.mark.parametrize("head_gates", [None, np.array([0.25, 0.75])])
+    def test_shots_equal_per_shot_sample_calls(self, tiny_backbone, sched10, rng, head_gates):
+        # The shots share one set of condition maps; each must still be
+        # bit-equal to a sample call that computes its own.
+        x_bar = rng.standard_normal((2, 2, 12))
+        ens = kshot_ensemble(tiny_backbone, x_bar, sched10, 3, np.random.default_rng(5), head_gates)
+        for shot, seed in zip(ens.shots, ens.seeds):
+            direct = sample(tiny_backbone, x_bar, sched10, np.random.default_rng(seed), head_gates)
+            npt.assert_array_equal(shot, direct)
+
     def test_identical_shots_average_to_any_shot(self, tiny_backbone, sched10, rng):
         x_bar = rng.standard_normal((1, 2, 12))
         shot = sample(tiny_backbone, x_bar, sched10, np.random.default_rng(3))
@@ -210,6 +220,16 @@ class TestErrorTables:
         _, table = shot_error_table(ens, truth, 0, 0)
         shot_cols = table[:, 1:-1]
         npt.assert_allclose(shot_cols.mean(axis=1), table[:, -1], atol=1e-10)
+
+    def test_fixed_expert_table_equals_per_variant_sample_calls(self, tiny_backbone, sched10, rng):
+        truth = rng.standard_normal((2, 2, 10))
+        x_bar = truth * (rng.random(truth.shape) > 0.3)
+        _, table = fixed_expert_error_table(
+            tiny_backbone, x_bar, truth, sched10, seed=4, sample_index=1, channel=1
+        )
+        for col, gates in enumerate([np.array([1.0, 0.0]), np.array([0.0, 1.0]), None], start=1):
+            rec = sample(tiny_backbone, x_bar, sched10, np.random.default_rng(4), head_gates=gates)
+            npt.assert_array_equal(table[:, col], rec[1, 1] - truth[1, 1])
 
     def test_fixed_expert_table_shape(self, tiny_backbone, sched10, rng):
         truth = rng.standard_normal((1, 2, 10))
