@@ -37,6 +37,10 @@ from .kshot import (
 from .masking import MaskSpec, apply_mask, continuous_mask, random_mask
 from .metrics import MetricsReport, evaluate, mad, prd, ssd
 from .synth import SyntheticConfig, synth_generate
-from .tensor import read_tsb1, write_tsb1
+from .tensor import pin_heap_thresholds, read_tsb1, write_tsb1
+
+# Steps allocate and free arrays of the same sizes over and over; keep that
+# memory on the heap so step times do not depend on allocation history.
+pin_heap_thresholds()
 
 __version__ = "0.1.0"

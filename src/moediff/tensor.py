@@ -11,11 +11,16 @@ dims, then product(dims) float64 little-endian values in row-major order.
 
 CKP1 is the checkpoint container: magic ``CKP1``, u32 record count, then
 records of (u16 name length, UTF-8 name, embedded TSB1 blob).
+
+:func:`pin_heap_thresholds`, called when the package is imported, keeps
+freed arrays on the C heap for reuse (glibc only).
 """
 
 from __future__ import annotations
 
+import ctypes
 import struct
+import sys
 
 import numpy as np
 
@@ -45,6 +50,46 @@ def require_binary(arr: np.ndarray, label: str = "mask") -> np.ndarray:
     if not np.all((arr == 0.0) | (arr == 1.0)):
         raise ValueError(f"{label} must contain only 0.0 and 1.0 entries")
     return arr
+
+
+# ---------------------------------------------------------------------------
+# Heap
+# ---------------------------------------------------------------------------
+
+# mallopt parameters, from glibc's <malloc.h>.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+HEAP_MMAP_BYTES = 32 << 20  # the largest mmap threshold glibc accepts on 64-bit
+HEAP_TRIM_BYTES = 1 << 30
+
+
+def pin_heap_thresholds() -> bool:
+    """Fix glibc malloc's mmap and trim thresholds for this process.
+
+    Every training step records a tape of large arrays and frees it whole,
+    and every sampler step frees its temporaries. By default glibc serves a
+    block above its mmap threshold with fresh pages, raises that threshold
+    to the largest such block freed so far, and hands the top of the heap
+    back to the system once twice the threshold is free. So whether a
+    step's arrays reuse resident memory or fault in new pages depends on
+    which sizes the process happened to free before, and the same step
+    takes a different time in each process. With blocks under 32 MiB
+    always on the heap and up to 1 GiB of free heap kept, each step reuses
+    the memory of the last one from the first step on. Blocks of 32 MiB or
+    more are still mapped and unmapped per call. Returns whether both
+    thresholds were set: False off glibc.
+    """
+    if not sys.platform.startswith("linux"):
+        return False
+    try:
+        libc = ctypes.CDLL(None)
+        libc.gnu_get_libc_version  # present in glibc only
+        mallopt = libc.mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return bool(mallopt(_M_MMAP_THRESHOLD, HEAP_MMAP_BYTES)) and bool(mallopt(_M_TRIM_THRESHOLD, HEAP_TRIM_BYTES))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
-"""TSB1 binary format and CSV signal layout: round trips and diagnostics."""
+"""TSB1 binary format and CSV signal layout: round trips and diagnostics;
+the pinned heap thresholds."""
+
+import resource
 
 import numpy as np
 import numpy.testing as npt
@@ -7,12 +10,33 @@ import pytest
 from moediff.signals import load_signals, save_signals
 from moediff.tensor import (
     TensorFormatError,
+    pin_heap_thresholds,
     read_checkpoint,
     read_tsb1,
     tsb1_bytes,
     write_checkpoint,
     write_tsb1,
 )
+
+
+class TestHeapThresholds:
+    def test_a_freed_tape_is_reused_without_page_faults(self):
+        if not pin_heap_thresholds():
+            pytest.skip("needs glibc malloc")
+        # 80 MiB in 4 MiB blocks: more free heap than glibc's default trim
+        # threshold ever allows, in blocks under its largest mmap threshold.
+        n = (4 << 20) // 8
+
+        def tape():
+            blocks = [np.ones(n) for _ in range(20)]
+            del blocks
+
+        tape()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        tape()
+        tape()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 1000, f"{faults} page faults re-allocating a freed 80 MiB tape (~20000 per fresh tape)"
 
 
 class TestTsb1:
