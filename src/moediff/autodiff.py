@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import erf
@@ -257,7 +257,10 @@ def take_rows(a, idx):
     out = _value(a)[idx]
     if g is None:
         return out
-    return g._record("take_rows", _ids(g, a), out, {"idx": idx, "n": _value(a).shape[0]})
+    repeats = len(np.unique(idx)) != len(idx)
+    return g._record(
+        "take_rows", _ids(g, a), out, {"idx": idx, "n": _value(a).shape[0], "repeats": repeats}
+    )
 
 
 def scatter_rows(a, idx, n: int):
@@ -478,18 +481,31 @@ def _bwd_concat(node, grad, vals):
     return list(np.split(grad, splits, axis=axis))
 
 
+class Region(NamedTuple):
+    """A gradient that is zero outside ``index``: the input's gradient
+    (of shape ``shape``) gains ``piece`` at ``index``. ``index`` names each
+    element at most once, so ``acc[index] += piece`` adds every entry."""
+
+    shape: tuple[int, ...]
+    index: object
+    piece: np.ndarray
+
+
 def _bwd_slice(node, grad, vals):
-    out = np.zeros(node.ctx["shape"])
-    index = [slice(None)] * out.ndim
+    shape = node.ctx["shape"]
+    index = [slice(None)] * len(shape)
     index[node.ctx["axis"]] = slice(node.ctx["start"], node.ctx["stop"])
-    out[tuple(index)] = grad
-    return [out]
+    return [Region(shape, tuple(index), grad)]
 
 
 def _bwd_take_rows(node, grad, vals):
-    out = np.zeros((node.ctx["n"],) + grad.shape[1:])
-    np.add.at(out, node.ctx["idx"], grad)
-    return [out]
+    shape, idx = (node.ctx["n"],) + grad.shape[1:], node.ctx["idx"]
+    if not node.ctx["repeats"]:
+        return [Region(shape, idx, grad)]
+    rows, where = np.unique(idx, return_inverse=True)
+    piece = np.zeros((len(rows),) + grad.shape[1:])
+    np.add.at(piece, where, grad)
+    return [Region(shape, rows, piece)]
 
 
 def _bwd_scatter_rows(node, grad, vals):
@@ -497,9 +513,8 @@ def _bwd_scatter_rows(node, grad, vals):
 
 
 def _bwd_gather_cols(node, grad, vals):
-    out = np.zeros(node.ctx["shape"])
-    out[np.arange(out.shape[0]), node.ctx["idx"]] = grad
-    return [out]
+    shape = node.ctx["shape"]
+    return [Region(shape, (np.arange(shape[0]), node.ctx["idx"]), grad)]
 
 
 def _bwd_sum(node, grad, vals):
@@ -588,11 +603,19 @@ _BACKWARD: dict[str, Callable] = {
 
 
 def backward(graph: Graph, loss) -> dict[int, np.ndarray]:
-    """Gradients of a scalar loss node with respect to every reached node.
+    """Gradients of a scalar loss node with respect to every reached leaf.
 
-    Gradients accumulate additively across fan-out. The returned map is
-    keyed by node id and covers every node on a path from a leaf to the
-    loss; use ``.get(id, 0)`` semantics for untouched leaves.
+    The tape is replayed in reverse. Gradients accumulate additively across
+    fan-out, and each non-leaf node's gradient is dropped once its rule has
+    run, so only the gradients still to be consumed are alive at any time.
+    The returned map is keyed by leaf id; a leaf the loss does not reach is
+    absent (use ``.get(id)``). Node values and ctx stay on the graph.
+
+    A rule returns one gradient per input: a full array, or a
+    :class:`Region` when the gradient is zero outside a few rows or a
+    slice. A region's piece is added into the input's accumulator in place;
+    an accumulator that a rule handed out (possibly a view other ids share)
+    is copied once before its first in-place add.
     """
     loss_id = loss.id if isinstance(loss, Var) else int(loss)
     loss_node = graph.nodes[loss_id]
@@ -601,18 +624,28 @@ def backward(graph: Graph, loss) -> dict[int, np.ndarray]:
             f"backward: loss must be scalar, got shape {loss_node.value.shape}"
         )
     grads: dict[int, np.ndarray] = {loss_id: np.asarray(1.0)}
+    owned: set[int] = set()  # ids whose accumulator backward allocated itself
     for nid in range(loss_id, -1, -1):
-        if nid not in grads:
-            continue
         node = graph.nodes[nid]
-        if node.op == "leaf":
+        if node.op == "leaf" or nid not in grads:
             continue
+        grad = grads.pop(nid)
         vals = [graph.nodes[i].value for i in node.inputs]
-        for input_id, g in zip(node.inputs, _BACKWARD[node.op](node, grads[nid], vals)):
-            if input_id in grads:
-                grads[input_id] = grads[input_id] + g
+        for input_id, g in zip(node.inputs, _BACKWARD[node.op](node, grad, vals)):
+            acc = grads.get(input_id)
+            if isinstance(g, Region):
+                if acc is None:
+                    acc = np.zeros(g.shape)
+                elif input_id not in owned:
+                    acc = acc.copy()
+                acc[g.index] += g.piece
+                owned.add(input_id)
+            elif acc is None:
+                acc = np.asarray(g, dtype=np.float64)
             else:
-                grads[input_id] = np.asarray(g, dtype=np.float64)
+                acc = acc + g
+                owned.add(input_id)
+            grads[input_id] = acc
     return grads
 
 

@@ -172,6 +172,8 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
         raise TensorFormatError(
             f"bad checkpoint magic: expected {CKP1_MAGIC!r}, found {bytes(buf[:4])!r}"
         )
+    if len(buf) < 8:
+        raise TensorFormatError(f"truncated checkpoint header: need 8 bytes, have {len(buf)}")
     (count,) = struct.unpack_from("<I", buf, 4)
     offset = 8
     named: dict[str, np.ndarray] = {}

@@ -2,12 +2,17 @@
 
 Nothing here shares code with the package: convolutions are nested loops,
 normalization and routing are written out step by step, so agreement with
-the vectorized implementations is meaningful.
+the vectorized implementations is meaningful. The one exception is
+:func:`dense_backward`, which pins how ``backward`` accumulates, not what
+each op's rule computes, so it reuses the package's rules for every op whose
+gradient is dense.
 """
 
 import math
 
 import numpy as np
+
+import moediff.autodiff as ad
 
 
 def naive_conv1d(x, w, b, padding="same"):
@@ -132,3 +137,46 @@ def naive_backbone(x_t, x_bar, t, params):
         cond = naive_rfamoe(cond, level.cond, b, c)
         h = naive_rfamoe(h, level.main, b, c) + naive_bridge(cond, t, level.bridge)
     return naive_fusion_moe(h, params.head).reshape(b, c, t_len)
+
+
+def _dense_slice(node, grad, vals):
+    out = np.zeros(node.ctx["shape"])
+    index = [slice(None)] * out.ndim
+    index[node.ctx["axis"]] = slice(node.ctx["start"], node.ctx["stop"])
+    out[tuple(index)] = grad
+    return [out]
+
+
+def _dense_take_rows(node, grad, vals):
+    out = np.zeros((node.ctx["n"],) + grad.shape[1:])
+    np.add.at(out, node.ctx["idx"], grad)
+    return [out]
+
+
+def _dense_gather_cols(node, grad, vals):
+    out = np.zeros(node.ctx["shape"])
+    out[np.arange(out.shape[0]), node.ctx["idx"]] = grad
+    return [out]
+
+
+_DENSE_RULES = {"slice": _dense_slice, "take_rows": _dense_take_rows, "gather_cols": _dense_gather_cols}
+
+
+def dense_backward(graph, loss):
+    """Reverse pass with a full-size gradient for every gathered or sliced
+    input and every reached node's gradient kept until the end; each
+    contribution is added as ``old + new`` into a fresh array."""
+    loss_id = loss.id
+    grads = {loss_id: np.asarray(1.0)}
+    for nid in range(loss_id, -1, -1):
+        node = graph.nodes[nid]
+        if nid not in grads or node.op == "leaf":
+            continue
+        rule = _DENSE_RULES.get(node.op, ad._BACKWARD[node.op])
+        vals = [graph.nodes[i].value for i in node.inputs]
+        for input_id, g in zip(node.inputs, rule(node, grads[nid], vals)):
+            if input_id in grads:
+                grads[input_id] = grads[input_id] + g
+            else:
+                grads[input_id] = np.asarray(g, dtype=np.float64)
+    return grads

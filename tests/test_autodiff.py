@@ -2,6 +2,7 @@
 against central finite differences, and the structural graph contracts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import moediff.autodiff as ad
-from oracles import naive_conv1d
+from oracles import dense_backward, naive_conv1d
 
 
 def _sq_sum(y):
@@ -248,6 +249,55 @@ class TestBackward:
         g1, g2 = ad.Graph(), ad.Graph()
         with pytest.raises(ValueError, match="different graphs"):
             ad.add(g1.leaf(np.ones(2)), g2.leaf(np.ones(2)))
+
+    def test_peak_memory_stays_near_two_gradients(self):
+        # A 20-op chain of 1 MiB arrays: keeping every intermediate
+        # gradient would peak near 21 MiB; dropping each once its rule has
+        # run leaves about two alive at a time.
+        size = 1 << 20
+        g = ad.Graph()
+        x = g.leaf(np.ones(size // 8))
+        y = x
+        for i in range(20):
+            y = ad.scale(y, 1.5) if i % 2 else ad.neg(y)
+        loss = ad.tsum(y)
+        tracemalloc.start()
+        try:
+            grads = ad.backward(g, loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert set(grads) == {x.id}
+        npt.assert_array_equal(grads[x.id], np.full(size // 8, 1.5**10))
+        assert peak < 3 * size, f"backward peaked at {peak / size:.1f} MiB"
+
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            lambda a, b: [ad.take_rows(a, [3, 0]), ad.add(a, b)],
+            lambda a, b: [ad.slice_axis(a, 1, 1, 3), ad.gather_cols(b, [0, 3, 1, 1, 2]), ad.add(a, b)],
+            lambda a, b: [ad.take_rows(a, [4, 1, 2]), ad.add(a, a), b],
+            lambda a, b: [ad.take_rows(a, [1, 0, 1, 1]), ad.add(a, b)],
+        ],
+        ids=["take_rows_input_feeds_add", "add_shares_grad_with_sliced_inputs",
+             "add_of_itself_then_gather", "repeated_rows_after_add"],
+    )
+    def test_sparse_rules_match_dense_oracle(self, rng, parts):
+        # A gather or slice adds its rows into the input's gradient in
+        # place. Here that gradient already holds an array that ``add``
+        # handed to both of its inputs (a view of one shared array), so an
+        # in-place add without a copy would corrupt the other input.
+        g = ad.Graph()
+        x = g.leaf(rng.standard_normal((5, 4)))
+        c1, c2 = rng.standard_normal((2, 5, 4))
+        parts = parts(ad.mul(x, c1), ad.mul(x, c2))
+        loss = ad.tsum(ad.concat([ad.reshape(ad.mul(p, p), (-1,)) for p in parts]))
+        grads = ad.backward(g, loss)
+        ref = dense_backward(g, loss)
+        assert x.id in grads
+        assert set(grads) == {i for i in ref if g.nodes[i].op == "leaf"}
+        for i in grads:
+            npt.assert_array_equal(grads[i], ref[i], err_msg=f"leaf {i}")
 
     def test_conv_mse_matches_finite_differences(self, rng):
         w = rng.standard_normal((2, 1, 3))

@@ -4,7 +4,9 @@ The traced run wraps moediff functions by module and attribute name and
 fails when one is missing; these checks catch a refactor that unhooks a
 layer without running the benchmark. The sampler's call counts are pinned
 too, since the per-step sampler metric pairs spans call by call, and so
-are the K-shot paths' condition-stack counts that the K-shot times rest on."""
+are the K-shot paths' condition-stack counts that the K-shot times rest on.
+The traced run times every backward rule through ``_BACKWARD`` and measures
+the tape after ``backward`` returns, so both are pinned as well."""
 
 import importlib
 import sys
@@ -105,3 +107,37 @@ def test_kshot_condition_call_counts(monkeypatch):
         assert _count(calls, "rfamoe_forward", cond_blocks) == params.depth, what
         assert _count(calls, "rfamoe_forward", main_blocks) == params.depth * sched.t_steps * n_runs, what
         monkeypatch.undo()
+
+
+def test_backward_keeps_rules_and_tape(monkeypatch):
+    # The sparse gather/slice gradients are still computed by the rules in
+    # _BACKWARD (the bwd.* spans wrap them there), and backward leaves every
+    # node's value on the graph (the tape span reads them after it returns).
+    import moediff.backbone as backbone
+    import moediff.diffusion as diffusion
+
+    counts = dict.fromkeys(("take_rows", "slice", "gather_cols"), 0)
+    for op in counts:
+        def rule(*args, _op=op, _original=ad._BACKWARD[op]):
+            counts[_op] += 1
+            return _original(*args)
+
+        monkeypatch.setitem(ad._BACKWARD, op, rule)
+    graphs = []
+    original_backward = ad.backward
+
+    def spy(graph, loss):
+        graphs.append(graph)
+        return original_backward(graph, loss)
+
+    monkeypatch.setattr(ad, "backward", spy)
+    params = backbone.init_backbone(
+        np.random.default_rng(0), channels=2, width=4, depth=2,
+        kernel_sizes=(1, 3), head_experts=2, d_emb=8, gate_mode="raw",
+    )
+    batch = np.random.default_rng(1).standard_normal((2, 2, 16))
+    diffusion.train_step(params, batch, np.ones_like(batch), diffusion.make_schedule(5), np.random.default_rng(2))
+
+    assert all(counts.values()), counts
+    (graph,) = graphs
+    assert all(isinstance(node.value, np.ndarray) for node in graph.nodes)

@@ -171,6 +171,14 @@ class TestExitCodes:
                    "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    def test_truncated_checkpoint_header_is_2(self, workspace, tmp_path, capsys):
+        ckpt = tmp_path / "short.ckp1"
+        ckpt.write_bytes(b"CKP1\x01\x00")
+        rc = main(["impute", "--config", workspace["cfg"], "--checkpoint", str(ckpt),
+                   "--input", workspace["data"], "--out", str(tmp_path / "imp")])
+        assert rc == 2
+        assert "truncated checkpoint header" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_loss_is_3(self, workspace, tmp_path):
         cfg = tmp_path / "explode.cfg"

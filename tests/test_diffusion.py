@@ -27,6 +27,7 @@ from moediff.diffusion import (
     sample,
     train_step,
 )
+from oracles import dense_backward
 
 
 class TestMakeSchedule:
@@ -255,6 +256,32 @@ class TestTrainStep:
         largest = max(np.abs(g).max() for _, g in named_params(ref_grads))
         for (name, g), (_, r) in zip(named_params(grads), named_params(ref_grads)):
             npt.assert_allclose(g, r, rtol=0.0, atol=1e-12 * largest, err_msg=name)
+
+    @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            dict(channels=3, width=16, kernel_sizes=(3, 5, 7, 9, 11), head_experts=4, t_len=64, batch=8),
+            dict(channels=12, width=32, kernel_sizes=tuple(range(3, 32, 2)), head_experts=16, t_len=96, batch=2),
+        ],
+        ids=["toy", "wide"],
+    )
+    def test_bit_identical_to_dense_backward(self, sched10, monkeypatch, gate_mode, shape):
+        # Sparse gather/slice gradients added in place, and gradients
+        # dropped as the pass goes, change no bit of the loss or of any
+        # gradient; raw mode routes through gather_cols as well.
+        shape = dict(shape)
+        t_len, b = shape.pop("t_len"), shape.pop("batch")
+        params = init_backbone(np.random.default_rng(0), depth=2, d_emb=16, gate_mode=gate_mode, **shape)
+        data_rng = np.random.default_rng(100)
+        batch = data_rng.standard_normal((b, shape["channels"], t_len))
+        mask = (data_rng.random(batch.shape) < 0.7).astype(float)
+        loss, grads = train_step(params, batch, mask, sched10, np.random.default_rng(3))
+        monkeypatch.setattr(ad, "backward", dense_backward)
+        ref_loss, ref_grads = train_step(params, batch, mask, sched10, np.random.default_rng(3))
+        assert loss == ref_loss
+        for (name, g), (_, r) in zip(named_params(grads), named_params(ref_grads)):
+            npt.assert_array_equal(g, r, err_msg=name)
 
     def test_zero_backbone_unit_loss(self, sched10):
         params = init_backbone(

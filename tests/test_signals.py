@@ -104,6 +104,13 @@ class TestCheckpointContainer:
         with pytest.raises(TensorFormatError, match="checkpoint magic"):
             read_checkpoint(path)
 
+    @pytest.mark.parametrize("tail", [b"", b"\x01", b"\x01\x00\x00"])
+    def test_truncated_header(self, tmp_path, tail):
+        path = tmp_path / "short.ckp1"
+        path.write_bytes(b"CKP1" + tail)
+        with pytest.raises(TensorFormatError, match=f"truncated checkpoint header: need 8 bytes, have {4 + len(tail)}"):
+            read_checkpoint(path)
+
 
 class TestSignalsCsv:
     def test_handwritten_two_by_three(self, tmp_path):
