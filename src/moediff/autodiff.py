@@ -24,6 +24,7 @@ from .tensor import as_tensor
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_NORM_EPS = 1e-5  # instance_norm variance floor
 
 
 @dataclass
@@ -40,9 +41,9 @@ class Graph:
     def __init__(self):
         self.nodes: list[Node] = []
 
-    def leaf(self, value, name: str | None = None) -> "Var":
+    def leaf(self, value) -> "Var":
         """Add an input node (parameter or constant) and return its handle."""
-        return self._record("leaf", (), as_tensor(value), {"name": name})
+        return self._record("leaf", (), as_tensor(value), {})
 
     def _record(self, op: str, inputs: tuple[int, ...], value, ctx: dict) -> "Var":
         nid = len(self.nodes)
@@ -51,12 +52,9 @@ class Graph:
         self.nodes.append(Node(op, inputs, np.asarray(value, dtype=np.float64), ctx))
         return Var(self, nid)
 
-    def value(self, nid: int) -> np.ndarray:
-        return self.nodes[nid].value
-
 
 class Var:
-    """Handle to one graph node; supports the usual arithmetic sugar."""
+    """Handle to one graph node."""
 
     __slots__ = ("graph", "id")
 
@@ -71,27 +69,6 @@ class Var:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
 
     def __repr__(self):
         return f"Var(id={self.id}, shape={self.value.shape})"
@@ -164,14 +141,6 @@ def mul(a, b):
     if g is None:
         return out
     return g._record("mul", _ids(g, a, b), out, {"shapes": (_value(a).shape, _value(b).shape)})
-
-
-def neg(a):
-    g = _graph_of(a)
-    out = -_value(a)
-    if g is None:
-        return out
-    return g._record("neg", _ids(g, a), out, {})
 
 
 def scale(a, s: float):
@@ -293,15 +262,16 @@ def gather_cols(a, idx):
 # ---------------------------------------------------------------------------
 
 
-def tsum(a, axis: int | None = None):
+def tsum(a):
+    """Sum of every entry."""
     g = _graph_of(a)
-    out = np.sum(_value(a), axis=axis)
+    out = np.sum(_value(a))
     if g is None:
         return np.asarray(out)
-    return g._record("sum", _ids(g, a), out, {"axis": axis, "shape": _value(a).shape})
+    return g._record("sum", _ids(g, a), out, {"shape": _value(a).shape})
 
 
-def mean(a, axis: int | None = None):
+def mean(a, axis: int):
     g = _graph_of(a)
     out = np.mean(_value(a), axis=axis)
     if g is None:
@@ -314,7 +284,7 @@ def mean(a, axis: int | None = None):
 # ---------------------------------------------------------------------------
 
 
-def _conv1d_check(x, w, b, padding):
+def _conv1d_check(x, w, b):
     if x.ndim != 3:
         raise ValueError(f"conv1d: input must be rank 3 [N,Cin,T], got shape {x.shape}")
     if w.ndim != 3:
@@ -329,17 +299,9 @@ def _conv1d_check(x, w, b, padding):
         )
     if w.shape[2] < 1:
         raise ValueError("conv1d: kernel size must be >= 1")
-    if padding not in ("same", "valid"):
-        raise ValueError(f"conv1d: padding must be 'same' or 'valid', got {padding!r}")
-    if padding == "valid" and x.shape[2] < w.shape[2]:
-        raise ValueError(
-            f"conv1d: time axis ({x.shape[2]}) shorter than kernel ({w.shape[2]}) with valid padding"
-        )
 
 
-def _conv1d_pads(s: int, padding: str) -> tuple[int, int]:
-    if padding == "valid":
-        return 0, 0
+def _conv1d_pads(s: int) -> tuple[int, int]:
     left = (s - 1) // 2
     return left, s - 1 - left  # even kernels pad one extra on the right
 
@@ -359,17 +321,17 @@ def _tap_sum(x: np.ndarray, w: np.ndarray, pl: int, pr: int) -> np.ndarray:
     return out
 
 
-def conv1d(x, w, b, padding: str = "same"):
-    """Cross-correlation over the last axis: [N,Cin,T] x [Cout,Cin,S] -> [N,Cout,T'].
+def conv1d(x, w, b):
+    """Same-padded cross-correlation over the last axis: [N,Cin,T] x [Cout,Cin,S] -> [N,Cout,T].
 
     Computed one kernel tap at a time: with ``xp`` the zero-padded input,
-    ``out = sum_j w[:, :, j] @ xp[:, :, j:j+T'] + b``, each term one matmul
+    ``out = sum_j w[:, :, j] @ xp[:, :, j:j+T] + b``, each term one matmul
     batched over the N maps. A kernel-1 convolution is the one-tap case.
     The padded input is a temporary; the tape keeps only the pad widths.
     """
     xv, wv, bv = _value(x), _value(w), _value(b)
-    _conv1d_check(xv, wv, bv, padding)
-    pl, pr = _conv1d_pads(wv.shape[2], padding)
+    _conv1d_check(xv, wv, bv)
+    pl, pr = _conv1d_pads(wv.shape[2])
     out = _tap_sum(xv, wv, pl, pr)
     out += bv[:, None]
     g = _graph_of(x, w, b)
@@ -401,7 +363,7 @@ def softmax(x):
     return g._record("softmax", _ids(g, x), out, {})
 
 
-def instance_norm(x, gamma, beta, eps: float = 1e-5):
+def instance_norm(x, gamma, beta):
     """Per-(sample, channel) normalization over the time axis of [N,C,T]."""
     xv, gv, bv = _value(x), _value(gamma), _value(beta)
     if xv.ndim != 3:
@@ -413,11 +375,9 @@ def instance_norm(x, gamma, beta, eps: float = 1e-5):
             f"instance_norm: affine parameters must have shape ({xv.shape[1]},), "
             f"got gamma {gv.shape} and beta {bv.shape}"
         )
-    if eps <= 0:
-        raise ValueError("instance_norm: eps must be > 0")
     mu = xv.mean(axis=2, keepdims=True)
     var = xv.var(axis=2, keepdims=True)  # population variance
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _NORM_EPS)
     xhat = (xv - mu) * inv
     out = gv[None, :, None] * xhat + bv[None, :, None]
     g = _graph_of(x, gamma, beta)
@@ -447,10 +407,6 @@ def _bwd_mul(node, grad, vals):
     a, b = vals
     sa, sb = node.ctx["shapes"]
     return [_unbroadcast(grad * b, sa), _unbroadcast(grad * a, sb)]
-
-
-def _bwd_neg(node, grad, vals):
-    return [-grad]
 
 
 def _bwd_scale(node, grad, vals):
@@ -518,17 +474,11 @@ def _bwd_gather_cols(node, grad, vals):
 
 
 def _bwd_sum(node, grad, vals):
-    shape, axis = node.ctx["shape"], node.ctx["axis"]
-    if axis is None:
-        return [np.full(shape, grad)]
-    return [np.broadcast_to(np.expand_dims(grad, axis), shape).copy()]
+    return [np.full(node.ctx["shape"], grad)]
 
 
 def _bwd_mean(node, grad, vals):
     shape, axis = node.ctx["shape"], node.ctx["axis"]
-    if axis is None:
-        count = int(np.prod(shape)) if shape else 1
-        return [np.full(shape, grad / count)]
     return [np.broadcast_to(np.expand_dims(grad / shape[axis], axis), shape).copy()]
 
 
@@ -582,7 +532,6 @@ _BACKWARD: dict[str, Callable] = {
     "add": _bwd_add,
     "sub": _bwd_sub,
     "mul": _bwd_mul,
-    "neg": _bwd_neg,
     "scale": _bwd_scale,
     "matmul": _bwd_matmul,
     "bmm": _bwd_bmm,

@@ -85,8 +85,8 @@ def init_backbone(
         raise ValueError(f"feature width must be even, got {width}")
     levels = [
         LevelParams(
-            main=init_rfamoe(rng, width, width, channels, kernel_sizes, gate_mode),
-            cond=init_rfamoe(rng, width, width, channels, kernel_sizes, gate_mode),
+            main=init_rfamoe(rng, width, channels, kernel_sizes, gate_mode),
+            cond=init_rfamoe(rng, width, channels, kernel_sizes, gate_mode),
             bridge=init_bridge(rng, d_emb, width),
         )
         for _ in range(depth)
@@ -219,11 +219,6 @@ def named_params(params) -> list:
     return out
 
 
-def map_params(fn, params):
-    """Rebuild the tree with ``fn`` applied to every array/Var leaf."""
-    return _walk(lambda _, leaf: fn(leaf), params)
-
-
 def zip_map_params(fn, a, b):
     """Rebuild tree ``a`` with ``fn(leaf_a, leaf_b)`` over matching leaves."""
     return _walk(lambda _, x, y: fn(x, y), a, b)
@@ -294,13 +289,9 @@ def fill_params(params, records: dict[str, np.ndarray], prefix: str = ""):
 _SPEC_MIN = dict(channels=1, width=1, depth=0, kernel_sizes=1, head_experts=1, d_emb=1, gate_mode=0)
 
 
-def params_to_named(params: BackboneParams) -> dict[str, np.ndarray]:
-    return {name: np.asarray(ad.value_of(v)) for name, v in named_params(params)}
-
-
 def save_backbone(path, params: BackboneParams, extra: dict[str, np.ndarray] | None = None) -> None:
     """Write every parameter plus the model spec as ``meta.*`` records."""
-    named = params_to_named(params)
+    named = {name: np.asarray(ad.value_of(v)) for name, v in named_params(params)}
     spec = params.spec()
     spec["gate_mode"] = GATE_MODES.index(spec["gate_mode"])
     named.update({f"meta.{key}": np.asarray(v, dtype=np.float64) for key, v in spec.items()})

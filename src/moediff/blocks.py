@@ -44,13 +44,12 @@ class RFAMoEParams:
     """Adaptive receptive field block: per-map top-1 choice among convolution
     experts of distinct kernel sizes, gated activation, cross-channel fusion."""
 
-    experts: list  # ConvParams, distinct odd kernel sizes, L_in -> L
-    router: LinearParams  # L_in -> E logits
+    experts: list  # ConvParams, distinct odd kernel sizes, L -> L
+    router: LinearParams  # L -> E logits
     in_gamma: object  # [L] instance-norm affine
     in_beta: object  # [L]
     gate_proj: ConvParams  # pointwise, L/2 -> L
     fuse: ConvParams  # pointwise, C*L -> C*L
-    res_proj: object = None  # ConvParams (L_in -> L) when widths differ, else None
     gate_mode: str = "unit"  # one of GATE_MODES
 
     def check(self) -> "RFAMoEParams":
@@ -111,7 +110,7 @@ def route_top1(features, router: LinearParams, gate_mode: str = "unit"):
     """Select one expert per feature map; the one place routing logits are
     computed.
 
-    ``features`` is [N, L_in, T]; maps are mean-pooled over time, routed
+    ``features`` is [N, L, T]; maps are mean-pooled over time, routed
     through the linear layer, and the argmax expert wins (ties break to
     the lowest index). Returns (expert index [N], gate [N], logits [N, E]).
     Unit mode computes from values only and every gate is 1.0, so no
@@ -121,7 +120,7 @@ def route_top1(features, router: LinearParams, gate_mode: str = "unit"):
     """
     feats = ad.value_of(features)
     if feats.ndim != 3:
-        raise ValueError(f"route_top1: features must be [N, L_in, T], got shape {feats.shape}")
+        raise ValueError(f"route_top1: features must be [N, L, T], got shape {feats.shape}")
     if gate_mode == "unit":
         logits = feats.mean(axis=2) @ ad.value_of(router.weight) + ad.value_of(router.bias)
         idx = np.argmax(logits, axis=1)
@@ -132,11 +131,11 @@ def route_top1(features, router: LinearParams, gate_mode: str = "unit"):
 
 
 def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int]):
-    """Apply the block to [N, T, L_in] feature maps, N = B * C.
+    """Apply the block to [N, T, L] feature maps, N = B * C.
 
-    Stages: routed expert convolution (same padding), instance norm,
-    gated split (gelu half times linear half), pointwise width restore,
-    cross-channel kernel-1 fusion over the C*L axis, residual from input.
+    Stages: routed expert convolution, instance norm, gated split (gelu
+    half times linear half), pointwise width restore, cross-channel
+    kernel-1 fusion over the C*L axis, residual from input.
     """
     b, c = dims
     xv = ad.value_of(x)
@@ -145,11 +144,13 @@ def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int]):
     n, t_len, l_in = xv.shape
     if b * c != n:
         raise ValueError(f"rfamoe: N={n} does not factor as B*C = {b}*{c}")
-    l_out = ad.value_of(params.in_gamma).shape[0]
-    if l_out % 2 != 0:
-        raise ValueError(f"rfamoe: feature width must be even for the gated split, got {l_out}")
+    l = ad.value_of(params.in_gamma).shape[0]
+    if l % 2 != 0:
+        raise ValueError(f"rfamoe: feature width must be even for the gated split, got {l}")
+    if l_in != l:
+        raise ValueError(f"rfamoe: input width {l_in} differs from the block's width {l}")
 
-    xt = ad.transpose(x, (0, 2, 1))  # [N, L_in, T]
+    xt = ad.transpose(x, (0, 2, 1))  # [N, L, T]
     sel, gates, _ = route_top1(xt, params.router, params.gate_mode)
 
     # One scatter puts every active expert's output rows back in place.
@@ -157,34 +158,20 @@ def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int]):
     for e, conv in enumerate(params.experts):
         idx = np.where(sel == e)[0]
         if idx.size:
-            outs.append(ad.conv1d(ad.take_rows(xt, idx), conv.weight, conv.bias, padding="same"))
+            outs.append(ad.conv1d(ad.take_rows(xt, idx), conv.weight, conv.bias))
             rows.append(idx)
     routed = ad.scatter_rows(ad.concat(outs, axis=0), np.concatenate(rows), n)
     if params.gate_mode == "raw":
         routed = ad.mul(routed, ad.reshape(gates, (n, 1, 1)))
 
     h = ad.instance_norm(routed, params.in_gamma, params.in_beta)
-    half = l_out // 2
-    gated = ad.mul(ad.gelu(ad.slice_axis(h, 1, 0, half)), ad.slice_axis(h, 1, half, l_out))
-    body = ad.conv1d(gated, params.gate_proj.weight, params.gate_proj.bias, padding="same")
+    half = l // 2
+    gated = ad.mul(ad.gelu(ad.slice_axis(h, 1, 0, half)), ad.slice_axis(h, 1, half, l))
+    body = ad.conv1d(gated, params.gate_proj.weight, params.gate_proj.bias)
 
-    fused = ad.conv1d(
-        ad.reshape(body, (b, c * l_out, t_len)),
-        params.fuse.weight,
-        params.fuse.bias,
-        padding="same",
-    )
-    fused = ad.reshape(fused, (n, l_out, t_len))
-
-    if params.res_proj is None:
-        if l_in != l_out:
-            raise ValueError(
-                f"rfamoe: width change {l_in} -> {l_out} requires a residual projection"
-            )
-        res = xt
-    else:
-        res = ad.conv1d(xt, params.res_proj.weight, params.res_proj.bias, padding="same")
-    return ad.transpose(ad.add(fused, res), (0, 2, 1))
+    fused = ad.conv1d(ad.reshape(body, (b, c * l, t_len)), params.fuse.weight, params.fuse.bias)
+    fused = ad.reshape(fused, (n, l, t_len))
+    return ad.transpose(ad.add(fused, xt), (0, 2, 1))
 
 
 def bridge_forward(h, t, params: BridgeParams):
@@ -249,21 +236,15 @@ def init_linear(rng: np.random.Generator, d_in: int, d_out: int, std: float | No
 
 
 def init_rfamoe(
-    rng: np.random.Generator,
-    l_in: int,
-    l_out: int,
-    channels: int,
-    kernel_sizes: tuple[int, ...],
-    gate_mode: str = "unit",
+    rng: np.random.Generator, l: int, channels: int, kernel_sizes: tuple[int, ...], gate_mode: str = "unit"
 ) -> RFAMoEParams:
     return RFAMoEParams(
-        experts=[init_conv(rng, l_out, l_in, s) for s in kernel_sizes],
-        router=init_linear(rng, l_in, len(kernel_sizes)),
-        in_gamma=np.ones(l_out),
-        in_beta=np.zeros(l_out),
-        gate_proj=init_conv(rng, l_out, l_out // 2, 1),
-        fuse=init_conv(rng, channels * l_out, channels * l_out, 1),
-        res_proj=None if l_in == l_out else init_conv(rng, l_out, l_in, 1),
+        experts=[init_conv(rng, l, l, s) for s in kernel_sizes],
+        router=init_linear(rng, l, len(kernel_sizes)),
+        in_gamma=np.ones(l),
+        in_beta=np.zeros(l),
+        gate_proj=init_conv(rng, l, l // 2, 1),
+        fuse=init_conv(rng, channels * l, channels * l, 1),
         gate_mode=gate_mode,
     ).check()
 

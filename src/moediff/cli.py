@@ -9,6 +9,7 @@ theorem-check, error-dist. Shared flags on every subcommand: --config,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -23,18 +24,16 @@ from .kshot import (
     expert_count_sweep,
     fixed_expert_error_table,
     jensen_check,
-    kshot_csv,
     kshot_ensemble,
     shot_error_table,
     verify_convex_combination,
     weight_sweep,
-    write_error_table,
 )
 from .masking import MaskSpec, apply_mask
 from .metrics import evaluate, write_report
 from .signals import load_signals, save_signals
 from .synth import SyntheticConfig, synth_generate
-from .tensor import TensorFormatError, write_tsb1
+from .tensor import TensorFormatError, write_csv, write_tsb1
 from .training import NanLossError, train, training_mask_spec
 
 EXIT_OK = 0
@@ -136,27 +135,14 @@ def _load_cfg(args) -> RunConfig:
     return cfg.check()
 
 
-def _mask_spec(cfg: RunConfig, args, seed: int) -> MaskSpec:
-    spec = training_mask_spec(cfg, seed=seed)
-    updates = {}
-    if getattr(args, "mask_kind", None) is not None:
-        updates["kind"] = args.mask_kind
-    if getattr(args, "mask_ratio", None) is not None:
-        updates["ratio"] = args.mask_ratio
-    if getattr(args, "drop_length", None) is not None:
-        updates["drop_length"] = args.drop_length
-    if getattr(args, "drop_channels", None) is not None:
-        updates["drop_channels"] = args.drop_channels
-    if updates:
-        spec = MaskSpec(
-            kind=updates.get("kind", spec.kind),
-            ratio=updates.get("ratio", spec.ratio),
-            drop_length=updates.get("drop_length", spec.drop_length),
-            drop_channels=updates.get("drop_channels", spec.drop_channels),
-            seed=spec.seed,
-            shared_window=spec.shared_window,
-        )
-    return spec
+# MaskSpec field -> the flag that overrides it
+_MASK_FLAGS = dict(kind="mask_kind", ratio="mask_ratio", drop_length="drop_length", drop_channels="drop_channels")
+
+
+def _mask_spec(cfg: RunConfig, args) -> MaskSpec:
+    """The training mask spec with the given mask flags applied."""
+    updates = {key: getattr(args, flag) for key, flag in _MASK_FLAGS.items()}
+    return dataclasses.replace(training_mask_spec(cfg), **{k: v for k, v in updates.items() if v is not None})
 
 
 def _cmd_synth(args) -> int:
@@ -202,8 +188,7 @@ def _cmd_impute(args) -> int:
             f"checkpoint expects {params.channels} channels, input has {signals.shape[1]}"
         )
     sched = make_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
-    spec = _mask_spec(cfg, args, cfg.seed)
-    mask = spec.build(*signals.shape)
+    mask = _mask_spec(cfg, args).build(*signals.shape)
     x_bar = apply_mask(signals, mask)
     recon = sample(params, x_bar, sched, np.random.default_rng(cfg.seed))
     os.makedirs(args.out, exist_ok=True)
@@ -237,8 +222,7 @@ def _cmd_compare_kshot(args) -> int:
     cfg = _load_cfg(args)
     params, _ = load_backbone(args.checkpoint, gate_mode=cfg.gate_mode)
     truth = load_signals(args.data)
-    spec = _mask_spec(cfg, args, cfg.seed)
-    mask = spec.build(*truth.shape)
+    mask = _mask_spec(cfg, args).build(*truth.shape)
     x_bar = apply_mask(truth, mask)
     sched = make_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
     ks = [int(k) for k in args.ks.split(",") if k.strip()]
@@ -254,8 +238,7 @@ def _cmd_compare_kshot(args) -> int:
     )
     os.makedirs(args.out, exist_ok=True)
     dest = os.path.join(args.out, "kshot.csv")
-    with open(dest, "w", encoding="utf-8") as fh:
-        fh.write(kshot_csv(rows))
+    write_csv(dest, ["K", "prd", "ssd", "mad", "wall_seconds"], rows)
     for k, p, s, m, w in rows:
         print(f"K={k}: prd={p:.4f} ssd={s:.4f} mad={m:.4f} wall={w:.3f}s")
     print(f"wrote {dest}")
@@ -325,10 +308,7 @@ def _cmd_theorem_check(args) -> int:
     print(f"[{'PASS' if mono else 'FAIL'}] best loss nonincreasing in expert count")
     os.makedirs(args.out, exist_ok=True)
     dest = os.path.join(args.out, "expert_sweep.csv")
-    with open(dest, "w", encoding="utf-8") as fh:
-        fh.write("K,best_loss,uniform_loss\n")
-        for k, best, uniform in rows:
-            fh.write(f"{k},{best!r},{uniform!r}\n")
+    write_csv(dest, ["K", "best_loss", "uniform_loss"], rows)
     print(f"wrote {dest}")
     return EXIT_NUMERIC if failed else EXIT_OK
 
@@ -337,8 +317,7 @@ def _cmd_error_dist(args) -> int:
     cfg = _load_cfg(args)
     params, _ = load_backbone(args.checkpoint, gate_mode=cfg.gate_mode)
     truth = load_signals(args.data)
-    spec = _mask_spec(cfg, args, cfg.seed)
-    mask = spec.build(*truth.shape)
+    mask = _mask_spec(cfg, args).build(*truth.shape)
     x_bar = apply_mask(truth, mask)
     sched = make_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
     if not 0 <= args.sample < truth.shape[0]:
@@ -359,7 +338,7 @@ def _cmd_error_dist(args) -> int:
         )
     os.makedirs(args.out, exist_ok=True)
     dest = os.path.join(args.out, "error_distribution.csv")
-    write_error_table(dest, names, table)
+    write_csv(dest, names, table)
     print(f"wrote {dest} ({len(names) - 2} error columns)")
     return EXIT_OK
 

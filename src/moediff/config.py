@@ -44,15 +44,19 @@ class RunConfig:
     data_path: str = ""
     out_dir: str = ""
 
-    @property
-    def rfa_experts(self) -> int:
-        return len(self.rfa_kernels)
-
     def check(self) -> "RunConfig":
         if self.width % 2 != 0:
             raise ValueError(f"width must be even, got {self.width}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if self.depth < 0:
+            raise ValueError(f"depth must be >= 0, got {self.depth}")
+        if self.batch < 1:
+            raise ValueError(f"batch must be >= 1, got {self.batch}")
+        if self.train_steps < 0:
+            raise ValueError(f"train_steps must be >= 0, got {self.train_steps}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.data_path and self.out_dir and self.data_path == self.out_dir:
             raise ValueError("data_path and out_dir must be distinct paths")
         if self.gate_mode not in ("unit", "raw"):

@@ -94,45 +94,29 @@ def reverse_step(x_t, eps_hat, t: int, sched: NoiseSchedule, z):
     return c.a * x_t + c.b * eps_hat + c.sigma * z
 
 
-def backbone_estimator(params: BackboneParams, cond, head_gates=None):
-    """The backbone as a sampler ``estimator`` (x_t, x_bar, t) -> eps_hat.
-
-    ``cond`` holds the condition maps of the x_bar it will be called with
-    (:func:`condition_features`); they depend on x_bar alone, so every
-    reverse step, and every run of the sampler on that x_bar, reuses them.
-    ``head_gates`` is passed to :func:`noise_estimate`.
-    """
-
-    def estimator(x_t, x_bar, t):
-        return noise_estimate(x_t, x_bar, t, params, head_gates=head_gates, cond=cond)
-
-    return estimator
-
-
 def sample(
     params: BackboneParams,
     x_bar,
     sched: NoiseSchedule,
     rng: np.random.Generator,
     head_gates=None,
-    estimator=None,
+    cond=None,
 ) -> np.ndarray:
     """Ancestral sampler: start from pure noise, denoise conditioned on x_bar.
 
     ``head_gates`` optionally overrides the fusion-head router (used by the
-    fixed-expert diagnostics). ``estimator`` replaces the backbone with a
-    callable (x_t, x_bar, t) -> eps_hat: tests drive the sampler with a
-    known noise estimate, and callers that sample one x_bar many times pass
-    a :func:`backbone_estimator` whose condition maps they computed once.
-    By default the condition maps are computed here, once per call.
+    fixed-expert diagnostics). ``cond`` holds the condition maps of x_bar
+    (:func:`condition_features`); they depend on x_bar alone, so callers
+    that sample one x_bar many times compute them once and pass them here.
+    When None they are computed here, once per call.
     """
     x_bar = require_finite(as_tensor(x_bar), "x_bar")
-    if estimator is None:
-        estimator = backbone_estimator(params, condition_features(x_bar, params), head_gates)
+    if cond is None:
+        cond = condition_features(x_bar, params)
 
     x = rng.standard_normal(x_bar.shape)
     for t in range(sched.t_steps, 0, -1):
-        eps_hat = estimator(x, x_bar, t)
+        eps_hat = noise_estimate(x, x_bar, t, params, head_gates=head_gates, cond=cond)
         z = rng.standard_normal(x.shape) if t > 1 else np.zeros_like(x)
         x = reverse_step(x, eps_hat, t, sched, z)
     return x

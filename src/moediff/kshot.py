@@ -14,12 +14,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable
 
 import numpy as np
 
 from .backbone import BackboneParams, condition_features
-from .diffusion import NoiseSchedule, backbone_estimator, reverse_step, sample
+from .diffusion import NoiseSchedule, reverse_step, sample
 from .tensor import as_tensor
 
 _SIMPLEX_TOL = 1e-9
@@ -42,7 +41,6 @@ class ConvexLoss:
     """Convex loss evaluated on an error tensor (mean-reduced)."""
 
     kind: str
-    fn: Callable | None = None
 
     @classmethod
     def mse(cls) -> "ConvexLoss":
@@ -52,15 +50,8 @@ class ConvexLoss:
     def mae(cls) -> "ConvexLoss":
         return cls(kind="mae")
 
-    @classmethod
-    def custom(cls, fn: Callable, name: str = "custom") -> "ConvexLoss":
-        """Caller-supplied convex function of the error tensor."""
-        return cls(kind=name, fn=fn)
-
     def __call__(self, err) -> float:
         err = as_tensor(err)
-        if self.fn is not None:
-            return float(self.fn(err))
         if self.kind == "mse":
             return float(np.mean(err * err))
         if self.kind == "mae":
@@ -68,9 +59,9 @@ class ConvexLoss:
         raise ValueError(f"unknown loss kind {self.kind!r}")
 
     def error_gradient(self, err: np.ndarray) -> np.ndarray:
-        if self.kind == "mse" and self.fn is None:
+        if self.kind == "mse":
             return 2.0 * err / err.size
-        if self.kind == "mae" and self.fn is None:
+        if self.kind == "mae":
             return np.sign(err) / err.size
         raise ValueError(f"no analytic gradient for loss kind {self.kind!r}")
 
@@ -90,12 +81,7 @@ def _check_simplex(weights) -> np.ndarray:
 
 
 def kshot_ensemble(
-    params: BackboneParams,
-    x_bar,
-    sched: NoiseSchedule,
-    k: int,
-    rng: np.random.Generator,
-    head_gates=None,
+    params: BackboneParams, x_bar, sched: NoiseSchedule, k: int, rng: np.random.Generator
 ) -> ShotEnsemble:
     """Run the sampler ``k`` times on independent streams derived from ``rng``.
 
@@ -105,11 +91,8 @@ def kshot_ensemble(
         raise ValueError(f"shot count must be >= 1, got {k}")
     seeds = [int(s) for s in rng.integers(0, 2**63, size=k, dtype=np.uint64)]
     x_bar = as_tensor(x_bar)
-    estimator = backbone_estimator(params, condition_features(x_bar, params), head_gates)
-    shots = [
-        sample(params, x_bar, sched, np.random.default_rng(seed), estimator=estimator)
-        for seed in seeds
-    ]
+    cond = condition_features(x_bar, params)
+    shots = [sample(params, x_bar, sched, np.random.default_rng(seed), cond=cond) for seed in seeds]
     return ShotEnsemble(shots=shots, seeds=seeds)
 
 
@@ -147,7 +130,8 @@ def verify_convex_combination(x_t, eps_list, weights, t: int, sched: NoiseSchedu
 
 def jensen_check(points, weights, target, loss: ConvexLoss) -> float:
     """Margin of Jensen's inequality for the fused point:
-    sum_k w_k L(p_k - target) - L(sum_k w_k p_k - target); >= 0 up to rounding."""
+    sum_k w_k L(p_k - target) - L(sum_k w_k p_k - target); >= 0 up to rounding
+    for any convex ``loss`` of the error tensor, such as a :class:`ConvexLoss`."""
     w = _check_simplex(weights)
     points = [as_tensor(p) for p in points]
     target = as_tensor(target)
@@ -335,19 +319,11 @@ def fixed_expert_error_table(
     k = len(params.head.experts)
     cols = []
     for gates in [*np.eye(k), None]:  # each expert alone, then the routed head
-        estimator = backbone_estimator(params, cond, gates)
-        rec = sample(params, x_bar, sched, np.random.default_rng(seed), estimator=estimator)
+        rec = sample(params, x_bar, sched, np.random.default_rng(seed), head_gates=gates, cond=cond)
         cols.append(rec[sample_index, channel] - ref)
     names = ["timestamp"] + [f"expert_{j}" for j in range(k)] + ["fused"]
     table = np.column_stack([np.arange(len(ref), dtype=np.float64)] + cols)
     return names, table
-
-
-def write_error_table(path, names, table) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in table:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +358,3 @@ def compare_kshot(
         agg = report.aggregate
         rows.append((int(k), agg.prd, agg.ssd, agg.mad, elapsed))
     return rows
-
-
-def kshot_csv(rows) -> str:
-    lines = ["K,prd,ssd,mad,wall_seconds"]
-    for k, p, s, m, w in rows:
-        lines.append(f"{k},{p!r},{s!r},{m!r},{w!r}")
-    return "\n".join(lines) + "\n"

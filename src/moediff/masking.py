@@ -26,8 +26,9 @@ class MaskSpec:
     seed: int = 0
     shared_window: bool = False
 
-    def build(self, b: int, c: int, t_len: int) -> np.ndarray:
-        rng = np.random.default_rng(self.seed)
+    def build(self, b: int, c: int, t_len: int, rng: np.random.Generator | None = None) -> np.ndarray:
+        """A [b, c, t_len] mask drawn from ``rng``, or from the spec's seed when None."""
+        rng = np.random.default_rng(self.seed) if rng is None else rng
         if self.kind == "random":
             return random_mask(b, c, t_len, self.ratio, rng)
         if self.kind == "continuous":

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import as_tensor
+from .tensor import as_tensor, write_csv
 
 
 @dataclass(frozen=True)
@@ -41,15 +41,10 @@ def ssd(x, x_hat) -> float:
     return float(((x - x_hat) ** 2).sum())
 
 
-def prd(x, x_hat, centered: bool = False) -> float:
-    """Percent root-mean-square difference: 100 * sqrt(sum err^2 / sum ref^2).
-
-    ``centered`` switches the denominator to the mean-removed reference
-    energy (an alternative convention used by some ECG toolchains).
-    """
+def prd(x, x_hat) -> float:
+    """Percent root-mean-square difference: 100 * sqrt(sum err^2 / sum ref^2)."""
     x, x_hat = _pair(x, x_hat, "prd")
-    ref = x - x.mean() if centered else x
-    denom = float((ref**2).sum())
+    denom = float((x**2).sum())
     if denom <= 0.0:
         raise ValueError("prd: reference signal has zero energy, ratio undefined")
     return 100.0 * math.sqrt(float(((x - x_hat) ** 2).sum()) / denom)
@@ -93,16 +88,8 @@ def evaluate(truth, pred, region=None) -> MetricsReport:
     return MetricsReport(per_sample=rows, aggregate=agg)
 
 
-def report_csv(report: MetricsReport) -> str:
-    """One row per sample plus an ``aggregate`` row."""
-    lines = ["index,prd,ssd,mad"]
-    for i, r in enumerate(report.per_sample):
-        lines.append(f"{i},{r.prd!r},{r.ssd!r},{r.mad!r}")
-    a = report.aggregate
-    lines.append(f"aggregate,{a.prd!r},{a.ssd!r},{a.mad!r}")
-    return "\n".join(lines) + "\n"
-
-
 def write_report(path, report: MetricsReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report_csv(report))
+    """CSV of one row per sample plus an ``aggregate`` row."""
+    rows = [(i, r.prd, r.ssd, r.mad) for i, r in enumerate(report.per_sample)]
+    a = report.aggregate
+    write_csv(path, ["index", "prd", "ssd", "mad"], rows + [("aggregate", a.prd, a.ssd, a.mad)])

@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from .tensor import TensorFormatError, as_tensor, read_tsb1, write_tsb1
+from .tensor import TensorFormatError, as_tensor, read_tsb1, write_csv, write_tsb1
 
 
 def _parse_sample_csv(path) -> np.ndarray:
@@ -48,11 +48,7 @@ def _parse_sample_csv(path) -> np.ndarray:
 
 
 def _write_sample_csv(path, sample: np.ndarray) -> None:
-    c, _ = sample.shape
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f"channel_{i}" for i in range(c)) + "\n")
-        for row in sample.T:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_csv(path, [f"channel_{i}" for i in range(sample.shape[0])], sample.T)
 
 
 def infer_format(path) -> str:

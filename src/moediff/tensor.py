@@ -12,6 +12,8 @@ dims, then product(dims) float64 little-endian values in row-major order.
 CKP1 is the checkpoint container: magic ``CKP1``, u32 record count, then
 records of (u16 name length, UTF-8 name, embedded TSB1 blob).
 
+Every CSV file the package writes goes through :func:`write_csv`.
+
 :func:`pin_heap_thresholds`, called when the package is imported, keeps
 freed arrays on the C heap for reuse (glibc only).
 """
@@ -143,6 +145,24 @@ def read_tsb1(path) -> np.ndarray:
     if end != len(buf):
         raise TensorFormatError(f"{len(buf) - end} trailing bytes after tensor payload")
     return arr
+
+
+def _csv_cell(v) -> str:
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return repr(float(v))
+
+
+def write_csv(path, header, rows) -> None:
+    """A header line, then one line of comma-joined cells per row. Strings
+    and integers are written as they are; any other value as
+    ``repr(float(v))``, which reads back to the same float."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_csv_cell, row)) + "\n")
 
 
 # ---------------------------------------------------------------------------

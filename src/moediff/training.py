@@ -23,7 +23,8 @@ from .backbone import (
 )
 from .config import RunConfig
 from .diffusion import make_schedule, train_step
-from .masking import MaskSpec, continuous_mask, random_mask
+from .masking import MaskSpec
+from .tensor import write_csv
 
 
 class NanLossError(ArithmeticError):
@@ -36,14 +37,6 @@ class NanLossError(ArithmeticError):
 
 def _step_rng(seed: int, step: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, step]))
-
-
-def _step_mask(cfg: RunConfig, b: int, rng: np.random.Generator) -> np.ndarray:
-    if cfg.mask_kind == "random":
-        return random_mask(b, cfg.channels, cfg.t_len, cfg.mask_ratio, rng)
-    return continuous_mask(
-        b, cfg.channels, cfg.t_len, cfg.drop_length, cfg.drop_channels, rng, cfg.shared_window
-    )
 
 
 def init_from_config(cfg: RunConfig) -> BackboneParams:
@@ -84,12 +77,13 @@ def train(cfg: RunConfig, data: np.ndarray, out_dir, resume_from=None):
     if velocity is None and cfg.momentum > 0.0:
         velocity = zip_map_params(lambda p, _: np.zeros_like(p), params, params)
 
+    mask_spec = training_mask_spec(cfg)
     losses = []
     for step in range(start_step, cfg.train_steps):
         rng = _step_rng(cfg.seed, step)
         idx = rng.choice(n, size=cfg.batch, replace=cfg.batch > n)
         batch = data[idx]
-        mask = _step_mask(cfg, len(idx), rng)
+        mask = mask_spec.build(len(idx), cfg.channels, cfg.t_len, rng)
         loss, grads = train_step(params, batch, mask, sched, rng)
         if not np.isfinite(loss):
             raise NanLossError(step)
@@ -105,23 +99,16 @@ def train(cfg: RunConfig, data: np.ndarray, out_dir, resume_from=None):
     if cfg.momentum > 0.0:
         extra.update({f"opt.v.{name}": v for name, v in named_params(velocity)})
     save_backbone(os.path.join(out_dir, "checkpoint.ckp1"), params, extra=extra)
-    write_loss_curve(os.path.join(out_dir, "loss_curve.csv"), losses)
+    write_csv(os.path.join(out_dir, "loss_curve.csv"), ["step", "loss"], losses)
     return params, losses
 
 
-def write_loss_curve(path, losses) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("step,loss\n")
-        for step, loss in losses:
-            fh.write(f"{step},{loss!r}\n")
-
-
-def training_mask_spec(cfg: RunConfig, seed: int | None = None) -> MaskSpec:
+def training_mask_spec(cfg: RunConfig) -> MaskSpec:
     return MaskSpec(
         kind=cfg.mask_kind,
         ratio=cfg.mask_ratio,
         drop_length=cfg.drop_length,
         drop_channels=cfg.drop_channels,
-        seed=cfg.seed if seed is None else seed,
+        seed=cfg.seed,
         shared_window=cfg.shared_window,
     )

@@ -65,9 +65,9 @@ def naive_softmax_row(row):
 
 def naive_rfamoe(x_ntl, params, b, c):
     """Stage-by-stage reference of the adaptive-receptive-field block."""
-    n, t_len, l_in = x_ntl.shape
+    n, t_len, _ = x_ntl.shape
     l = len(params.in_gamma)
-    xt = np.transpose(x_ntl, (0, 2, 1))  # [N, L_in, T]
+    xt = np.transpose(x_ntl, (0, 2, 1))  # [N, L, T]
 
     pooled = xt.mean(axis=2)
     logits = pooled @ params.router.weight + params.router.bias
@@ -85,11 +85,7 @@ def naive_rfamoe(x_ntl, params, b, c):
     fused = naive_conv1d(
         body.reshape(b, c * l, t_len), params.fuse.weight, params.fuse.bias
     ).reshape(n, l, t_len)
-    if params.res_proj is None:
-        res = xt
-    else:
-        res = naive_conv1d(xt, params.res_proj.weight, params.res_proj.bias)
-    return np.transpose(fused + res, (0, 2, 1))
+    return np.transpose(fused + xt, (0, 2, 1))
 
 
 def naive_bridge(h_ntl, t, params):

@@ -11,13 +11,12 @@ from moediff.backbone import (
     init_backbone,
     lift_params,
     load_backbone,
-    map_params,
     named_params,
     noise_estimate,
     param_count,
-    params_to_named,
     replace_param,
     save_backbone,
+    zip_map_params,
 )
 from moediff.diffusion import make_schedule, sample
 from moediff.tensor import read_checkpoint, write_checkpoint
@@ -44,7 +43,7 @@ class TestNoiseEstimate:
         assert out.shape == (2, 3, 64)
 
     def test_zero_parameters_zero_output(self, rng):
-        params = map_params(np.zeros_like, _build())
+        params = zip_map_params(lambda p, _: np.zeros_like(p), _build(), _build())
         x = rng.standard_normal((2, 2, 16))
         npt.assert_array_equal(noise_estimate(x, x, 3, params), 0.0)
 
@@ -212,7 +211,7 @@ class TestCheckpoint:
         )
 
     def test_dotted_name_scheme(self, tiny_backbone):
-        names = set(params_to_named(tiny_backbone))
+        names = {name for name, _ in named_params(tiny_backbone)}
         assert "levels.0.main.experts.1.weight" in names
         assert "levels.0.bridge.film.bias" in names
         assert "head.router.weight" in names
@@ -231,7 +230,7 @@ class TestCheckpoint:
         save_backbone(path, params)
         loaded, _ = load_backbone(path, gate_mode=gate_mode)
         assert loaded.spec() == params.spec()
-        assert params_to_named(loaded).keys() == params_to_named(params).keys()
+        assert [n for n, _ in named_params(loaded)] == [n for n, _ in named_params(params)]
 
     def test_load_rejects_inconsistent_widths(self, tmp_path, tiny_backbone):
         save_backbone(tmp_path / "model.ckp1", tiny_backbone)
@@ -248,7 +247,7 @@ class TestParamTree:
             replace_param(tiny_backbone, "levels.0.main.bogus", np.zeros(1))
 
     def test_map_preserves_structure(self, tiny_backbone):
-        doubled = map_params(lambda a: 2.0 * a, tiny_backbone)
+        doubled = zip_map_params(lambda a, b: a + b, tiny_backbone, tiny_backbone)
         for (n1, a), (n2, b) in zip(named_params(tiny_backbone), named_params(doubled)):
             assert n1 == n2
             npt.assert_array_equal(2.0 * np.asarray(a), np.asarray(b))

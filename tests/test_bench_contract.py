@@ -86,6 +86,21 @@ def test_sampler_call_counts(monkeypatch):
     assert _count(calls, "rfamoe_forward", main_blocks) == params.depth * sched.t_steps
 
 
+def test_output_checks_run_on_a_model():
+    # perfbench's output checks reach into the parameter tree
+    # (params.head.experts), noise_estimate(head_gates=) and
+    # kshot_ensemble(...).shots; run them on a real, tiny model.
+    from types import SimpleNamespace
+
+    from perfbench import checks
+
+    params, sched = _model()
+    truth = np.random.default_rng(3).standard_normal((2, 2, 16))
+    run = SimpleNamespace(params=params, x_bar=truth * (truth > -0.5), truth=truth, sched=sched)
+    assert checks.convex_deviation(run, np.random.default_rng(4)) <= checks.CONVEX_TOL
+    assert checks.jensen_margin(run, np.random.default_rng(5)) >= 0.0
+
+
 def test_kshot_condition_call_counts(monkeypatch):
     # Every shot, and every head variant of the fixed-expert table, samples
     # the same x_bar: the condition path runs once per call, not once per run.

@@ -105,8 +105,8 @@ class TestRouteTop1:
 
 
 class TestRFAMoE:
-    def _params(self, rng, l_in=4, l_out=4, c=2, kernels=(1, 3), gate_mode="unit"):
-        return init_rfamoe(rng, l_in, l_out, c, kernels, gate_mode)
+    def _params(self, rng, l=4, c=2, kernels=(1, 3), gate_mode="unit"):
+        return init_rfamoe(rng, l, c, kernels, gate_mode)
 
     def test_zero_body_is_residual_identity(self, rng):
         params = self._params(rng)
@@ -114,18 +114,6 @@ class TestRFAMoE:
             params = replace_param(params, name, np.zeros_like(dict(named_params(params))[name]))
         x = rng.standard_normal((4, 6, 4))
         npt.assert_array_equal(rfamoe_forward(x, params, (2, 2)), x)
-
-    def test_zero_body_with_projection_residual(self, rng):
-        params = init_rfamoe(rng, 2, 4, 1, (1,))
-        proj = params.res_proj
-        for name, leaf in list(named_params(params)):
-            if not name.startswith("res_proj"):
-                params = replace_param(params, name, np.zeros_like(leaf))
-        x = rng.standard_normal((1, 5, 2))
-        expected = np.transpose(
-            naive_conv1d(np.transpose(x, (0, 2, 1)), proj.weight, proj.bias), (0, 2, 1)
-        )
-        npt.assert_allclose(rfamoe_forward(x, params, (1, 1)), expected, atol=1e-12)
 
     @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -218,12 +206,14 @@ class TestRFAMoE:
         odd.in_beta = np.zeros(3)
         with pytest.raises(ValueError, match="even"):
             rfamoe_forward(rng.standard_normal((4, 4, 4)), odd, (2, 2))
+        with pytest.raises(ValueError, match="input width 2 differs from the block's width 4"):
+            rfamoe_forward(rng.standard_normal((4, 4, 2)), params, (2, 2))
 
     def test_kernel_invariants_enforced(self, rng):
         with pytest.raises(ValueError, match="distinct odd"):
-            init_rfamoe(rng, 4, 4, 1, (2, 3))
+            init_rfamoe(rng, 4, 1, (2, 3))
         with pytest.raises(ValueError, match="distinct odd"):
-            init_rfamoe(rng, 4, 4, 1, (3, 3))
+            init_rfamoe(rng, 4, 1, (3, 3))
 
     def test_every_parameter_gradient(self, rng):
         params = self._params(rng, kernels=(1, 3))

@@ -199,6 +199,19 @@ class TestExitCodes:
                    "--input", str(data3 / "dataset.tsb1"), "--out", str(tmp_path / "imp")])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "line, key",
+        [("depth = -1", "depth"), ("batch = 0", "batch"), ("train_steps = -3", "train_steps"),
+         ("momentum = 1.5", "momentum")],
+    )
+    def test_out_of_range_config_is_2(self, workspace, tmp_path, capsys, line, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_CONFIG + line + "\n")
+        rc = main(["train", "--config", str(cfg), "--data", workspace["data"], "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("index", [8, 9, -1])
     def test_error_dist_sample_out_of_range_is_2(self, workspace, tmp_path, capsys, index):
         # The workspace dataset holds 8 records; a bad index fails before any sampling.

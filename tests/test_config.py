@@ -56,19 +56,33 @@ class TestValidation:
         with pytest.raises(ValueError, match="gate_mode"):
             RunConfig(gate_mode="soft").check()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("depth", -1), ("batch", 0), ("train_steps", -3), ("momentum", 1.5), ("momentum", 1.0), ("momentum", -0.1)],
+    )
+    def test_out_of_range_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            RunConfig(**{key: value}).check()
+
+    @pytest.mark.parametrize(
+        "key, value", [("depth", 0), ("batch", 1), ("train_steps", 0), ("momentum", 0.0)]
+    )
+    def test_range_edges_accepted(self, key, value):
+        RunConfig(**{key: value}).check()
+
 
 class TestProfiles:
     def test_toy_profile_valid_and_small(self):
         cfg = toy_profile().check()
         assert cfg.steps == 10
         assert cfg.width == 16
-        assert cfg.rfa_experts == 5
+        assert len(cfg.rfa_kernels) == 5
 
     def test_full_profile_hyperparameters(self):
         cfg = full_profile().check()
         assert cfg.steps == 40
         assert cfg.width == 160
-        assert cfg.rfa_experts == 15
+        assert len(cfg.rfa_kernels) == 15
         assert cfg.head_experts == 16
         assert cfg.batch == 6
         assert cfg.channels == 12

@@ -14,9 +14,9 @@ from moediff.backbone import (
     grads_like,
     init_backbone,
     lift_params,
-    map_params,
     named_params,
     noise_estimate,
+    zip_map_params,
 )
 from moediff.diffusion import (
     NoiseSchedule,
@@ -155,22 +155,19 @@ class TestReverseStep:
 
 
 class TestSample:
-    def test_forced_estimate_roundtrip(self, tiny_backbone):
-        # With one step and the estimator pinned to the noise consistent
-        # with a target x0, the sampler must return exactly that x0.
+    def test_forced_estimate_roundtrip(self, tiny_backbone, monkeypatch):
+        # With one step and the noise estimate pinned to the noise
+        # consistent with a target x0, the sampler must return exactly that x0.
+        import moediff.diffusion as diffusion
+
         sched = make_schedule(1, 0.3, 0.3)
         rng = np.random.default_rng(5)
         x0 = np.random.default_rng(9).standard_normal((1, 2, 8))
         x_T = np.random.default_rng(5).standard_normal((1, 2, 8))  # what sample() will draw
         abar = sched.alpha_bar[0]
         eps_true = (x_T - math.sqrt(abar) * x0) / math.sqrt(1 - abar)
-        out = sample(
-            tiny_backbone,
-            np.zeros((1, 2, 8)),
-            sched,
-            rng,
-            estimator=lambda x_t, x_bar, t: eps_true,
-        )
+        monkeypatch.setattr(diffusion, "noise_estimate", lambda *args, **kwargs: eps_true)
+        out = sample(tiny_backbone, np.zeros((1, 2, 8)), sched, rng)
         npt.assert_allclose(out, x0, atol=1e-9)
 
     def test_seeded_runs_identical(self, tiny_backbone, sched10, rng):
@@ -181,9 +178,11 @@ class TestSample:
 
     @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
     @pytest.mark.parametrize("fixed_head", [False, True])
-    def test_matches_per_step_estimate(self, sched10, gate_mode, fixed_head):
-        # Oracle: the same sampler fed an estimate that rebuilds the
+    def test_matches_per_step_estimate(self, sched10, gate_mode, fixed_head, monkeypatch):
+        # Oracle: the same sampler with an estimate that rebuilds the
         # condition maps at every reverse step.
+        import moediff.diffusion as diffusion
+
         params = init_backbone(
             np.random.default_rng(4), channels=2, width=8, depth=2,
             kernel_sizes=(1, 3, 5), head_experts=3, d_emb=16, gate_mode=gate_mode,
@@ -191,10 +190,11 @@ class TestSample:
         gates = np.array([0.2, 0.5, 0.3]) if fixed_head else None
         x_bar = np.random.default_rng(5).standard_normal((3, 2, 24))
         out = sample(params, x_bar, sched10, np.random.default_rng(6), head_gates=gates)
-        ref = sample(
-            params, x_bar, sched10, np.random.default_rng(6),
-            estimator=lambda x, xb, t: noise_estimate(x, xb, t, params, head_gates=gates),
+        monkeypatch.setattr(
+            diffusion, "noise_estimate",
+            lambda x, xb, t, p, head_gates, cond: noise_estimate(x, xb, t, p, head_gates=head_gates),
         )
+        ref = sample(params, x_bar, sched10, np.random.default_rng(6), head_gates=gates)
         npt.assert_array_equal(out, ref)
 
     def test_output_shape(self, sched10):
@@ -288,7 +288,7 @@ class TestTrainStep:
             np.random.default_rng(0), channels=3, width=4, depth=1,
             kernel_sizes=(1, 3), head_experts=2, d_emb=8,
         )
-        params = map_params(np.zeros_like, params)
+        params = zip_map_params(lambda p, _: np.zeros_like(p), params, params)
         rng = np.random.default_rng(11)
         batch = rng.standard_normal((32, 3, 64))
         loss, grads = train_step(params, batch, np.ones_like(batch), sched10, rng)

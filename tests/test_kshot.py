@@ -32,14 +32,13 @@ class TestKshotAveraging:
         npt.assert_array_equal(ens.shots[0], direct)
         npt.assert_array_equal(ens.average(), direct)
 
-    @pytest.mark.parametrize("head_gates", [None, np.array([0.25, 0.75])])
-    def test_shots_equal_per_shot_sample_calls(self, tiny_backbone, sched10, rng, head_gates):
+    def test_shots_equal_per_shot_sample_calls(self, tiny_backbone, sched10, rng):
         # The shots share one set of condition maps; each must still be
         # bit-equal to a sample call that computes its own.
         x_bar = rng.standard_normal((2, 2, 12))
-        ens = kshot_ensemble(tiny_backbone, x_bar, sched10, 3, np.random.default_rng(5), head_gates)
+        ens = kshot_ensemble(tiny_backbone, x_bar, sched10, 3, np.random.default_rng(5))
         for shot, seed in zip(ens.shots, ens.seeds):
-            direct = sample(tiny_backbone, x_bar, sched10, np.random.default_rng(seed), head_gates)
+            direct = sample(tiny_backbone, x_bar, sched10, np.random.default_rng(seed))
             npt.assert_array_equal(shot, direct)
 
     def test_identical_shots_average_to_any_shot(self, tiny_backbone, sched10, rng):
@@ -117,7 +116,10 @@ class TestJensen:
         assert jensen_check(pts, w, rng.standard_normal(8), loss) >= -1e-12
 
     def test_custom_loss(self, rng):
-        quartic = ConvexLoss.custom(lambda e: float(np.mean(e**4)), name="quartic")
+        # Any convex function of the error serves as the loss.
+        def quartic(e):
+            return float(np.mean(e**4))
+
         pts = [rng.standard_normal(5) for _ in range(3)]
         assert jensen_check(pts, np.ones(3) / 3, rng.standard_normal(5), quartic) >= -1e-12
 

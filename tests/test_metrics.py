@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from moediff.metrics import evaluate, mad, prd, report_csv, ssd
+from moediff.metrics import evaluate, mad, prd, ssd, write_report
 
 
 def loop_ssd(x, xh):
@@ -62,11 +62,6 @@ class TestPrd:
         x = rng.standard_normal(64)
         e = rng.standard_normal(64)
         assert abs(prd(x, x + 2.0 * e) - 2.0 * prd(x, x + e)) <= 1e-10
-
-    def test_centered_variant(self):
-        x = np.array([1.0, 3.0])  # mean 2, centered energy 2
-        xh = np.array([1.0, 1.0])
-        assert prd(x, xh, centered=True) == pytest.approx(100.0 * math.sqrt(4.0 / 2.0))
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -144,10 +139,10 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="empty missing region"):
             evaluate(truth, truth, region=np.ones_like(truth))
 
-    def test_csv_layout(self, rng):
+    def test_csv_layout(self, rng, tmp_path):
         truth = rng.standard_normal((2, 1, 4))
-        text = report_csv(evaluate(truth, truth))
-        lines = text.strip().split("\n")
+        write_report(tmp_path / "metrics.csv", evaluate(truth, truth))
+        lines = (tmp_path / "metrics.csv").read_text(encoding="utf-8").strip().split("\n")
         assert lines[0] == "index,prd,ssd,mad"
         assert len(lines) == 4
         assert lines[-1].startswith("aggregate,")
