@@ -74,15 +74,12 @@ class Var:
         return f"Var(id={self.id}, shape={self.value.shape})"
 
 
-def _value(x) -> np.ndarray:
-    # Only the dtype is coerced: a plain operand keeps its layout, as a Var's
-    # value does, so an op sums in the same order on and off the tape.
-    return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
-
-
 def value_of(x) -> np.ndarray:
-    """Underlying array of a Var or plain array-like."""
-    return _value(x)
+    """Underlying array of a Var or plain array-like.
+
+    Only the dtype is coerced: a plain operand keeps its layout, as a Var's
+    value does, so an op sums in the same order on and off the tape."""
+    return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
 
 
 def _graph_of(*args) -> Graph | None:
@@ -96,11 +93,16 @@ def _graph_of(*args) -> Graph | None:
     return graph
 
 
-def _ids(g: Graph, *args) -> tuple[int, ...]:
-    out = []
-    for a in args:
-        out.append(a.id if isinstance(a, Var) else g.leaf(a).id)
-    return tuple(out)
+def _node(op: str, out, args, ctx: dict | None = None):
+    """``out`` recorded as an ``op`` node over ``args`` when any of them is
+    on a graph (plain operands become leaves); otherwise ``out`` itself.
+    Backward rules read input shapes from the input values, so ``ctx``
+    holds only what those values do not."""
+    g = _graph_of(*args)
+    if g is None:
+        return out
+    ids = tuple(a.id if isinstance(a, Var) else g.leaf(a).id for a in args)
+    return g._record(op, ids, out, {} if ctx is None else ctx)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -120,60 +122,36 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a, b):
-    g = _graph_of(a, b)
-    out = _value(a) + _value(b)
-    if g is None:
-        return out
-    return g._record("add", _ids(g, a, b), out, {"shapes": (_value(a).shape, _value(b).shape)})
+    return _node("add", value_of(a) + value_of(b), (a, b))
 
 
 def sub(a, b):
-    g = _graph_of(a, b)
-    out = _value(a) - _value(b)
-    if g is None:
-        return out
-    return g._record("sub", _ids(g, a, b), out, {"shapes": (_value(a).shape, _value(b).shape)})
+    return _node("sub", value_of(a) - value_of(b), (a, b))
 
 
 def mul(a, b):
-    g = _graph_of(a, b)
-    out = _value(a) * _value(b)
-    if g is None:
-        return out
-    return g._record("mul", _ids(g, a, b), out, {"shapes": (_value(a).shape, _value(b).shape)})
+    return _node("mul", value_of(a) * value_of(b), (a, b))
 
 
 def scale(a, s: float):
     """Multiply by a python scalar without creating a constant leaf."""
-    g = _graph_of(a)
-    out = _value(a) * s
-    if g is None:
-        return out
-    return g._record("scale", _ids(g, a), out, {"s": float(s)})
+    return _node("scale", value_of(a) * s, (a,), {"s": float(s)})
 
 
 def matmul(a, b):
-    av, bv = _value(a), _value(b)
+    av, bv = value_of(a), value_of(b)
     if av.ndim != 2 or bv.ndim != 2:
         raise ValueError(f"matmul: expected 2-d operands, got {av.shape} @ {bv.shape}")
     if av.shape[1] != bv.shape[0]:
         raise ValueError(f"matmul: inner axes disagree, {av.shape} @ {bv.shape}")
-    g = _graph_of(a, b)
-    out = av @ bv
-    if g is None:
-        return out
-    return g._record("matmul", _ids(g, a, b), out, {})
+    return _node("matmul", av @ bv, (a, b))
 
 
 def bmm(a, b):
-    av, bv = _value(a), _value(b)
+    av, bv = value_of(a), value_of(b)
     if av.ndim != 3 or bv.ndim != 3 or av.shape[0] != bv.shape[0] or av.shape[2] != bv.shape[1]:
         raise ValueError(f"bmm: incompatible batched shapes {av.shape} @ {bv.shape}")
-    g = _graph_of(a, b)
-    out = np.einsum("nij,njk->nik", av, bv)
-    if g is None:
-        return out
-    return g._record("bmm", _ids(g, a, b), out, {})
+    return _node("bmm", np.einsum("nij,njk->nik", av, bv), (a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -182,79 +160,52 @@ def bmm(a, b):
 
 
 def reshape(a, shape):
-    g = _graph_of(a)
-    out = _value(a).reshape(shape)
-    if g is None:
-        return out
-    return g._record("reshape", _ids(g, a), out, {"shape": _value(a).shape})
+    return _node("reshape", value_of(a).reshape(shape), (a,))
 
 
 def transpose(a, axes):
-    g = _graph_of(a)
-    out = np.transpose(_value(a), axes)
-    if g is None:
-        return out
-    return g._record("transpose", _ids(g, a), out, {"axes": tuple(axes)})
+    return _node("transpose", np.transpose(value_of(a), axes), (a,), {"axes": tuple(axes)})
 
 
 def concat(parts, axis: int = 0):
-    vals = [_value(p) for p in parts]
-    g = _graph_of(*parts)
-    out = np.concatenate(vals, axis=axis)
-    if g is None:
-        return out
-    sizes = [v.shape[axis] for v in vals]
-    return g._record("concat", _ids(g, *parts), out, {"axis": axis, "sizes": sizes})
+    out = np.concatenate([value_of(p) for p in parts], axis=axis)
+    return _node("concat", out, parts, {"axis": axis})
 
 
 def slice_axis(a, axis: int, start: int, stop: int):
-    av = _value(a)
+    av = value_of(a)
     index = [slice(None)] * av.ndim
     index[axis] = slice(start, stop)
-    g = _graph_of(a)
     out = av[tuple(index)]
-    if g is None:
+    if not isinstance(a, Var):
         return np.ascontiguousarray(out)
-    return g._record(
-        "slice", _ids(g, a), out, {"axis": axis, "start": start, "stop": stop, "shape": av.shape}
-    )
+    return _node("slice", out, (a,), {"axis": axis, "start": start, "stop": stop})
 
 
 def take_rows(a, idx):
     idx = np.asarray(idx, dtype=np.intp)
-    g = _graph_of(a)
-    out = _value(a)[idx]
-    if g is None:
+    out = value_of(a)[idx]
+    if not isinstance(a, Var):
         return out
-    repeats = len(np.unique(idx)) != len(idx)
-    return g._record(
-        "take_rows", _ids(g, a), out, {"idx": idx, "n": _value(a).shape[0], "repeats": repeats}
-    )
+    return _node("take_rows", out, (a,), {"idx": idx, "repeats": len(np.unique(idx)) != len(idx)})
 
 
 def scatter_rows(a, idx, n: int):
     """Rows of ``a`` placed at positions ``idx`` of a zero tensor with ``n`` rows."""
     idx = np.asarray(idx, dtype=np.intp)
-    av = _value(a)
+    av = value_of(a)
     out = np.zeros((n,) + av.shape[1:])
     out[idx] = av
-    g = _graph_of(a)
-    if g is None:
-        return out
-    return g._record("scatter_rows", _ids(g, a), out, {"idx": idx})
+    return _node("scatter_rows", out, (a,), {"idx": idx})
 
 
 def gather_cols(a, idx):
     """out[n] = a[n, idx[n]] for a 2-d input."""
     idx = np.asarray(idx, dtype=np.intp)
-    av = _value(a)
+    av = value_of(a)
     if av.ndim != 2:
         raise ValueError(f"gather_cols: expected 2-d input, got shape {av.shape}")
-    g = _graph_of(a)
-    out = av[np.arange(av.shape[0]), idx]
-    if g is None:
-        return out
-    return g._record("gather_cols", _ids(g, a), out, {"idx": idx, "shape": av.shape})
+    return _node("gather_cols", av[np.arange(av.shape[0]), idx], (a,), {"idx": idx})
 
 
 # ---------------------------------------------------------------------------
@@ -264,19 +215,11 @@ def gather_cols(a, idx):
 
 def tsum(a):
     """Sum of every entry."""
-    g = _graph_of(a)
-    out = np.sum(_value(a))
-    if g is None:
-        return np.asarray(out)
-    return g._record("sum", _ids(g, a), out, {"shape": _value(a).shape})
+    return _node("sum", np.asarray(np.sum(value_of(a))), (a,))
 
 
 def mean(a, axis: int):
-    g = _graph_of(a)
-    out = np.mean(_value(a), axis=axis)
-    if g is None:
-        return np.asarray(out)
-    return g._record("mean", _ids(g, a), out, {"axis": axis, "shape": _value(a).shape})
+    return _node("mean", np.asarray(np.mean(value_of(a), axis=axis)), (a,), {"axis": axis})
 
 
 # ---------------------------------------------------------------------------
@@ -329,43 +272,31 @@ def conv1d(x, w, b):
     batched over the N maps. A kernel-1 convolution is the one-tap case.
     The padded input is a temporary; the tape keeps only the pad widths.
     """
-    xv, wv, bv = _value(x), _value(w), _value(b)
+    xv, wv, bv = value_of(x), value_of(w), value_of(b)
     _conv1d_check(xv, wv, bv)
     pl, pr = _conv1d_pads(wv.shape[2])
     out = _tap_sum(xv, wv, pl, pr)
     out += bv[:, None]
-    g = _graph_of(x, w, b)
-    if g is None:
-        return out
-    return g._record("conv1d", _ids(g, x, w, b), out, {"pads": (pl, pr)})
+    return _node("conv1d", out, (x, w, b), {"pads": (pl, pr)})
 
 
 def gelu(x):
     """Exact-CDF GELU: x * Phi(x) with Phi the standard normal CDF (erf form)."""
-    xv = _value(x)
+    xv = value_of(x)
     phi = 0.5 * (1.0 + erf(xv * _INV_SQRT2))
-    out = xv * phi
-    g = _graph_of(x)
-    if g is None:
-        return out
-    return g._record("gelu", _ids(g, x), out, {"phi": phi})
+    return _node("gelu", xv * phi, (x,), {"phi": phi})
 
 
 def softmax(x):
     """Numerically stabilized softmax along the last axis."""
-    xv = _value(x)
-    shifted = xv - xv.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
-    g = _graph_of(x)
-    if g is None:
-        return out
-    return g._record("softmax", _ids(g, x), out, {})
+    xv = value_of(x)
+    e = np.exp(xv - xv.max(axis=-1, keepdims=True))
+    return _node("softmax", e / e.sum(axis=-1, keepdims=True), (x,))
 
 
 def instance_norm(x, gamma, beta):
     """Per-(sample, channel) normalization over the time axis of [N,C,T]."""
-    xv, gv, bv = _value(x), _value(gamma), _value(beta)
+    xv, gv, bv = value_of(x), value_of(gamma), value_of(beta)
     if xv.ndim != 3:
         raise ValueError(f"instance_norm: input must be rank 3 [N,C,T], got shape {xv.shape}")
     if xv.shape[2] < 2:
@@ -380,12 +311,7 @@ def instance_norm(x, gamma, beta):
     inv = 1.0 / np.sqrt(var + _NORM_EPS)
     xhat = (xv - mu) * inv
     out = gv[None, :, None] * xhat + bv[None, :, None]
-    g = _graph_of(x, gamma, beta)
-    if g is None:
-        return out
-    return g._record(
-        "instance_norm", _ids(g, x, gamma, beta), out, {"xhat": xhat, "inv": inv}
-    )
+    return _node("instance_norm", out, (x, gamma, beta), {"xhat": xhat, "inv": inv})
 
 
 # ---------------------------------------------------------------------------
@@ -394,19 +320,18 @@ def instance_norm(x, gamma, beta):
 
 
 def _bwd_add(node, grad, vals):
-    sa, sb = node.ctx["shapes"]
-    return [_unbroadcast(grad, sa), _unbroadcast(grad, sb)]
+    a, b = vals
+    return [_unbroadcast(grad, a.shape), _unbroadcast(grad, b.shape)]
 
 
 def _bwd_sub(node, grad, vals):
-    sa, sb = node.ctx["shapes"]
-    return [_unbroadcast(grad, sa), _unbroadcast(-grad, sb)]
+    a, b = vals
+    return [_unbroadcast(grad, a.shape), _unbroadcast(-grad, b.shape)]
 
 
 def _bwd_mul(node, grad, vals):
     a, b = vals
-    sa, sb = node.ctx["shapes"]
-    return [_unbroadcast(grad * b, sa), _unbroadcast(grad * a, sb)]
+    return [_unbroadcast(grad * b, a.shape), _unbroadcast(grad * a, b.shape)]
 
 
 def _bwd_scale(node, grad, vals):
@@ -424,7 +349,7 @@ def _bwd_bmm(node, grad, vals):
 
 
 def _bwd_reshape(node, grad, vals):
-    return [grad.reshape(node.ctx["shape"])]
+    return [grad.reshape(vals[0].shape)]
 
 
 def _bwd_transpose(node, grad, vals):
@@ -432,8 +357,8 @@ def _bwd_transpose(node, grad, vals):
 
 
 def _bwd_concat(node, grad, vals):
-    axis, sizes = node.ctx["axis"], node.ctx["sizes"]
-    splits = np.cumsum(sizes[:-1])
+    axis = node.ctx["axis"]
+    splits = np.cumsum([v.shape[axis] for v in vals[:-1]])
     return list(np.split(grad, splits, axis=axis))
 
 
@@ -448,14 +373,14 @@ class Region(NamedTuple):
 
 
 def _bwd_slice(node, grad, vals):
-    shape = node.ctx["shape"]
+    shape = vals[0].shape
     index = [slice(None)] * len(shape)
     index[node.ctx["axis"]] = slice(node.ctx["start"], node.ctx["stop"])
     return [Region(shape, tuple(index), grad)]
 
 
 def _bwd_take_rows(node, grad, vals):
-    shape, idx = (node.ctx["n"],) + grad.shape[1:], node.ctx["idx"]
+    shape, idx = vals[0].shape, node.ctx["idx"]
     if not node.ctx["repeats"]:
         return [Region(shape, idx, grad)]
     rows, where = np.unique(idx, return_inverse=True)
@@ -469,16 +394,16 @@ def _bwd_scatter_rows(node, grad, vals):
 
 
 def _bwd_gather_cols(node, grad, vals):
-    shape = node.ctx["shape"]
+    shape = vals[0].shape
     return [Region(shape, (np.arange(shape[0]), node.ctx["idx"]), grad)]
 
 
 def _bwd_sum(node, grad, vals):
-    return [np.full(node.ctx["shape"], grad)]
+    return [np.full(vals[0].shape, grad)]
 
 
 def _bwd_mean(node, grad, vals):
-    shape, axis = node.ctx["shape"], node.ctx["axis"]
+    shape, axis = vals[0].shape, node.ctx["axis"]
     return [np.broadcast_to(np.expand_dims(grad / shape[axis], axis), shape).copy()]
 
 
@@ -626,9 +551,9 @@ def finite_diff_check(f, point, h: float = 1e-4) -> float:
     for i in range(flat.size):
         bumped = flat.copy()
         bumped[i] = flat[i] + h
-        up = float(_value(f(bumped.reshape(point.shape))))
+        up = float(value_of(f(bumped.reshape(point.shape))))
         bumped[i] = flat[i] - h
-        down = float(_value(f(bumped.reshape(point.shape))))
+        down = float(value_of(f(bumped.reshape(point.shape))))
         g_fd[i] = (up - down) / (2.0 * h)
 
     denom = np.maximum(1.0, np.maximum(np.abs(g_fd), np.abs(g_ad)))

@@ -1,15 +1,16 @@
 """Full noise estimator: parallel per-channel feature stacks over the noisy
 signal and the masked condition, per-level FiLM injection, fusion head.
 
-Also home of the parameter-tree utilities (one named traversal that
-mapping, lifting and checkpoint filling are built on) shared by training,
-gradient checks, and the CLI, and of checkpoints that store the model
+Also home of :class:`ModelSpec`, the one place the model's structure is
+stored and checked; of the parameter-tree utilities (one named traversal
+that mapping, lifting and checkpoint filling are built on) shared by
+training, gradient checks, and the CLI; and of checkpoints that store the
 spec they were built from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -39,36 +40,85 @@ class LevelParams:
     bridge: BridgeParams
 
 
+class SpecError(ValueError):
+    """A :class:`ModelSpec` value out of range: ``field`` names it and
+    ``reason`` says what it must be and what it was."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"{field} {reason}")
+        self.field, self.reason = field, reason
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """The structure of a noise estimator: the :func:`init_backbone`
+    arguments, checked on construction (a bad value raises
+    :class:`SpecError`) and stored in checkpoints as ``meta.<field>``
+    records. At depth 0 no RFAMoE block is built and the kernel ladder is
+    stored empty."""
+
+    channels: int
+    width: int  # feature channels per map
+    depth: int  # RFAMoE levels
+    kernel_sizes: tuple  # one RFAMoE expert per size
+    head_experts: int
+    d_emb: int  # step-embedding size
+    gate_mode: str  # one of GATE_MODES
+
+    def __post_init__(self):
+        k = tuple(self.kernel_sizes) if self.depth else ()
+        object.__setattr__(self, "kernel_sizes", k)
+        ladder = self.depth == 0 or (k and len(set(k)) == len(k) and all(s >= 1 and s % 2 for s in k))
+        for name, ok, rule in (
+            ("channels", self.channels >= 1, ">= 1"),
+            ("width", self.width >= 2 and self.width % 2 == 0, "even and >= 2"),
+            ("depth", self.depth >= 0, ">= 0"),
+            ("kernel_sizes", ladder, "one or more distinct odd sizes >= 1"),
+            ("head_experts", self.head_experts >= 1, ">= 1"),
+            ("d_emb", self.d_emb >= 2 and self.d_emb % 2 == 0, "even and >= 2"),
+            ("gate_mode", self.gate_mode in GATE_MODES, f"one of {GATE_MODES}"),
+        ):
+            if not ok:
+                raise SpecError(name, f"must be {rule}, got {getattr(self, name)!r}")
+
+    def records(self) -> dict[str, np.ndarray]:
+        """The ``meta.<field>`` records; the gate mode is stored as its index
+        in GATE_MODES."""
+        values = {**asdict(self), "gate_mode": GATE_MODES.index(self.gate_mode)}
+        return {f"meta.{key}": np.asarray(v, dtype=np.float64) for key, v in values.items()}
+
+    @classmethod
+    def from_records(cls, named: dict[str, np.ndarray]) -> "ModelSpec":
+        """The spec that :meth:`records` stored in ``named``; a missing,
+        malformed or out-of-range record raises ValueError naming it."""
+        values = {}
+        for f in fields(cls):
+            name = f"meta.{f.name}"
+            if name not in named:
+                raise ValueError(
+                    f"checkpoint has no record {name!r}: checkpoints without a stored model spec "
+                    "are not supported"
+                )
+            v = named[name]
+            ndim = 1 if f.name == "kernel_sizes" else 0
+            if v.ndim != ndim or not np.all(np.isfinite(v) & (v == np.floor(v))):
+                raise ValueError(f"checkpoint record {name!r} holds {v.tolist()}, not a valid {f.name}")
+            values[f.name] = tuple(int(s) for s in v) if ndim else int(v)
+        mode = values["gate_mode"]
+        values["gate_mode"] = GATE_MODES[mode] if 0 <= mode < len(GATE_MODES) else mode
+        try:
+            return cls(**values)
+        except SpecError as exc:
+            raise ValueError(f"checkpoint record 'meta.{exc.field}': {exc}") from None
+
+
 @dataclass
 class BackboneParams:
     lift_xt: ConvParams  # pointwise 1 -> L
     lift_cond: ConvParams
     levels: list  # LevelParams
     head: FusionMoEParams
-    channels: int
-    d_emb: int
-    gate_mode: str = "unit"
-
-    @property
-    def width(self) -> int:
-        return ad.value_of(self.lift_xt.weight).shape[0]
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels)
-
-    def spec(self) -> dict:
-        """The :func:`init_backbone` arguments that rebuild this structure."""
-        kernels = tuple(e.kernel_size for e in self.levels[0].main.experts) if self.levels else ()
-        return dict(
-            channels=self.channels,
-            width=self.width,
-            depth=self.depth,
-            kernel_sizes=kernels,
-            head_experts=len(self.head.experts),
-            d_emb=self.d_emb,
-            gate_mode=self.gate_mode,
-        )
+    spec: ModelSpec  # holds no parameters
 
 
 def init_backbone(
@@ -81,12 +131,11 @@ def init_backbone(
     d_emb: int = 64,
     gate_mode: str = "unit",
 ) -> BackboneParams:
-    if width % 2 != 0:
-        raise ValueError(f"feature width must be even, got {width}")
+    spec = ModelSpec(channels, width, depth, kernel_sizes, head_experts, d_emb, gate_mode)
     levels = [
         LevelParams(
-            main=init_rfamoe(rng, width, channels, kernel_sizes, gate_mode),
-            cond=init_rfamoe(rng, width, channels, kernel_sizes, gate_mode),
+            main=init_rfamoe(rng, width, channels, spec.kernel_sizes),
+            cond=init_rfamoe(rng, width, channels, spec.kernel_sizes),
             bridge=init_bridge(rng, d_emb, width),
         )
         for _ in range(depth)
@@ -96,9 +145,7 @@ def init_backbone(
         lift_cond=init_conv(rng, width, 1, 1),
         levels=levels,
         head=init_fusion(rng, width, head_experts),
-        channels=channels,
-        d_emb=d_emb,
-        gate_mode=gate_mode,
+        spec=spec,
     )
 
 
@@ -106,9 +153,9 @@ def _check_inputs(where: str, x, params: BackboneParams) -> tuple[int, int, int]
     """(B, C, Tlen) of a [B, C, Tlen] input with the channels ``params`` expects."""
     if x.ndim != 3:
         raise ValueError(f"{where}: inputs must be [B, C, Tlen], got shape {x.shape}")
-    if x.shape[1] != params.channels:
+    if x.shape[1] != params.spec.channels:
         raise ValueError(
-            f"{where}: input has {x.shape[1]} channels, parameters were built for {params.channels}"
+            f"{where}: input has {x.shape[1]} channels, parameters were built for {params.spec.channels}"
         )
     return x.shape
 
@@ -127,7 +174,7 @@ def condition_features(x_bar, params: BackboneParams) -> list:
     h = ad.transpose(h, (0, 2, 1))  # [N, T, L]
     maps = []
     for level in params.levels:
-        h = rfamoe_forward(h, level.cond, (b, c))
+        h = rfamoe_forward(h, level.cond, (b, c), params.spec.gate_mode)
         maps.append(h)
     return maps
 
@@ -159,17 +206,17 @@ def noise_estimate(x_t, x_bar, t, params: BackboneParams, head_gates=None, *, co
     n = b * c
     if cond is None:
         cond = condition_features(x_bar, params)
-    want = (n, t_len, params.width)
+    want = (n, t_len, params.spec.width)
     shapes = [ad.value_of(m).shape for m in cond]
-    if len(shapes) != params.depth or any(s != want for s in shapes):
+    if len(shapes) != params.spec.depth or any(s != want for s in shapes):
         raise ValueError(
             f"noise_estimate: condition maps have shapes {shapes}, inputs {xv.shape} "
-            f"need {params.depth} of {want}"
+            f"need {params.spec.depth} of {want}"
         )
     h = ad.conv1d(ad.reshape(x_t, (n, 1, t_len)), params.lift_xt.weight, params.lift_xt.bias)
     h = ad.transpose(h, (0, 2, 1))  # [N, T, L]
     for level, cond_map in zip(params.levels, cond):
-        main = rfamoe_forward(h, level.main, (b, c))
+        main = rfamoe_forward(h, level.main, (b, c), params.spec.gate_mode)
         h = ad.add(main, bridge_forward(cond_map, steps, level.bridge))
     out = fusion_moe_forward(h, params.head, gates_override=head_gates)  # [N, T, 1]
     return ad.reshape(out, (b, c, t_len))
@@ -183,7 +230,7 @@ _LEAF_TYPES = (np.ndarray, Var)
 
 
 def _is_param_node(obj) -> bool:
-    return is_dataclass(obj) or isinstance(obj, list) or isinstance(obj, _LEAF_TYPES)
+    return (is_dataclass(obj) and not isinstance(obj, ModelSpec)) or isinstance(obj, (list, *_LEAF_TYPES))
 
 
 def _walk(fn, tree, *others, prefix: str = ""):
@@ -284,40 +331,13 @@ def fill_params(params, records: dict[str, np.ndarray], prefix: str = ""):
 # checkpoints
 # ---------------------------------------------------------------------------
 
-# init_backbone arguments stored as ``meta.<name>`` records, each with its
-# smallest valid value; gate_mode is stored as its index in GATE_MODES.
-_SPEC_MIN = dict(channels=1, width=1, depth=0, kernel_sizes=1, head_experts=1, d_emb=1, gate_mode=0)
-
-
 def save_backbone(path, params: BackboneParams, extra: dict[str, np.ndarray] | None = None) -> None:
     """Write every parameter plus the model spec as ``meta.*`` records."""
     named = {name: np.asarray(ad.value_of(v)) for name, v in named_params(params)}
-    spec = params.spec()
-    spec["gate_mode"] = GATE_MODES.index(spec["gate_mode"])
-    named.update({f"meta.{key}": np.asarray(v, dtype=np.float64) for key, v in spec.items()})
+    named.update(params.spec.records())
     if extra:
         named.update(extra)
     write_checkpoint(path, named)
-
-
-def _read_spec(named: dict[str, np.ndarray]) -> dict:
-    spec = {}
-    for key, least in _SPEC_MIN.items():
-        name = f"meta.{key}"
-        if name not in named:
-            raise ValueError(
-                f"checkpoint has no record {name!r}: checkpoints without a stored model spec "
-                "are not supported"
-            )
-        v = named[name]
-        ndim = 1 if key == "kernel_sizes" else 0
-        if v.ndim != ndim or not np.all(np.isfinite(v) & (v == np.floor(v)) & (v >= least)):
-            raise ValueError(f"checkpoint record {name!r} holds {v.tolist()}, not a valid {key}")
-        spec[key] = tuple(int(s) for s in v) if v.ndim else int(v)
-    if spec["gate_mode"] >= len(GATE_MODES):
-        raise ValueError(f"checkpoint record 'meta.gate_mode' holds {spec['gate_mode']}, not 0 or 1")
-    spec["gate_mode"] = GATE_MODES[spec["gate_mode"]]
-    return spec
 
 
 class _ShapesOnly:
@@ -337,13 +357,13 @@ def load_backbone(path, gate_mode: str = "unit") -> tuple[BackboneParams, dict[s
     gate mode other than ``gate_mode``, raises ValueError.
     """
     named = read_checkpoint(path)
-    spec = _read_spec(named)
-    if spec["gate_mode"] != gate_mode:
+    spec = ModelSpec.from_records(named)
+    if spec.gate_mode != gate_mode:
         raise ValueError(
-            f"checkpoint was trained with gate_mode={spec['gate_mode']!r}, "
+            f"checkpoint was trained with gate_mode={spec.gate_mode!r}, "
             f"cannot load it with gate_mode={gate_mode!r}"
         )
-    params = fill_params(init_backbone(_ShapesOnly(), **spec), named)
+    params = fill_params(init_backbone(_ShapesOnly(), **asdict(spec)), named)
     aux = {k: v for k, v in named.items() if k.startswith(("meta.", "opt."))}
     unexpected = sorted(named.keys() - aux.keys() - {name for name, _ in named_params(params)})
     if unexpected:

@@ -12,7 +12,7 @@ in [N, L, T].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,10 +27,6 @@ GATE_MODES = ("unit", "raw")
 class ConvParams:
     weight: object  # [Cout, Cin, S]
     bias: object  # [Cout]
-
-    @property
-    def kernel_size(self) -> int:
-        return ad.value_of(self.weight).shape[2]
 
 
 @dataclass
@@ -50,19 +46,6 @@ class RFAMoEParams:
     in_beta: object  # [L]
     gate_proj: ConvParams  # pointwise, L/2 -> L
     fuse: ConvParams  # pointwise, C*L -> C*L
-    gate_mode: str = "unit"  # one of GATE_MODES
-
-    def check(self) -> "RFAMoEParams":
-        sizes = [e.kernel_size for e in self.experts]
-        if len(self.experts) < 1:
-            raise ValueError("rfamoe: need at least one expert")
-        if len(set(sizes)) != len(sizes) or any(s % 2 == 0 for s in sizes):
-            raise ValueError(f"rfamoe: expert kernel sizes must be distinct odd, got {sizes}")
-        if self.gate_proj.kernel_size != 1 or self.fuse.kernel_size != 1:
-            raise ValueError("rfamoe: gate projection and fusion convolutions must have kernel size 1")
-        if self.gate_mode not in GATE_MODES:
-            raise ValueError(f"rfamoe: gate_mode must be 'unit' or 'raw', got {self.gate_mode!r}")
-        return self
 
 
 @dataclass
@@ -77,19 +60,8 @@ class FusionMoEParams:
     """Head that merges K pointwise experts by gate-weighting their weights
     before a single convolution."""
 
-    experts: list = field(default_factory=list)  # ConvParams, each [1, L, 1]
-    router: LinearParams = None  # L -> K logits
-
-    def check(self) -> "FusionMoEParams":
-        if len(self.experts) < 1:
-            raise ValueError("fusion head: need at least one expert")
-        for k, e in enumerate(self.experts):
-            w = ad.value_of(e.weight)
-            if w.ndim != 3 or w.shape[0] != 1 or w.shape[2] != 1:
-                raise ValueError(
-                    f"fusion head: expert {k} must have shape [1, L, 1], got {w.shape}"
-                )
-        return self
+    experts: list  # ConvParams, each [1, L, 1]
+    router: LinearParams  # L -> K logits
 
 
 def step_embedding(t, d_emb: int) -> np.ndarray:
@@ -130,8 +102,9 @@ def route_top1(features, router: LinearParams, gate_mode: str = "unit"):
     return idx, ad.gather_cols(ad.softmax(logits), idx), logits
 
 
-def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int]):
-    """Apply the block to [N, T, L] feature maps, N = B * C.
+def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int], gate_mode: str):
+    """Apply the block to [N, T, L] feature maps, N = B * C, routing in
+    ``gate_mode`` (one of :data:`GATE_MODES`).
 
     Stages: routed expert convolution, instance norm, gated split (gelu
     half times linear half), pointwise width restore, cross-channel
@@ -151,7 +124,7 @@ def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int]):
         raise ValueError(f"rfamoe: input width {l_in} differs from the block's width {l}")
 
     xt = ad.transpose(x, (0, 2, 1))  # [N, L, T]
-    sel, gates, _ = route_top1(xt, params.router, params.gate_mode)
+    sel, gates, _ = route_top1(xt, params.router, gate_mode)
 
     # One scatter puts every active expert's output rows back in place.
     outs, rows = [], []
@@ -161,7 +134,7 @@ def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int]):
             outs.append(ad.conv1d(ad.take_rows(xt, idx), conv.weight, conv.bias))
             rows.append(idx)
     routed = ad.scatter_rows(ad.concat(outs, axis=0), np.concatenate(rows), n)
-    if params.gate_mode == "raw":
+    if gate_mode == "raw":
         routed = ad.mul(routed, ad.reshape(gates, (n, 1, 1)))
 
     h = ad.instance_norm(routed, params.in_gamma, params.in_beta)
@@ -235,9 +208,7 @@ def init_linear(rng: np.random.Generator, d_in: int, d_out: int, std: float | No
     return LinearParams(weight=rng.normal(0.0, std, (d_in, d_out)), bias=np.zeros(d_out))
 
 
-def init_rfamoe(
-    rng: np.random.Generator, l: int, channels: int, kernel_sizes: tuple[int, ...], gate_mode: str = "unit"
-) -> RFAMoEParams:
+def init_rfamoe(rng: np.random.Generator, l: int, channels: int, kernel_sizes: tuple[int, ...]) -> RFAMoEParams:
     return RFAMoEParams(
         experts=[init_conv(rng, l, l, s) for s in kernel_sizes],
         router=init_linear(rng, l, len(kernel_sizes)),
@@ -245,8 +216,7 @@ def init_rfamoe(
         in_beta=np.zeros(l),
         gate_proj=init_conv(rng, l, l // 2, 1),
         fuse=init_conv(rng, channels * l, channels * l, 1),
-        gate_mode=gate_mode,
-    ).check()
+    )
 
 
 def init_bridge(rng: np.random.Generator, d_emb: int, l: int) -> BridgeParams:
@@ -260,4 +230,4 @@ def init_fusion(rng: np.random.Generator, l: int, k: int) -> FusionMoEParams:
     return FusionMoEParams(
         experts=[init_conv(rng, 1, l, 1) for _ in range(k)],
         router=init_linear(rng, l, k),
-    ).check()
+    )

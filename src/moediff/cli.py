@@ -130,8 +130,6 @@ def _load_cfg(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else toy_profile()
     if args.seed is not None:
         cfg.seed = args.seed
-    if getattr(args, "out", None):
-        cfg.out_dir = args.out
     return cfg.check()
 
 
@@ -183,9 +181,9 @@ def _cmd_impute(args) -> int:
     cfg = _load_cfg(args)
     params, _ = load_backbone(args.checkpoint, gate_mode=cfg.gate_mode)
     signals = load_signals(args.input)
-    if signals.shape[1] != params.channels:
+    if signals.shape[1] != params.spec.channels:
         raise ValueError(
-            f"checkpoint expects {params.channels} channels, input has {signals.shape[1]}"
+            f"checkpoint expects {params.spec.channels} channels, input has {signals.shape[1]}"
         )
     sched = make_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
     mask = _mask_spec(cfg, args).build(*signals.shape)

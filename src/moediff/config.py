@@ -11,6 +11,11 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from .backbone import ModelSpec, SpecError
+
+# ModelSpec field -> the config key that sets it
+_SPEC_KEYS = {f.name: f.name for f in dataclasses.fields(ModelSpec)} | {"kernel_sizes": "rfa_kernels"}
+
 
 @dataclass
 class RunConfig:
@@ -18,8 +23,8 @@ class RunConfig:
     steps: int = 10
     beta_start: float = 1e-4
     beta_end: float = 0.05
-    # backbone dims
-    width: int = 16  # feature channels per map (must be even)
+    # backbone dims (rules in backbone.ModelSpec)
+    width: int = 16  # feature channels per map
     depth: int = 1
     rfa_kernels: tuple = (3, 5, 7, 9, 11)
     head_experts: int = 4
@@ -41,26 +46,24 @@ class RunConfig:
     shared_window: bool = False
     # misc
     seed: int = 0
-    data_path: str = ""
-    out_dir: str = ""
+
+    def model_spec(self) -> ModelSpec:
+        """The model structure the backbone keys describe."""
+        return ModelSpec(**{field: getattr(self, key) for field, key in _SPEC_KEYS.items()})
 
     def check(self) -> "RunConfig":
-        if self.width % 2 != 0:
-            raise ValueError(f"width must be even, got {self.width}")
+        try:
+            self.model_spec()
+        except SpecError as exc:
+            raise ValueError(f"{_SPEC_KEYS[exc.field]} {exc.reason}") from None
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.depth < 0:
-            raise ValueError(f"depth must be >= 0, got {self.depth}")
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
         if self.train_steps < 0:
             raise ValueError(f"train_steps must be >= 0, got {self.train_steps}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.data_path and self.out_dir and self.data_path == self.out_dir:
-            raise ValueError("data_path and out_dir must be distinct paths")
-        if self.gate_mode not in ("unit", "raw"):
-            raise ValueError(f"gate_mode must be 'unit' or 'raw', got {self.gate_mode!r}")
         if self.mask_kind not in ("random", "continuous"):
             raise ValueError(f"mask_kind must be 'random' or 'continuous', got {self.mask_kind!r}")
         return self

@@ -111,14 +111,15 @@ def check_blocks(seed: int = 0, points: int = 100):
 
     worst = 0.0
     for i in range(points):
+        mode = "raw" if i % 2 else "unit"
         while True:
-            params = init_rfamoe(rng, l, c, (1, 3), gate_mode="raw" if i % 2 else "unit")
+            params = init_rfamoe(rng, l, c, (1, 3))
             x = rng.standard_normal((n, t_len, l))
             if _routing_margin(x, params) > 0.05:
                 break
         worst = max(
             worst,
-            ad.finite_diff_check(lambda v: _sq_sum(rfamoe_forward(v, params, (b, c))), x),
+            ad.finite_diff_check(lambda v: _sq_sum(rfamoe_forward(v, params, (b, c), mode)), x),
         )
     results.append(("rfamoe/input", worst, GRAD_TOL))
 

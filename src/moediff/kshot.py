@@ -22,6 +22,8 @@ from .diffusion import NoiseSchedule, reverse_step, sample
 from .tensor import as_tensor
 
 _SIMPLEX_TOL = 1e-9
+_GRID_RESOLUTION = 0.05  # weight_sweep's grid step for K <= 4
+_DESCENT_ITERS, _DESCENT_STEP = 200, 0.1  # its projected descent for K > 4
 
 
 @dataclass(frozen=True)
@@ -176,16 +178,15 @@ def weight_sweep(
     sched: NoiseSchedule,
     target,
     loss: ConvexLoss,
-    grid_resolution: float = 0.05,
-    z=None,
     extra_candidates=None,
 ):
-    """Minimize L(step(x_t, fused estimate) - target) over simplex weights.
+    """Minimize L(step(x_t, fused estimate) - target) over simplex weights,
+    stepping with a zero injected draw.
 
-    K <= 4 is solved by exhaustive grid enumeration at ``grid_resolution``;
-    larger pools use projected gradient descent (200 iterations, step 0.1,
-    halved on non-improvement) from several starts. The uniform weighting
-    is always a candidate, so best_loss <= uniform_loss by construction.
+    K <= 4 is solved by exhaustive grid enumeration at step 0.05; larger
+    pools use projected gradient descent (200 iterations, step 0.1, halved
+    on non-improvement) from several starts. The uniform weighting is
+    always a candidate, so best_loss <= uniform_loss by construction.
 
     Returns (best_weights, best_loss, uniform_loss).
     """
@@ -193,7 +194,7 @@ def weight_sweep(
     k = len(eps_list)
     x_t = as_tensor(x_t)
     target = as_tensor(target)
-    z = np.zeros_like(x_t) if z is None else as_tensor(z)
+    z = np.zeros_like(x_t)
     # The update is affine in the estimate, so precompute per-expert stepped
     # outputs; any convex combination of estimates steps to the same
     # combination of these.
@@ -212,7 +213,7 @@ def weight_sweep(
         candidates.extend(_check_simplex(w) for w in extra_candidates)
 
     if k <= 4:
-        grid = simplex_grid(k, grid_resolution)
+        grid = simplex_grid(k, _GRID_RESOLUTION)
         losses = np.array([loss_of(w) for w in grid])
         gi = int(np.argmin(losses))
         candidates.append(grid[gi])
@@ -228,11 +229,11 @@ def weight_sweep(
     return best_w, best, uniform_loss
 
 
-def _projected_descent(loss_of, loss: ConvexLoss, flat, target_flat, w0, iters=200, step=0.1):
+def _projected_descent(loss_of, loss: ConvexLoss, flat, target_flat, w0):
     w = _project_simplex(np.asarray(w0, dtype=np.float64))
     best_w, best = w, loss_of(w)
-    cur = step
-    for _ in range(iters):
+    cur = _DESCENT_STEP
+    for _ in range(_DESCENT_ITERS):
         err = (w @ flat) - target_flat
         grad = flat @ loss.error_gradient(err)
         cand = _project_simplex(w - cur * grad)
@@ -254,8 +255,6 @@ def expert_count_sweep(
     sched: NoiseSchedule,
     target,
     loss: ConvexLoss,
-    grid_resolution: float = 0.05,
-    z=None,
 ):
     """Best achievable loss over growing prefixes of one fixed expert pool.
 
@@ -272,9 +271,7 @@ def expert_count_sweep(
         extras = []
         if prev_w is not None:
             extras.append(np.concatenate([prev_w, np.zeros(k - len(prev_w))]))
-        best_w, best, uniform = weight_sweep(
-            eps_pool[:k], x_t, t, sched, target, loss, grid_resolution, z, extras or None
-        )
+        best_w, best, uniform = weight_sweep(eps_pool[:k], x_t, t, sched, target, loss, extras or None)
         rows.append((k, best, uniform))
         prev_w = best_w
     return rows

@@ -8,6 +8,7 @@ momentum is active.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import numpy as np
@@ -40,16 +41,7 @@ def _step_rng(seed: int, step: int) -> np.random.Generator:
 
 
 def init_from_config(cfg: RunConfig) -> BackboneParams:
-    return init_backbone(
-        np.random.default_rng(cfg.seed),
-        channels=cfg.channels,
-        width=cfg.width,
-        depth=cfg.depth,
-        kernel_sizes=tuple(cfg.rfa_kernels),
-        head_experts=cfg.head_experts,
-        d_emb=cfg.d_emb,
-        gate_mode=cfg.gate_mode,
-    )
+    return init_backbone(np.random.default_rng(cfg.seed), **dataclasses.asdict(cfg.model_spec()))
 
 
 def train(cfg: RunConfig, data: np.ndarray, out_dir, resume_from=None):
@@ -72,6 +64,11 @@ def train(cfg: RunConfig, data: np.ndarray, out_dir, resume_from=None):
     else:
         params, aux = load_backbone(resume_from, gate_mode=cfg.gate_mode)
         start_step = int(aux.get("meta.step", np.asarray(0.0)))
+        if start_step > cfg.train_steps:
+            raise ValueError(
+                f"train_steps = {cfg.train_steps} is below the {start_step} steps "
+                f"checkpoint {resume_from} has already taken"
+            )
         if cfg.momentum > 0.0 and any(k.startswith("opt.v.") for k in aux):
             velocity = fill_params(params, aux, prefix="opt.v.")
     if velocity is None and cfg.momentum > 0.0:

@@ -63,7 +63,7 @@ def naive_softmax_row(row):
     return np.array([v / z for v in e])
 
 
-def naive_rfamoe(x_ntl, params, b, c):
+def naive_rfamoe(x_ntl, params, b, c, gate_mode):
     """Stage-by-stage reference of the adaptive-receptive-field block."""
     n, t_len, _ = x_ntl.shape
     l = len(params.in_gamma)
@@ -75,7 +75,7 @@ def naive_rfamoe(x_ntl, params, b, c):
     for ni in range(n):
         e = int(np.argmax(logits[ni]))
         y = naive_conv1d(xt[ni : ni + 1], params.experts[e].weight, params.experts[e].bias)
-        if params.gate_mode == "raw":
+        if gate_mode == "raw":
             y = y * naive_softmax_row(logits[ni])[e]
         routed[ni] = y[0]
 
@@ -130,13 +130,13 @@ def naive_backbone(x_t, x_bar, t, params):
     h = np.transpose(h, (0, 2, 1))
     cond = np.transpose(cond, (0, 2, 1))
     for level in params.levels:
-        cond = naive_rfamoe(cond, level.cond, b, c)
-        h = naive_rfamoe(h, level.main, b, c) + naive_bridge(cond, t, level.bridge)
+        cond = naive_rfamoe(cond, level.cond, b, c, params.spec.gate_mode)
+        h = naive_rfamoe(h, level.main, b, c, params.spec.gate_mode) + naive_bridge(cond, t, level.bridge)
     return naive_fusion_moe(h, params.head).reshape(b, c, t_len)
 
 
 def _dense_slice(node, grad, vals):
-    out = np.zeros(node.ctx["shape"])
+    out = np.zeros(vals[0].shape)
     index = [slice(None)] * out.ndim
     index[node.ctx["axis"]] = slice(node.ctx["start"], node.ctx["stop"])
     out[tuple(index)] = grad
@@ -144,13 +144,13 @@ def _dense_slice(node, grad, vals):
 
 
 def _dense_take_rows(node, grad, vals):
-    out = np.zeros((node.ctx["n"],) + grad.shape[1:])
+    out = np.zeros(vals[0].shape)
     np.add.at(out, node.ctx["idx"], grad)
     return [out]
 
 
 def _dense_gather_cols(node, grad, vals):
-    out = np.zeros(node.ctx["shape"])
+    out = np.zeros(vals[0].shape)
     out[np.arange(out.shape[0]), node.ctx["idx"]] = grad
     return [out]
 

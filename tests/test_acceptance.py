@@ -157,7 +157,7 @@ def test_criterion_03_jensen_and_weight_sweep():
             eps = [rng.standard_normal(shape) for _ in range(3)]
             target = rng.standard_normal(shape)
             t = int(rng.integers(1, 11))
-            _, best, uniform = weight_sweep(eps, x_t, t, sched, target, ConvexLoss.mse(), 0.05)
+            _, best, uniform = weight_sweep(eps, x_t, t, sched, target, ConvexLoss.mse())
             assert best <= uniform + 1e-12
             # Brute-force grid oracle (independent itertools enumeration).
             z = np.zeros(shape)

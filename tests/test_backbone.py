@@ -7,6 +7,8 @@ import pytest
 
 import moediff.autodiff as ad
 from moediff.backbone import (
+    ModelSpec,
+    SpecError,
     condition_features,
     init_backbone,
     lift_params,
@@ -165,6 +167,51 @@ class TestNoiseEstimate:
             noise_estimate(x, x, 1, params, cond=condition_features(np.zeros((1, 2, 9)), params))
 
 
+_SPEC = dict(channels=2, width=4, depth=1, kernel_sizes=(1, 3), head_experts=2, d_emb=8, gate_mode="unit")
+
+
+class TestModelSpec:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("channels", 0), ("width", 0), ("width", -2), ("width", 5), ("depth", -1), ("head_experts", 0),
+         ("d_emb", 0), ("d_emb", 7), ("gate_mode", "soft")],
+    )
+    def test_bad_value_names_field(self, field, value):
+        with pytest.raises(SpecError, match=f"^{field} must be") as info:
+            ModelSpec(**{**_SPEC, field: value})
+        assert info.value.field == field
+
+    def test_kernel_invariants_enforced(self):
+        for ladder in [(2, 3), (3, 3), (), (-1, 3)]:
+            with pytest.raises(SpecError, match="kernel_sizes must be one or more distinct odd sizes"):
+                ModelSpec(**{**_SPEC, "kernel_sizes": ladder})
+
+    @pytest.mark.parametrize("field, value", [("width", 2), ("d_emb", 2), ("kernel_sizes", (1,)), ("channels", 1)])
+    def test_range_edges_accepted(self, field, value):
+        assert getattr(ModelSpec(**{**_SPEC, field: value}), field) == value
+
+    def test_depth_zero_stores_no_ladder(self):
+        # No RFAMoE block is built, so the ladder is neither checked nor kept.
+        assert ModelSpec(**{**_SPEC, "depth": 0, "kernel_sizes": (2, 2)}).kernel_sizes == ()
+
+    @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
+    def test_records_roundtrip(self, gate_mode):
+        spec = ModelSpec(**{**_SPEC, "gate_mode": gate_mode})
+        records = spec.records()
+        assert records["meta.gate_mode"] == ("unit", "raw").index(gate_mode)
+        npt.assert_array_equal(records["meta.kernel_sizes"], [1.0, 3.0])
+        assert ModelSpec.from_records(records) == spec
+
+    def test_init_backbone_checks_its_spec(self):
+        # width 0 used to die in the initialiser with a ZeroDivisionError.
+        with pytest.raises(SpecError, match="width must be even and >= 2, got 0"):
+            _build(width=0)
+
+    def test_spec_holds_no_parameters(self, tiny_backbone):
+        assert tiny_backbone.spec == ModelSpec(**_SPEC)
+        assert not any(name.startswith("spec") for name, _ in named_params(tiny_backbone))
+
+
 class TestParamCount:
     def test_zero_depth_counts_lift_and_head_only(self):
         params = _build(depth=0, width=4, k=2)
@@ -199,7 +246,7 @@ class TestCheckpoint:
         assert orig.keys() == new.keys()
         for name in orig:
             npt.assert_array_equal(np.asarray(orig[name]), np.asarray(new[name]))
-        assert loaded.spec() == tiny_backbone.spec()
+        assert loaded.spec == tiny_backbone.spec
 
     def test_loaded_model_same_predictions(self, tmp_path, tiny_backbone, rng):
         path = tmp_path / "model.ckp1"
@@ -229,8 +276,24 @@ class TestCheckpoint:
         path = tmp_path / "model.ckp1"
         save_backbone(path, params)
         loaded, _ = load_backbone(path, gate_mode=gate_mode)
-        assert loaded.spec() == params.spec()
+        assert loaded.spec == params.spec
         assert [n for n, _ in named_params(loaded)] == [n for n, _ in named_params(params)]
+
+    @pytest.mark.parametrize(
+        "record, value, located",
+        [("meta.d_emb", 7.0, "'meta.d_emb': d_emb must be even"),
+         ("meta.width", 0.0, "'meta.width': width must be even"),
+         ("meta.width", 4.5, "'meta.width' holds 4.5"),
+         ("meta.kernel_sizes", [3.0, 4.0], "'meta.kernel_sizes': kernel_sizes must be"),
+         ("meta.gate_mode", 2.0, "'meta.gate_mode': gate_mode must be one of")],
+    )
+    def test_load_rejects_bad_spec_record(self, tmp_path, tiny_backbone, record, value, located):
+        save_backbone(tmp_path / "model.ckp1", tiny_backbone)
+        named = read_checkpoint(tmp_path / "model.ckp1")
+        named[record] = np.asarray(value)
+        write_checkpoint(tmp_path / "bad.ckp1", named)
+        with pytest.raises(ValueError, match=located):
+            load_backbone(tmp_path / "bad.ckp1")
 
     def test_load_rejects_inconsistent_widths(self, tmp_path, tiny_backbone):
         save_backbone(tmp_path / "model.ckp1", tiny_backbone)

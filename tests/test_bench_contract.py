@@ -82,8 +82,8 @@ def test_sampler_call_counts(monkeypatch):
     assert _count(calls, "noise_estimate") == _count(calls, "reverse_step") == sched.t_steps
     cond_blocks = [level.cond for level in params.levels]
     main_blocks = [level.main for level in params.levels]
-    assert _count(calls, "rfamoe_forward", cond_blocks) == params.depth
-    assert _count(calls, "rfamoe_forward", main_blocks) == params.depth * sched.t_steps
+    assert _count(calls, "rfamoe_forward", cond_blocks) == params.spec.depth
+    assert _count(calls, "rfamoe_forward", main_blocks) == params.spec.depth * sched.t_steps
 
 
 def test_output_checks_run_on_a_model():
@@ -99,6 +99,21 @@ def test_output_checks_run_on_a_model():
     run = SimpleNamespace(params=params, x_bar=truth * (truth > -0.5), truth=truth, sched=sched)
     assert checks.convex_deviation(run, np.random.default_rng(4)) <= checks.CONVEX_TOL
     assert checks.jensen_margin(run, np.random.default_rng(5)) >= 0.0
+
+
+def test_spoiled_copy_spoils_only_its_reconstruction():
+    # perfbench/selftest.py deep-copies the model and writes a NaN into one
+    # head bias to check that a non-finite reconstruction is rejected.
+    import copy
+
+    import moediff.kshot as kshot
+
+    params, sched = _model()
+    x_bar = np.random.default_rng(2).standard_normal((1, 2, 16))
+    spoiled = copy.deepcopy(params)
+    spoiled.head.experts[0].bias[0] = float("nan")
+    assert not np.isfinite(kshot.kshot_average(spoiled, x_bar, sched, 1, np.random.default_rng(1))).all()
+    assert np.isfinite(kshot.kshot_average(params, x_bar, sched, 1, np.random.default_rng(1))).all()
 
 
 def test_kshot_condition_call_counts(monkeypatch):
@@ -119,8 +134,8 @@ def test_kshot_condition_call_counts(monkeypatch):
             kshot.kshot_ensemble(params, x_bar, sched, n_runs, np.random.default_rng(1))
         else:
             kshot.fixed_expert_error_table(params, x_bar, x_bar, sched, 1, 0, 0)
-        assert _count(calls, "rfamoe_forward", cond_blocks) == params.depth, what
-        assert _count(calls, "rfamoe_forward", main_blocks) == params.depth * sched.t_steps * n_runs, what
+        assert _count(calls, "rfamoe_forward", cond_blocks) == params.spec.depth, what
+        assert _count(calls, "rfamoe_forward", main_blocks) == params.spec.depth * sched.t_steps * n_runs, what
         monkeypatch.undo()
 
 

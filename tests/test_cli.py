@@ -139,13 +139,14 @@ class TestPipeline:
         assert (out / "expert_sweep.csv").exists()
         assert "[FAIL]" not in capsys.readouterr().out
 
-    def test_resume_training(self, workspace, tmp_path):
+    def test_resume_training(self, workspace, tmp_path, capsys):
         out = tmp_path / "resumed"
         rc = main(
             ["train", "--config", workspace["cfg"], "--data", workspace["data"],
              "--out", str(out), "--resume", workspace["ckpt"]]
         )
         assert rc == 0  # start step == train_steps: nothing further, still valid
+        assert "nothing to train" in capsys.readouterr().out
 
 
 class TestExitCodes:
@@ -202,7 +203,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "line, key",
         [("depth = -1", "depth"), ("batch = 0", "batch"), ("train_steps = -3", "train_steps"),
-         ("momentum = 1.5", "momentum")],
+         ("momentum = 1.5", "momentum"), ("width = 0", "width"), ("width = -2", "width"), ("d_emb = 0", "d_emb"),
+         ("d_emb = 7", "d_emb"), ("head_experts = 0", "head_experts"), ("rfa_kernels = 3,4", "rfa_kernels")],
     )
     def test_out_of_range_config_is_2(self, workspace, tmp_path, capsys, line, key):
         cfg = tmp_path / "bad.cfg"
@@ -211,6 +213,21 @@ class TestExitCodes:
         assert rc == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_resume_below_stored_step_is_2(self, workspace, tmp_path, capsys):
+        # The checkpoint has taken 15 steps; asking for 6 must not rewrite it.
+        out = tmp_path / "run"
+        out.mkdir()
+        ckpt = out / "checkpoint.ckp1"
+        ckpt.write_bytes(open(workspace["ckpt"], "rb").read())
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(TINY_CONFIG + "train_steps = 6\n")
+        rc = main(["train", "--config", str(cfg), "--data", workspace["data"], "--out", str(out),
+                   "--resume", str(ckpt)])
+        assert rc == 2
+        assert "train_steps = 6 is below the 15 steps" in capsys.readouterr().err
+        assert ckpt.read_bytes() == open(workspace["ckpt"], "rb").read()
+        assert sorted(os.listdir(out)) == ["checkpoint.ckp1"]
 
     @pytest.mark.parametrize("index", [8, 9, -1])
     def test_error_dist_sample_out_of_range_is_2(self, workspace, tmp_path, capsys, index):

@@ -48,21 +48,25 @@ class TestValidation:
         with pytest.raises(ValueError, match="even"):
             RunConfig(width=5).check()
 
-    def test_identical_paths_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
-            RunConfig(data_path="x", out_dir="x").check()
-
     def test_bad_gate_mode(self):
         with pytest.raises(ValueError, match="gate_mode"):
             RunConfig(gate_mode="soft").check()
 
     @pytest.mark.parametrize(
         "key, value",
-        [("depth", -1), ("batch", 0), ("train_steps", -3), ("momentum", 1.5), ("momentum", 1.0), ("momentum", -0.1)],
+        [("depth", -1), ("batch", 0), ("train_steps", -3), ("momentum", 1.5), ("momentum", 1.0), ("momentum", -0.1),
+         ("width", 0), ("width", -2), ("d_emb", 0), ("d_emb", 7), ("head_experts", 0), ("channels", 0),
+         ("rfa_kernels", (3, 4))],
     )
     def test_out_of_range_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
             RunConfig(**{key: value}).check()
+
+    def test_model_keys_build_the_spec(self):
+        cfg = RunConfig(width=8, depth=2, rfa_kernels=(3, 5), head_experts=3, d_emb=16, gate_mode="raw", channels=4)
+        spec = cfg.model_spec()
+        assert (spec.width, spec.depth, spec.kernel_sizes, spec.head_experts) == (8, 2, (3, 5), 3)
+        assert (spec.d_emb, spec.gate_mode, spec.channels) == (16, "raw", 4)
 
     @pytest.mark.parametrize(
         "key, value", [("depth", 0), ("batch", 1), ("train_steps", 0), ("momentum", 0.0)]

@@ -158,7 +158,7 @@ class TestWeightSweep:
         eps_true = rng.standard_normal((1, 6))
         target = reverse_step(x_t, eps_true, 3, sched10, np.zeros((1, 6)))
         eps = [rng.standard_normal((1, 6)) * 3, eps_true, rng.standard_normal((1, 6)) * 3]
-        w, best, uniform = weight_sweep(eps, x_t, 3, sched10, target, ConvexLoss.mse(), 0.05)
+        w, best, uniform = weight_sweep(eps, x_t, 3, sched10, target, ConvexLoss.mse())
         expert_alone = float(np.mean((reverse_step(x_t, eps_true, 3, sched10, np.zeros((1, 6))) - target) ** 2))
         assert best <= expert_alone + 1e-15
         assert int(np.argmax(w)) == 1
@@ -170,7 +170,7 @@ class TestWeightSweep:
         eps = [rng.standard_normal((1, 8)) for _ in range(3)]
         target = rng.standard_normal((1, 8))
         z = np.zeros((1, 8))
-        _, best, uniform = weight_sweep(eps, x_t, 1, sched10, target, ConvexLoss.mse(), 0.05)
+        _, best, uniform = weight_sweep(eps, x_t, 1, sched10, target, ConvexLoss.mse())
         stepped = [reverse_step(x_t, e, 1, sched10, z) for e in eps]
         oracle = brute_force_grid_minimum(stepped, target, 0.05)
         assert best <= uniform + 1e-12
