@@ -306,11 +306,14 @@ def instance_norm(x, gamma, beta):
             f"instance_norm: affine parameters must have shape ({xv.shape[1]},), "
             f"got gamma {gv.shape} and beta {bv.shape}"
         )
-    mu = xv.mean(axis=2, keepdims=True)
-    var = xv.var(axis=2, keepdims=True)  # population variance
+    # The centred copy is made once and scaled into xhat in place; the
+    # variance sums its squares as np.var does, so the result is bit-identical.
+    xhat = xv - xv.mean(axis=2, keepdims=True)
+    var = np.square(xhat).mean(axis=2, keepdims=True)  # population variance
     inv = 1.0 / np.sqrt(var + _NORM_EPS)
-    xhat = (xv - mu) * inv
-    out = gv[None, :, None] * xhat + bv[None, :, None]
+    xhat *= inv
+    out = gv[None, :, None] * xhat
+    out += bv[None, :, None]
     return _node("instance_norm", out, (x, gamma, beta), {"xhat": xhat, "inv": inv})
 
 
@@ -447,9 +450,10 @@ def _bwd_instance_norm(node, grad, vals):
     dbeta = grad.sum(axis=(0, 2))
     dgamma = (grad * xhat).sum(axis=(0, 2))
     gh = grad * gamma[None, :, None]
-    dx = inv * (
-        gh - gh.mean(axis=2, keepdims=True) - xhat * (gh * xhat).mean(axis=2, keepdims=True)
-    )
+    # inv * (gh - mean(gh) - xhat * mean(gh * xhat)), evaluated in place.
+    dx = gh - gh.mean(axis=2, keepdims=True)
+    dx -= xhat * (gh * xhat).mean(axis=2, keepdims=True)
+    dx *= inv
     return [dx, dgamma, dbeta]
 
 

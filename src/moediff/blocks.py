@@ -44,8 +44,10 @@ class RFAMoEParams:
     router: LinearParams  # L -> E logits
     in_gamma: object  # [L] instance-norm affine
     in_beta: object  # [L]
-    gate_proj: ConvParams  # pointwise, L/2 -> L
-    fuse: ConvParams  # pointwise, C*L -> C*L
+    # gate_proj and fuse are stored apart but applied as one composed
+    # pointwise conv, C*L/2 -> C*L (see _compose_pointwise).
+    gate_proj: ConvParams  # pointwise, L/2 -> L per map
+    fuse: ConvParams  # pointwise, C*L -> C*L across the channels
 
 
 @dataclass
@@ -88,8 +90,10 @@ def route_top1(features, router: LinearParams, gate_mode: str = "unit"):
     Unit mode computes from values only and every gate is 1.0, so no
     gradient reaches the router. Raw mode records the logits on the tape
     when the inputs are graph-attached, and the gate is the selected
-    softmax probability.
+    softmax probability. Any other mode is a ``ValueError``.
     """
+    if gate_mode not in GATE_MODES:
+        raise ValueError(f"route_top1: gate mode {gate_mode!r} is not one of {GATE_MODES}")
     feats = ad.value_of(features)
     if feats.ndim != 3:
         raise ValueError(f"route_top1: features must be [N, L, T], got shape {feats.shape}")
@@ -102,13 +106,32 @@ def route_top1(features, router: LinearParams, gate_mode: str = "unit"):
     return idx, ad.gather_cols(ad.softmax(logits), idx), logits
 
 
+def _compose_pointwise(gate_proj: ConvParams, fuse: ConvParams, c: int) -> ConvParams:
+    """The kernel-1 conv over [B, C*L/2, T] equal to ``gate_proj`` on each
+    of the C maps followed by ``fuse`` across them; no non-linearity lies
+    between the two, so they compose.
+
+    ``W[o, j*L/2 + m] = sum_l W_fuse[o, j*L + l] * W_gp[l, m]`` for channel j, and
+    ``b = W_fuse @ tile_C(b_gp) + b_fuse``, built from tape ops so the
+    gradients reach both stored parameter sets.
+    """
+    l, half, _ = ad.value_of(gate_proj.weight).shape
+    cl = c * l
+    w = ad.matmul(ad.reshape(fuse.weight, (cl * c, l)), ad.reshape(gate_proj.weight, (l, half)))
+    w_fuse = ad.reshape(fuse.weight, (cl, cl))
+    tiled = ad.concat([ad.reshape(gate_proj.bias, (l, 1))] * c, axis=0)  # [C*L, 1]
+    b = ad.add(ad.reshape(ad.matmul(w_fuse, tiled), (cl,)), fuse.bias)
+    return ConvParams(weight=ad.reshape(w, (cl, c * half, 1)), bias=b)
+
+
 def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int], gate_mode: str):
     """Apply the block to [N, T, L] feature maps, N = B * C, routing in
     ``gate_mode`` (one of :data:`GATE_MODES`).
 
     Stages: routed expert convolution, instance norm, gated split (gelu
-    half times linear half), pointwise width restore, cross-channel
-    kernel-1 fusion over the C*L axis, residual from input.
+    half times linear half), then one kernel-1 convolution over the C*L/2
+    axis that is the pointwise width restore (``gate_proj``) composed with
+    the cross-channel fusion (``fuse``), residual from input.
     """
     b, c = dims
     xv = ad.value_of(x)
@@ -140,9 +163,9 @@ def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int], gate_mode: st
     h = ad.instance_norm(routed, params.in_gamma, params.in_beta)
     half = l // 2
     gated = ad.mul(ad.gelu(ad.slice_axis(h, 1, 0, half)), ad.slice_axis(h, 1, half, l))
-    body = ad.conv1d(gated, params.gate_proj.weight, params.gate_proj.bias)
 
-    fused = ad.conv1d(ad.reshape(body, (b, c * l, t_len)), params.fuse.weight, params.fuse.bias)
+    pointwise = _compose_pointwise(params.gate_proj, params.fuse, c)
+    fused = ad.conv1d(ad.reshape(gated, (b, c * half, t_len)), pointwise.weight, pointwise.bias)
     fused = ad.reshape(fused, (n, l, t_len))
     return ad.transpose(ad.add(fused, xt), (0, 2, 1))
 

@@ -49,6 +49,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _shot_counts(text: str) -> list[int]:
+    """``--ks``: comma-separated shot counts, at least one, each >= 1."""
+    try:
+        ks = [int(k) for k in text.split(",")]
+    except ValueError:
+        ks = []
+    if not ks or min(ks) < 1:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers >= 1, got {text!r}")
+    return ks
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="path to a key=value run configuration")
     p.add_argument("--seed", type=int, help="override the configured seed")
@@ -98,7 +109,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--ks", default="1,2,4", help="comma-separated shot counts")
+    p.add_argument("--ks", type=_shot_counts, default="1,2,4", help="comma-separated shot counts >= 1")
     p.add_argument(
         "--no-timing",
         action="store_true",
@@ -223,13 +234,12 @@ def _cmd_compare_kshot(args) -> int:
     mask = _mask_spec(cfg, args).build(*truth.shape)
     x_bar = apply_mask(truth, mask)
     sched = make_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
-    ks = [int(k) for k in args.ks.split(",") if k.strip()]
     rows = compare_kshot(
         params,
         truth,
         x_bar,
         sched,
-        ks,
+        args.ks,
         np.random.default_rng(cfg.seed),
         region=mask,
         timing=not args.no_timing,

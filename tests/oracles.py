@@ -2,10 +2,13 @@
 
 Nothing here shares code with the package: convolutions are nested loops,
 normalization and routing are written out step by step, so agreement with
-the vectorized implementations is meaningful. The one exception is
-:func:`dense_backward`, which pins how ``backward`` accumulates, not what
-each op's rule computes, so it reuses the package's rules for every op whose
-gradient is dense.
+the vectorized implementations is meaningful. The exceptions pin one
+rewrite each against the form it replaced, so they share everything else
+with the package: :func:`dense_backward` pins how ``backward`` accumulates
+(it reuses the package's rules for every op whose gradient is dense);
+:func:`two_pass_instance_norm` and its backward are the instance norm's
+earlier formulas; :func:`two_conv_rfamoe` is the block built from tape ops
+with its two pointwise convolutions left uncomposed.
 """
 
 import math
@@ -13,6 +16,7 @@ import math
 import numpy as np
 
 import moediff.autodiff as ad
+from moediff.blocks import route_top1
 
 
 def naive_conv1d(x, w, b, padding="same"):
@@ -52,6 +56,27 @@ def naive_instance_norm(x, gamma, beta, eps=1e-5):
     return out
 
 
+def two_pass_instance_norm(x, gamma, beta, eps=1e-5):
+    """Instance norm as first written: ``np.var`` takes its own mean and
+    centred copy. Returns (out, xhat, inv)."""
+    mu = x.mean(axis=2, keepdims=True)
+    var = x.var(axis=2, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    return gamma[None, :, None] * xhat + beta[None, :, None], xhat, inv
+
+
+def two_pass_instance_norm_backward(grad, gamma, xhat, inv):
+    """The matching backward, out of place. Returns (dx, dgamma, dbeta)."""
+    dbeta = grad.sum(axis=(0, 2))
+    dgamma = (grad * xhat).sum(axis=(0, 2))
+    gh = grad * gamma[None, :, None]
+    dx = inv * (
+        gh - gh.mean(axis=2, keepdims=True) - xhat * (gh * xhat).mean(axis=2, keepdims=True)
+    )
+    return dx, dgamma, dbeta
+
+
 def naive_gelu(x):
     return np.vectorize(lambda v: v * 0.5 * (1.0 + math.erf(v / math.sqrt(2.0))))(x)
 
@@ -86,6 +111,28 @@ def naive_rfamoe(x_ntl, params, b, c, gate_mode):
         body.reshape(b, c * l, t_len), params.fuse.weight, params.fuse.bias
     ).reshape(n, l, t_len)
     return np.transpose(fused + xt, (0, 2, 1))
+
+
+def two_conv_rfamoe(x, params, b, c, gate_mode):
+    """The block from tape ops with ``gate_proj`` and ``fuse`` applied as
+    two convolutions, as the stored parameters describe them."""
+    xt = ad.transpose(x, (0, 2, 1))
+    n, l, t_len = ad.value_of(xt).shape
+    sel, gates, _ = route_top1(xt, params.router, gate_mode)
+    outs, rows = [], []
+    for e, conv in enumerate(params.experts):
+        idx = np.where(sel == e)[0]
+        if idx.size:
+            outs.append(ad.conv1d(ad.take_rows(xt, idx), conv.weight, conv.bias))
+            rows.append(idx)
+    routed = ad.scatter_rows(ad.concat(outs, axis=0), np.concatenate(rows), n)
+    if gate_mode == "raw":
+        routed = ad.mul(routed, ad.reshape(gates, (n, 1, 1)))
+    h = ad.instance_norm(routed, params.in_gamma, params.in_beta)
+    gated = ad.mul(ad.gelu(ad.slice_axis(h, 1, 0, l // 2)), ad.slice_axis(h, 1, l // 2, l))
+    body = ad.conv1d(gated, params.gate_proj.weight, params.gate_proj.bias)
+    fused = ad.conv1d(ad.reshape(body, (b, c * l, t_len)), params.fuse.weight, params.fuse.bias)
+    return ad.transpose(ad.add(ad.reshape(fused, (n, l, t_len)), xt), (0, 2, 1))
 
 
 def naive_bridge(h_ntl, t, params):

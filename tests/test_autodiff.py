@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import moediff.autodiff as ad
-from oracles import dense_backward, naive_conv1d
+from oracles import (
+    dense_backward,
+    naive_conv1d,
+    two_pass_instance_norm,
+    two_pass_instance_norm_backward,
+)
 
 
 def _sq_sum(y):
@@ -171,6 +176,26 @@ class TestInstanceNorm:
     def test_short_time_axis_rejected(self):
         with pytest.raises(ValueError, match="length >= 2"):
             ad.instance_norm(np.zeros((1, 1, 1)), np.ones(1), np.zeros(1))
+
+    @pytest.mark.parametrize("shape", [(1, 1, 2), (3, 2, 2), (2, 3, 7), (4, 8, 64), (6, 16, 33)])
+    def test_bit_identical_to_two_pass_formulas(self, rng, shape):
+        # One centred copy, scaled in place, gives the same bits as np.var's
+        # own pass, forward and backward.
+        x = rng.standard_normal(shape) * rng.uniform(0.1, 10.0) + rng.uniform(-5.0, 5.0)
+        gamma, beta = rng.standard_normal(shape[1]), rng.standard_normal(shape[1])
+        g = ad.Graph()
+        out = ad.instance_norm(g.leaf(x), g.leaf(gamma), g.leaf(beta))
+        node = g.nodes[out.id]
+        ref, ref_xhat, ref_inv = two_pass_instance_norm(x, gamma, beta)
+        npt.assert_array_equal(out.value, ref)
+        npt.assert_array_equal(node.ctx["xhat"], ref_xhat)
+        npt.assert_array_equal(node.ctx["inv"], ref_inv)
+        npt.assert_array_equal(ad.instance_norm(x, gamma, beta), ref)
+
+        grad = rng.standard_normal(shape)
+        got = ad._bwd_instance_norm(node, grad, [x, gamma, beta])
+        for a, b in zip(got, two_pass_instance_norm_backward(grad, gamma, ref_xhat, ref_inv)):
+            npt.assert_array_equal(a, b)
 
 
 class TestGelu:

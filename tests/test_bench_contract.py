@@ -6,9 +6,13 @@ layer without running the benchmark. The sampler's call counts are pinned
 too, since the per-step sampler metric pairs spans call by call, and so
 are the K-shot paths' condition-stack counts that the K-shot times rest on.
 The traced run times every backward rule through ``_BACKWARD`` and measures
-the tape after ``backward`` returns, so both are pinned as well."""
+the tape after ``backward`` returns, so both are pinned as well. One short
+traced run of the toy workload checks the benchmark's own outputs (the
+seed-0 reference values and a call in every span)."""
 
 import importlib
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,7 +21,8 @@ import pytest
 
 import moediff.autodiff as ad
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # perfbench lives at the repo root
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))  # perfbench lives at the repo root
 from perfbench import measures, spans  # noqa: E402
 
 TARGETS = spans.layer_targets(ad) + spans.BOUNDARY_TARGETS
@@ -171,3 +176,19 @@ def test_backward_keeps_rules_and_tape(monkeypatch):
     assert all(counts.values()), counts
     (graph,) = graphs
     assert all(isinstance(node.value, np.ndarray) for node in graph.nodes)
+
+
+def test_toy_benchmark_output_checks_pass():
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "train-toy", "--seed", "0",
+         "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    lines = run.stdout.strip().splitlines()
+    assert lines, run.stderr[-2000:]
+    record = json.loads(next(line for line in lines if line.startswith("run record: "))[len("run record: "):])
+    result = json.loads(lines[-1])
+    assert result["correct"] is True, record["failures"]
+    assert result["attempted"] > 0 and result["failed"] == 0
+    assert record["reference_held"]
+    assert run.returncode == 0, run.stderr[-2000:]

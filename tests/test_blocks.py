@@ -24,7 +24,7 @@ from moediff.blocks import (
     route_top1,
     step_embedding,
 )
-from oracles import naive_bridge, naive_conv1d, naive_fusion_moe, naive_rfamoe
+from oracles import naive_bridge, naive_conv1d, naive_fusion_moe, naive_rfamoe, two_conv_rfamoe
 
 
 class TestStepEmbedding:
@@ -91,6 +91,11 @@ class TestRouteTop1:
         assert idx.tolist() == [1]
         npt.assert_allclose(gates, [2.0 / 3.0], atol=1e-12)
 
+    def test_unknown_gate_mode_rejected(self, rng):
+        feats = rng.standard_normal((2, 3, 5))
+        with pytest.raises(ValueError, match=r"'soft' is not one of \('unit', 'raw'\)"):
+            route_top1(feats, _identity_router(3), "soft")
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 9999), shift=st.floats(-50, 50))
     def test_logit_shift_invariance(self, seed, shift):
@@ -129,9 +134,14 @@ class TestRFAMoE:
         g = ad.Graph()
         params = lift_params(g, self._params(rng))
         rfamoe_forward(g.leaf(rng.standard_normal((4, 6, 4))), params, (2, 2), gate_mode)
+        consumed = {i for node in g.nodes for i in node.inputs}
+        router_leaves = {params.router.weight.id, params.router.bias.id}
         ops = {node.op for node in g.nodes}
-        router_ops = {"mean", "matmul", "softmax", "gather_cols"}
-        assert router_ops <= ops if gate_mode == "raw" else not router_ops & ops
+        gate_ops = {"mean", "softmax", "gather_cols"}
+        if gate_mode == "raw":
+            assert router_leaves <= consumed and gate_ops <= ops
+        else:
+            assert not router_leaves & consumed and not gate_ops & ops
 
     @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
     def test_one_scatter_per_call(self, gate_mode):
@@ -149,8 +159,42 @@ class TestRFAMoE:
         ops = [node.op for node in g.nodes]
         assert ops.count("scatter_rows") == 1
         assert ops.count("take_rows") == active
-        # The residual add, plus the router's bias add in raw mode.
-        assert ops.count("add") == (1 if gate_mode == "unit" else 2)
+        # One conv per active expert and one composed pointwise conv.
+        assert ops.count("conv1d") == active + 1
+        # The composed bias, the residual, and the router's bias in raw mode.
+        assert ops.count("add") == (2 if gate_mode == "unit" else 3)
+
+    @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_matches_two_conv_reference(self, c, gate_mode):
+        # The composed pointwise conv against gate_proj then fuse as two
+        # convolutions: same output and the same gradient for every block
+        # parameter. The expert biases' gradients are rounding noise (the
+        # instance norm cancels them), so the tolerance scales with the
+        # largest gradient.
+        rng = np.random.default_rng(10 + c)
+        plain = self._params(rng, l=6, c=c, kernels=(1, 3, 5))
+        plain.router.weight = 3.0 * rng.standard_normal((6, 3))
+        for conv in [plain.gate_proj, plain.fuse] + plain.experts:
+            conv.bias = rng.standard_normal(conv.bias.shape)
+        x = rng.standard_normal((2 * c, 9, 6))
+        probe = rng.standard_normal(x.shape)
+
+        def run(forward):
+            g = ad.Graph()
+            params = lift_params(g, plain)
+            y = forward(g.leaf(x), params, 2, c, gate_mode)
+            grads = ad.backward(g, ad.tsum(ad.mul(y, probe)))
+            return y.value, {n: grads.get(v.id, 0.0) for n, v in named_params(params)}
+
+        y, grads = run(lambda x, p, b, c, m: rfamoe_forward(x, p, (b, c), m))
+        y_ref, grads_ref = run(two_conv_rfamoe)
+        npt.assert_allclose(y, y_ref, rtol=1e-12, atol=1e-12 * np.abs(y_ref).max())
+        scale = max(np.abs(g).max() for g in grads_ref.values())
+        assert set(grads) == set(grads_ref)
+        for name, g_ref in grads_ref.items():
+            npt.assert_allclose(grads[name], g_ref, rtol=1e-12, atol=1e-12 * scale, err_msg=name)
+        assert np.all(grads["gate_proj.weight"] != 0.0) and np.all(grads["fuse.bias"] != 0.0)
 
     def test_single_map_fusion_degeneracy(self, rng):
         # B = C = 1: the cross-channel reshape is a no-op, so the output is
@@ -207,6 +251,11 @@ class TestRFAMoE:
             rfamoe_forward(rng.standard_normal((4, 4, 4)), odd, (2, 2), "unit")
         with pytest.raises(ValueError, match="input width 2 differs from the block's width 4"):
             rfamoe_forward(rng.standard_normal((4, 4, 2)), params, (2, 2), "unit")
+
+    def test_unknown_gate_mode_rejected(self, rng):
+        x = rng.standard_normal((4, 6, 4))
+        with pytest.raises(ValueError, match=r"'soft' is not one of \('unit', 'raw'\)"):
+            rfamoe_forward(x, self._params(rng), (2, 2), "soft")
 
     def test_every_parameter_gradient(self, rng):
         params = self._params(rng, kernels=(1, 3))

@@ -229,6 +229,17 @@ class TestExitCodes:
         assert ckpt.read_bytes() == open(workspace["ckpt"], "rb").read()
         assert sorted(os.listdir(out)) == ["checkpoint.ckp1"]
 
+    @pytest.mark.parametrize("ks", ["1,x", "2,-1", "", "0", "1,,2"])
+    def test_bad_shot_counts_are_1(self, workspace, tmp_path, capsys, ks):
+        # A malformed --ks is a usage error before the checkpoint is read.
+        out = tmp_path / "ks"
+        with pytest.raises(SystemExit) as exc:
+            main(["compare-kshot", "--config", workspace["cfg"], "--checkpoint", "/nonexistent.ckp1",
+                  "--data", workspace["data"], "--ks", ks, "--out", str(out)])
+        assert exc.value.code == 1
+        assert "argument --ks: expected comma-separated integers >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("index", [8, 9, -1])
     def test_error_dist_sample_out_of_range_is_2(self, workspace, tmp_path, capsys, index):
         # The workspace dataset holds 8 records; a bad index fails before any sampling.

@@ -16,6 +16,7 @@ from moediff.backbone import (
     lift_params,
     named_params,
     noise_estimate,
+    replace_param,
     zip_map_params,
 )
 from moediff.diffusion import (
@@ -362,6 +363,34 @@ class TestTrainStep:
             else:
                 assert np.any(grads[name] != 0.0), name
         assert np.any(grads["head.router.weight"] != 0.0)
+
+    @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
+    def test_expert_biases_are_cancelled(self, sched10, rng, gate_mode):
+        # The instance norm after each routed expert conv subtracts every
+        # map's time mean, so the receptive-field expert biases
+        # (levels.*.{main,cond}.experts.*.bias) cannot move the output:
+        # their gradients are rounding noise and they stay frozen.
+        params = init_backbone(
+            np.random.default_rng(0), channels=2, width=4, depth=2,
+            kernel_sizes=(1, 3), head_experts=2, d_emb=8, gate_mode=gate_mode,
+        )
+        batch = rng.standard_normal((4, 2, 16))
+        _, grads = train_step(params, batch, np.ones_like(batch), sched10, rng)
+        grads = dict(named_params(grads))
+        biases = [n for n in grads if ".experts." in n and n.endswith(".bias") and n.startswith("levels.")]
+        assert len(biases) == 2 * 2 * 2  # depth x {main, cond} x experts
+        weight_scale = max(np.abs(grads[n[: -len("bias")] + "weight"]).max() for n in biases)
+        assert weight_scale > 0.1
+        for name in biases:
+            assert np.abs(grads[name]).max() <= 1e-12 * weight_scale, name
+
+        shifted = params
+        for name in biases:
+            shifted = replace_param(shifted, name, dict(named_params(shifted))[name] + 1.0)
+        x_t = rng.standard_normal((4, 2, 16))
+        npt.assert_allclose(
+            noise_estimate(x_t, batch, 3, shifted), noise_estimate(x_t, batch, 3, params), rtol=0, atol=1e-12
+        )
 
     def test_gradient_tree_matches_parameters(self, tiny_backbone, sched10, rng):
         batch = rng.standard_normal((2, 2, 8))
