@@ -160,6 +160,17 @@ def _check_inputs(where: str, x, params: BackboneParams) -> tuple[int, int, int]
     return x.shape
 
 
+def _lift(x, lift: ConvParams, n: int, t_len: int):
+    """The pointwise lift of [B, C, Tlen] ``x`` to [N, T, L] maps, and the
+    same lift as the first block's source: ``z = [x, 1]`` per map and
+    ``m = [weight, bias]`` (see :func:`rfamoe_forward`)."""
+    x1 = ad.reshape(x, (n, 1, t_len))
+    h = ad.transpose(ad.conv1d(x1, lift.weight, lift.bias), (0, 2, 1))
+    z = ad.concat([x1, np.ones((n, 1, t_len))], axis=1)
+    m = ad.concat([ad.reshape(lift.weight, (-1, 1)), ad.reshape(lift.bias, (-1, 1))], axis=1)
+    return h, (z, m)
+
+
 def condition_features(x_bar, params: BackboneParams) -> list:
     """Run the condition path over the masked condition ``x_bar`` [B, C, Tlen].
 
@@ -169,13 +180,12 @@ def condition_features(x_bar, params: BackboneParams) -> list:
     and hands them to every :func:`noise_estimate` call as ``cond``.
     """
     b, c, t_len = _check_inputs("condition_features", ad.value_of(x_bar), params)
-    n = b * c
-    h = ad.conv1d(ad.reshape(x_bar, (n, 1, t_len)), params.lift_cond.weight, params.lift_cond.bias)
-    h = ad.transpose(h, (0, 2, 1))  # [N, T, L]
+    h, source = _lift(x_bar, params.lift_cond, b * c, t_len)
     maps = []
     for level in params.levels:
-        h = rfamoe_forward(h, level.cond, (b, c), params.spec.gate_mode)
+        h = rfamoe_forward(h, level.cond, (b, c), params.spec.gate_mode, source)
         maps.append(h)
+        source = None  # only the first level reads the lifted signal
     return maps
 
 
@@ -213,11 +223,11 @@ def noise_estimate(x_t, x_bar, t, params: BackboneParams, head_gates=None, *, co
             f"noise_estimate: condition maps have shapes {shapes}, inputs {xv.shape} "
             f"need {params.spec.depth} of {want}"
         )
-    h = ad.conv1d(ad.reshape(x_t, (n, 1, t_len)), params.lift_xt.weight, params.lift_xt.bias)
-    h = ad.transpose(h, (0, 2, 1))  # [N, T, L]
+    h, source = _lift(x_t, params.lift_xt, n, t_len)
     for level, cond_map in zip(params.levels, cond):
-        main = rfamoe_forward(h, level.main, (b, c), params.spec.gate_mode)
+        main = rfamoe_forward(h, level.main, (b, c), params.spec.gate_mode, source)
         h = ad.add(main, bridge_forward(cond_map, steps, level.bridge))
+        source = None
     out = fusion_moe_forward(h, params.head, gates_override=head_gates)  # [N, T, 1]
     return ad.reshape(out, (b, c, t_len))
 

@@ -124,7 +124,17 @@ def _compose_pointwise(gate_proj: ConvParams, fuse: ConvParams, c: int) -> ConvP
     return ConvParams(weight=ad.reshape(w, (cl, c * half, 1)), bias=b)
 
 
-def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int], gate_mode: str):
+def _compose_source(conv: ConvParams, m):
+    """The expert weight ``W`` [Cout, L, S] composed with the source map
+    ``m`` [L, R]: ``W'[o, r, s] = sum_l W[o, l, s] * m[l, r]``, built from
+    tape ops so the gradients reach both."""
+    c_out, l, s = ad.value_of(conv.weight).shape
+    r = ad.value_of(m).shape[1]
+    w = ad.reshape(ad.transpose(conv.weight, (0, 2, 1)), (c_out * s, l))
+    return ad.transpose(ad.reshape(ad.matmul(w, m), (c_out, s, r)), (0, 2, 1))
+
+
+def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int], gate_mode: str, source=None):
     """Apply the block to [N, T, L] feature maps, N = B * C, routing in
     ``gate_mode`` (one of :data:`GATE_MODES`).
 
@@ -132,6 +142,16 @@ def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int], gate_mode: st
     half times linear half), then one kernel-1 convolution over the C*L/2
     axis that is the pointwise width restore (``gate_proj``) composed with
     the cross-channel fusion (``fuse``), residual from input.
+
+    ``source`` optionally gives the input as a linear map of fewer
+    channels: ``(z, m)`` with ``z`` [N, R, T] and ``m`` [L, R] such that
+    ``x`` is ``(m @ z)`` transposed to [N, T, L]. The experts then run on
+    ``z`` with ``m`` composed into their weights, an L/R-fold cut in their
+    work; routing, the norm and the residual still read ``x``. A pointwise
+    lift ``w * x + b`` is the source ``z = [x, 1]``, ``m = [w, b]``: same
+    padding zero-pads the ones channel too, so the lifted bias vanishes
+    outside the signal exactly as the zero-padded ``x`` does, and the
+    edges match.
     """
     b, c = dims
     xv = ad.value_of(x)
@@ -145,6 +165,13 @@ def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int], gate_mode: st
         raise ValueError(f"rfamoe: feature width must be even for the gated split, got {l}")
     if l_in != l:
         raise ValueError(f"rfamoe: input width {l_in} differs from the block's width {l}")
+    if source is not None:
+        z_shape, m_shape = (ad.value_of(a).shape for a in source)
+        if len(m_shape) != 2 or m_shape[0] != l or z_shape != (n, m_shape[1], t_len):
+            raise ValueError(
+                f"rfamoe: source z {z_shape} and m {m_shape} do not fit [N, R, T] = [{n}, R, {t_len}] "
+                f"and [L, R] = [{l}, R]"
+            )
 
     xt = ad.transpose(x, (0, 2, 1))  # [N, L, T]
     sel, gates, _ = route_top1(xt, params.router, gate_mode)
@@ -154,7 +181,11 @@ def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int], gate_mode: st
     for e, conv in enumerate(params.experts):
         idx = np.where(sel == e)[0]
         if idx.size:
-            outs.append(ad.conv1d(ad.take_rows(xt, idx), conv.weight, conv.bias))
+            if source is None:
+                rows_in, weight = ad.take_rows(xt, idx), conv.weight
+            else:
+                rows_in, weight = ad.take_rows(source[0], idx), _compose_source(conv, source[1])
+            outs.append(ad.conv1d(rows_in, weight, conv.bias))
             rows.append(idx)
     routed = ad.scatter_rows(ad.concat(outs, axis=0), np.concatenate(rows), n)
     if gate_mode == "raw":

@@ -60,6 +60,17 @@ def _shot_counts(text: str) -> list[int]:
     return ks
 
 
+def _positive_int(text: str) -> int:
+    """``--points``, ``--trials``, ``--shots``: one integer >= 1."""
+    try:
+        k = int(text)
+    except ValueError:
+        k = 0
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return k
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="path to a key=value run configuration")
     p.add_argument("--seed", type=int, help="override the configured seed")
@@ -119,18 +130,18 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every layer")
     _add_common(p)
-    p.add_argument("--points", type=int, default=100, help="random points per layer")
+    p.add_argument("--points", type=_positive_int, default=100, help="random points per layer")
 
     p = sub.add_parser("theorem-check", help="verify the fusion/averaging loss ordering")
     _add_common(p)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_positive_int, default=200)
 
     p = sub.add_parser("error-dist", help="per-timestamp error table for shots or experts")
     _add_common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--mode", choices=("shots", "experts"), default="shots")
-    p.add_argument("--shots", type=int, default=12)
+    p.add_argument("--shots", type=_positive_int, default=12)
     p.add_argument("--sample", type=int, default=0)
     p.add_argument("--channel", type=int, default=0)
     _add_mask_flags(p)

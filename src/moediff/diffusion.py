@@ -135,6 +135,10 @@ def train_step(
     whole batch through one ``noise_estimate`` with those per-row steps, and
     returns (mean squared error over every entry of the batch, gradient
     tree shaped like ``params``).
+
+    ``x_t`` and ``x_bar`` enter the graph as leaves, so the first level's
+    experts gather their rows from the raw signal on the tape; as plain
+    arrays they would become anonymous leaves at the lift anyway.
     """
     batch = require_finite(as_tensor(batch), "batch")
     mask = require_binary(as_tensor(mask))
@@ -149,7 +153,7 @@ def train_step(
 
     graph = ad.Graph()
     pvars = lift_params(graph, params)
-    diff = ad.sub(noise_estimate(x_t, x_bar, ts, pvars), eps)
+    diff = ad.sub(noise_estimate(graph.leaf(x_t), graph.leaf(x_bar), ts, pvars), eps)
     loss = ad.scale(ad.tsum(ad.mul(diff, diff)), 1.0 / batch.size)
     grad_map = ad.backward(graph, loss)
     return float(loss.value), grads_like(pvars, grad_map)

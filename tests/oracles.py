@@ -8,7 +8,9 @@ with the package: :func:`dense_backward` pins how ``backward`` accumulates
 (it reuses the package's rules for every op whose gradient is dense);
 :func:`two_pass_instance_norm` and its backward are the instance norm's
 earlier formulas; :func:`two_conv_rfamoe` is the block built from tape ops
-with its two pointwise convolutions left uncomposed.
+with its two pointwise convolutions left uncomposed; :func:`explicit_lift_rfamoe`
+is a first-level block run on its lifted input maps rather than on the
+lifted signal.
 """
 
 import math
@@ -16,7 +18,7 @@ import math
 import numpy as np
 
 import moediff.autodiff as ad
-from moediff.blocks import route_top1
+from moediff.blocks import rfamoe_forward, route_top1
 
 
 def naive_conv1d(x, w, b, padding="same"):
@@ -133,6 +135,14 @@ def two_conv_rfamoe(x, params, b, c, gate_mode):
     body = ad.conv1d(gated, params.gate_proj.weight, params.gate_proj.bias)
     fused = ad.conv1d(ad.reshape(body, (b, c * l, t_len)), params.fuse.weight, params.fuse.bias)
     return ad.transpose(ad.add(ad.reshape(fused, (n, l, t_len)), xt), (0, 2, 1))
+
+
+def explicit_lift_rfamoe(x1, lift, params, b, c, gate_mode):
+    """The block on the maps ``h0 = lift(x1)`` of [N, 1, T] signals, the
+    pointwise lift applied as its own convolution and handed over as the
+    block's input with no lifted source."""
+    h0 = ad.transpose(ad.conv1d(x1, lift.weight, lift.bias), (0, 2, 1))
+    return rfamoe_forward(h0, params, (b, c), gate_mode)
 
 
 def naive_bridge(h_ntl, t, params):

@@ -1,6 +1,8 @@
 """Full noise estimator: shape/zero/trace oracles, channel symmetry,
 parameter counting, and checkpoint round-trips."""
 
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -62,22 +64,41 @@ class TestNoiseEstimate:
             atol=1e-10,
         )
 
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_lift_biases_match_naive_oracle(self, depth):
+        # The lifts start with zero biases. With nonzero ones, and kernels
+        # that reach past the edges of a 12-sample signal, the first
+        # level's experts must still see the zero-padded lifted maps.
+        rng = np.random.default_rng(7)
+        params = _build(seed=7, depth=depth, kernels=(5, 9))
+        params.lift_xt.bias = rng.standard_normal(params.lift_xt.bias.shape)
+        params.lift_cond.bias = rng.standard_normal(params.lift_cond.bias.shape)
+        x_t, x_bar = rng.standard_normal((2, 2, 2, 12))
+        npt.assert_allclose(
+            noise_estimate(x_t, x_bar, 4, params), naive_backbone(x_t, x_bar, 4, params), atol=1e-10
+        )
+
     @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
     def test_lifted_matches_plain_bitwise(self, gate_mode):
         # Training (on the tape) and sampling (plain arrays) must compute
         # the same estimate to the last bit, or a near-tie could route
-        # differently in the two.
-        for seed in range(5):
+        # differently in the two. Depth 2 covers a level whose experts run
+        # on the lifted signal and one that runs on its input maps.
+        for seed, depth in itertools.product(range(5), (1, 2)):
             rng = np.random.default_rng(seed)
             params = _build(
-                seed=seed, channels=3, width=16, kernels=(3, 5, 7, 9, 11), k=4, d_emb=64,
+                seed=seed, channels=3, width=16, depth=depth, kernels=(3, 5, 7, 9, 11), k=4, d_emb=64,
                 gate_mode=gate_mode,
             )
             x_t, x_bar = rng.standard_normal((2, 4, 3, 64))
             t = rng.integers(1, 11, size=4)
             plain = noise_estimate(x_t, x_bar, t, params)
-            lifted_params = lift_params(ad.Graph(), params)
+            graph = ad.Graph()
+            lifted_params = lift_params(graph, params)
             lifted = noise_estimate(x_t, x_bar, t, lifted_params)
+            npt.assert_array_equal(lifted.value, plain)
+            # Likewise with the inputs on the tape too, as train_step has them.
+            lifted = noise_estimate(graph.leaf(x_t), graph.leaf(x_bar), t, lifted_params)
             npt.assert_array_equal(lifted.value, plain)
             # Likewise with the condition maps computed beforehand.
             for tree in (params, lifted_params):

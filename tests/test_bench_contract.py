@@ -7,7 +7,7 @@ too, since the per-step sampler metric pairs spans call by call, and so
 are the K-shot paths' condition-stack counts that the K-shot times rest on.
 The traced run times every backward rule through ``_BACKWARD`` and measures
 the tape after ``backward`` returns, so both are pinned as well. One short
-traced run of the toy workload checks the benchmark's own outputs (the
+traced run of each toy workload checks the benchmark's own outputs (the
 seed-0 reference values and a call in every span)."""
 
 import importlib
@@ -178,9 +178,10 @@ def test_backward_keeps_rules_and_tape(monkeypatch):
     assert all(isinstance(node.value, np.ndarray) for node in graph.nodes)
 
 
-def test_toy_benchmark_output_checks_pass():
+@pytest.mark.parametrize("workload", ["train-toy", "impute-kshot-toy"])
+def test_toy_benchmark_output_checks_pass(workload):
     run = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "train-toy", "--seed", "0",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
          "--seconds", "0", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )

@@ -2,6 +2,7 @@
 bridge, and the weight-fusing head, checked against straight-loop oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -18,13 +19,21 @@ from moediff.blocks import (
     bridge_forward,
     fusion_moe_forward,
     init_bridge,
+    init_conv,
     init_fusion,
     init_rfamoe,
     rfamoe_forward,
     route_top1,
     step_embedding,
 )
-from oracles import naive_bridge, naive_conv1d, naive_fusion_moe, naive_rfamoe, two_conv_rfamoe
+from oracles import (
+    explicit_lift_rfamoe,
+    naive_bridge,
+    naive_conv1d,
+    naive_fusion_moe,
+    naive_rfamoe,
+    two_conv_rfamoe,
+)
 
 
 class TestStepEmbedding:
@@ -196,6 +205,82 @@ class TestRFAMoE:
             npt.assert_allclose(grads[name], g_ref, rtol=1e-12, atol=1e-12 * scale, err_msg=name)
         assert np.all(grads["gate_proj.weight"] != 0.0) and np.all(grads["fuse.bias"] != 0.0)
 
+    def _lifted_case(self, c):
+        # Kernels 1, 3 and 7 over T = 9: the widest reaches past the middle
+        # from either edge. The signal means are spread so that the seeds
+        # below route maps to every expert.
+        rng = np.random.default_rng({1: 4, 3: 10}[c])
+        plain = self._params(rng, l=6, c=c, kernels=(1, 3, 7))
+        plain.router.weight = 3.0 * rng.standard_normal((6, 3))
+        lift = init_conv(rng, 6, 1, 1)
+        lift.bias = rng.standard_normal(6)
+        for conv in [plain.gate_proj, plain.fuse] + plain.experts:
+            conv.bias = rng.standard_normal(conv.bias.shape)
+        b = 4 // c + 1
+        x1 = rng.standard_normal((b * c, 1, 9)) + np.linspace(-3.0, 3.0, b * c)[:, None, None]
+        probe = rng.standard_normal((b * c, 9, 6))
+        return plain, lift, x1, b, probe
+
+    def _run_lifted(self, forward, c, gate_mode):
+        plain, lift, x1, b, probe = self._lifted_case(c)
+        g = ad.Graph()
+        tree = lift_params(g, [plain, lift])
+        y = forward(g.leaf(x1), tree[1], tree[0], b, c, gate_mode)
+        grads = ad.backward(g, ad.tsum(ad.mul(y, probe)))
+        return y.value, {n: grads.get(v.id, 0.0) for n, v in named_params(tree)}
+
+    @staticmethod
+    def _with_source(x1, lift, params, b, c, gate_mode):
+        # z = [x1, 1] and m = [w, b], so the block input is m @ z.
+        h0 = ad.transpose(ad.conv1d(x1, lift.weight, lift.bias), (0, 2, 1))
+        z = ad.concat([x1, np.ones(ad.value_of(x1).shape)], axis=1)
+        m = ad.concat([ad.reshape(lift.weight, (-1, 1)), ad.reshape(lift.bias, (-1, 1))], axis=1)
+        return rfamoe_forward(h0, params, (b, c), gate_mode, (z, m))
+
+    @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_lifted_source_matches_explicit_lift(self, c, gate_mode):
+        # The experts on the raw signal with the lift composed into their
+        # weights against the block on the lifted maps: the same output
+        # and the same gradient for every block parameter and for the
+        # lift's weight and bias. The expert biases' gradients are rounding
+        # noise (the instance norm cancels them), so the tolerance scales
+        # with the largest gradient.
+        plain, lift, x1, _, _ = self._lifted_case(c)
+        sel, _, _ = route_top1(ad.conv1d(x1, lift.weight, lift.bias), plain.router, gate_mode)
+        assert set(sel) == {0, 1, 2}
+        y, grads = self._run_lifted(self._with_source, c, gate_mode)
+        y_ref, grads_ref = self._run_lifted(explicit_lift_rfamoe, c, gate_mode)
+        npt.assert_allclose(y, y_ref, rtol=1e-12, atol=1e-12 * np.abs(y_ref).max())
+        scale = max(np.abs(g).max() for g in grads_ref.values())
+        assert set(grads) == set(grads_ref)
+        for name, g_ref in grads_ref.items():
+            npt.assert_allclose(grads[name], g_ref, rtol=1e-12, atol=1e-12 * scale, err_msg=name)
+        assert np.all(grads["1.weight"] != 0.0) and np.all(grads["1.bias"] != 0.0)
+
+    @pytest.mark.parametrize("broken", ["constant_bias", "no_bias"])
+    @pytest.mark.parametrize("kernels", [(1,), (1, 3, 7)])
+    def test_explicit_lift_reference_catches_edge_errors(self, broken, kernels):
+        # Two wrong sources: the lift bias added to each expert as a
+        # constant (as if the lifted maps were padded with it, not with
+        # zeros), and the bias dropped. Away from the edges both differ
+        # from the block on the lifted maps by a per-map constant, which
+        # the instance norm cancels; so they pass with kernel 1 and fail
+        # once a kernel reaches past an edge.
+        plain, lift, x1, b, _ = self._lifted_case(3)
+        plain = replace(plain, experts=plain.experts[: len(kernels)])
+        plain.router.weight = plain.router.weight[:, : len(kernels)]
+        plain.router.bias = plain.router.bias[: len(kernels)]
+        y_ref = explicit_lift_rfamoe(x1, lift, plain, b, 3, "unit")
+        experts = plain.experts
+        if broken == "constant_bias":
+            experts = [ConvParams(e.weight, e.bias + e.weight.sum(axis=2) @ lift.bias) for e in experts]
+        h0 = np.transpose(ad.conv1d(x1, lift.weight, lift.bias), (0, 2, 1))
+        source = (x1, lift.weight.reshape(-1, 1))
+        y = rfamoe_forward(h0, replace(plain, experts=experts), (b, 3), "unit", source)
+        close = np.allclose(y, y_ref, rtol=1e-12, atol=1e-12 * np.abs(y_ref).max())
+        assert close == (kernels == (1,))
+
     def test_single_map_fusion_degeneracy(self, rng):
         # B = C = 1: the cross-channel reshape is a no-op, so the output is
         # the residual plus the fusion conv applied to the gated body alone.
@@ -251,6 +336,11 @@ class TestRFAMoE:
             rfamoe_forward(rng.standard_normal((4, 4, 4)), odd, (2, 2), "unit")
         with pytest.raises(ValueError, match="input width 2 differs from the block's width 4"):
             rfamoe_forward(rng.standard_normal((4, 4, 2)), params, (2, 2), "unit")
+        x = rng.standard_normal((4, 5, 4))
+        m = rng.standard_normal((4, 2))
+        for z_shape, m in [((4, 2, 6), m), ((3, 2, 5), m), ((4, 3, 5), m), ((4, 2, 5), m[:3])]:
+            with pytest.raises(ValueError, match=r"source z .* do not fit \[N, R, T\] = \[4, R, 5\]"):
+                rfamoe_forward(x, params, (2, 2), "unit", (rng.standard_normal(z_shape), m))
 
     def test_unknown_gate_mode_rejected(self, rng):
         x = rng.standard_normal((4, 6, 4))

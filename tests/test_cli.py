@@ -240,6 +240,22 @@ class TestExitCodes:
         assert "argument --ks: expected comma-separated integers >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("gradcheck", "--points"), ("theorem-check", "--trials"), ("error-dist", "--shots")],
+    )
+    def test_count_below_one_is_1(self, workspace, tmp_path, capsys, command, flag, value):
+        # A count < 1 would check nothing and report a pass; it is a usage
+        # error raised before any file is read.
+        files = ["--checkpoint", "/nonexistent.ckp1", "--data", "/nonexistent.tsb1"] if command == "error-dist" else []
+        out = tmp_path / "count"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", workspace["cfg"], *files, f"{flag}={value}", "--out", str(out)])
+        assert exc.value.code == 1
+        assert f"argument {flag}: expected an integer >= 1, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("index", [8, 9, -1])
     def test_error_dist_sample_out_of_range_is_2(self, workspace, tmp_path, capsys, index):
         # The workspace dataset holds 8 records; a bad index fails before any sampling.

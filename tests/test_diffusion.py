@@ -284,6 +284,41 @@ class TestTrainStep:
         for (name, g), (_, r) in zip(named_params(grads), named_params(ref_grads)):
             npt.assert_array_equal(g, r, err_msg=name)
 
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_first_level_experts_run_on_the_signal(self, sched10, monkeypatch, depth):
+        # Each RFAMoE block's expert convs come before its one instance
+        # norm on the tape. A first-level block's experts read [signal, 1]
+        # gathered on the tape (input axis 2, the lift composed into their
+        # weight); a deeper block's read its width-8 input maps.
+        graphs = []
+        original_backward = ad.backward
+
+        def spy(graph, loss):
+            graphs.append(graph)
+            return original_backward(graph, loss)
+
+        monkeypatch.setattr(ad, "backward", spy)
+        params = init_backbone(
+            np.random.default_rng(0), channels=2, width=8, depth=depth,
+            kernel_sizes=(1, 3, 5), head_experts=2, d_emb=8,
+        )
+        batch = np.random.default_rng(1).standard_normal((3, 2, 16))
+        train_step(params, batch, np.ones_like(batch), sched10, np.random.default_rng(2))
+
+        (graph,) = graphs
+        blocks, axes = [], []  # input axes of each block's expert conv weights
+        for node in graph.nodes:
+            if node.op == "conv1d" and graph.nodes[node.inputs[0]].op == "take_rows":
+                axes.append(graph.nodes[node.inputs[1]].value.shape[1])
+            elif node.op == "instance_norm":
+                blocks.append(axes)
+                axes = []
+        assert len(blocks) == 2 * depth  # condition path, then main path
+        for k, block_axes in enumerate(blocks):
+            assert block_axes and set(block_axes) == ({2} if k % depth == 0 else {8}), k
+        ops = [node.op for node in graph.nodes]
+        assert ops.count("take_rows") == sum(map(len, blocks))
+
     def test_zero_backbone_unit_loss(self, sched10):
         params = init_backbone(
             np.random.default_rng(0), channels=3, width=4, depth=1,
