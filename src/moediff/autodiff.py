@@ -13,6 +13,7 @@ have smaller ids.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -29,14 +30,36 @@ _NORM_EPS = 1e-5  # instance_norm variance floor
 
 @dataclass
 class Node:
+    """One tape entry. ``held`` is the forward value when a backward rule
+    reads it: a leaf's, a softmax output's, or an input's named in
+    ``_READS`` by a consumer. Otherwise it is ``None`` and ``value`` is a
+    read-only NaN stand-in of ``shape``, enough for the rules that read
+    only shapes; a rule that read it would give NaN gradients."""
+
     op: str
     inputs: tuple[int, ...]
-    value: np.ndarray
+    shape: tuple[int, ...]
     ctx: dict = field(default_factory=dict)
+    held: np.ndarray | None = None
+
+    @property
+    def value(self) -> np.ndarray:
+        return self.held if self.held is not None else _stand_in(self.shape)
+
+
+# Cached by shape: backward asks for one per unheld input, and each is a
+# zero-stride view of a single NaN.
+@functools.lru_cache(maxsize=256)
+def _stand_in(shape: tuple[int, ...]) -> np.ndarray:
+    return np.broadcast_to(np.nan, shape)
 
 
 class Graph:
-    """Append-only operation tape. Single-writer: one forward pass at a time."""
+    """Append-only operation tape. Single-writer: one forward pass at a time.
+
+    The tape keeps a node's value only while a backward rule needs it (see
+    :class:`Node`); the :class:`Var` handles own the forward values, so an
+    intermediate no rule reads is freed with its last handle."""
 
     def __init__(self):
         self.nodes: list[Node] = []
@@ -49,22 +72,21 @@ class Graph:
         nid = len(self.nodes)
         if any(i >= nid for i in inputs):
             raise ValueError(f"{op}: input ids {inputs} not topologically ordered")
-        self.nodes.append(Node(op, inputs, np.asarray(value, dtype=np.float64), ctx))
-        return Var(self, nid)
+        value = np.asarray(value, dtype=np.float64)
+        held = value if op in ("leaf", "softmax") else None
+        self.nodes.append(Node(op, inputs, value.shape, ctx, held))
+        return Var(self, nid, value)
 
 
 class Var:
-    """Handle to one graph node."""
+    """Handle to one graph node, owning its forward value."""
 
-    __slots__ = ("graph", "id")
+    __slots__ = ("graph", "id", "value")
 
-    def __init__(self, graph: Graph, nid: int):
+    def __init__(self, graph: Graph, nid: int, value: np.ndarray):
         self.graph = graph
         self.id = nid
-
-    @property
-    def value(self) -> np.ndarray:
-        return self.graph.nodes[self.id].value
+        self.value = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -96,12 +118,16 @@ def _graph_of(*args) -> Graph | None:
 def _node(op: str, out, args, ctx: dict | None = None):
     """``out`` recorded as an ``op`` node over ``args`` when any of them is
     on a graph (plain operands become leaves); otherwise ``out`` itself.
-    Backward rules read input shapes from the input values, so ``ctx``
+    The inputs ``_READS`` names for ``op`` are held on the tape from here
+    on. Backward rules read input shapes from the input values, so ``ctx``
     holds only what those values do not."""
     g = _graph_of(*args)
     if g is None:
         return out
     ids = tuple(a.id if isinstance(a, Var) else g.leaf(a).id for a in args)
+    for k in _READS.get(op, ()):
+        if isinstance(args[k], Var):
+            g.nodes[args[k].id].held = args[k].value
     return g._record(op, ids, out, {} if ctx is None else ctx)
 
 
@@ -250,7 +276,12 @@ def _conv1d_pads(s: int) -> tuple[int, int]:
 
 
 def _pad_time(x: np.ndarray, pl: int, pr: int) -> np.ndarray:
-    return np.pad(x, ((0, 0), (0, 0), (pl, pr))) if (pl or pr) else x
+    if not (pl or pr):
+        return x
+    t = x.shape[2]
+    xp = np.zeros(x.shape[:2] + (pl + t + pr,), dtype=x.dtype)
+    xp[:, :, pl : pl + t] = x
+    return xp
 
 
 def _tap_sum(x: np.ndarray, w: np.ndarray, pl: int, pr: int) -> np.ndarray:
@@ -479,6 +510,17 @@ _BACKWARD: dict[str, Callable] = {
     "instance_norm": _bwd_instance_norm,
 }
 
+# Input positions whose values each op's rule reads; every other rule reads
+# only its inputs' shapes (softmax reads its own output, which is held).
+_READS: dict[str, tuple[int, ...]] = {
+    "mul": (0, 1),
+    "matmul": (0, 1),
+    "bmm": (0, 1),
+    "conv1d": (0, 1),
+    "gelu": (0,),
+    "instance_norm": (1,),
+}
+
 
 def backward(graph: Graph, loss) -> dict[int, np.ndarray]:
     """Gradients of a scalar loss node with respect to every reached leaf.
@@ -487,7 +529,9 @@ def backward(graph: Graph, loss) -> dict[int, np.ndarray]:
     fan-out, and each non-leaf node's gradient is dropped once its rule has
     run, so only the gradients still to be consumed are alive at any time.
     The returned map is keyed by leaf id; a leaf the loss does not reach is
-    absent (use ``.get(id)``). Node values and ctx stay on the graph.
+    absent (use ``.get(id)``). Held values and ctx stay on the graph.
+    A rule is handed each input's ``Node.value``: the held value of a leaf
+    or of an input ``_READS`` declares, a NaN stand-in of its shape otherwise.
 
     A rule returns one gradient per input: a full array, or a
     :class:`Region` when the gradient is zero outside a few rows or a
@@ -497,10 +541,8 @@ def backward(graph: Graph, loss) -> dict[int, np.ndarray]:
     """
     loss_id = loss.id if isinstance(loss, Var) else int(loss)
     loss_node = graph.nodes[loss_id]
-    if loss_node.value.shape != ():
-        raise ValueError(
-            f"backward: loss must be scalar, got shape {loss_node.value.shape}"
-        )
+    if loss_node.shape != ():
+        raise ValueError(f"backward: loss must be scalar, got shape {loss_node.shape}")
     grads: dict[int, np.ndarray] = {loss_id: np.asarray(1.0)}
     owned: set[int] = set()  # ids whose accumulator backward allocated itself
     for nid in range(loss_id, -1, -1):

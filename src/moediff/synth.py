@@ -31,6 +31,10 @@ class SyntheticConfig:
             raise ValueError(f"f_min {self.f_min} exceeds f_max {self.f_max}")
         if not 0.0 <= self.spike_prob <= 1.0:
             raise ValueError(f"spike_prob must lie in [0, 1], got {self.spike_prob}")
+        if self.harmonics < 0:
+            raise ValueError(f"harmonics must be >= 0, got {self.harmonics}")
+        if self.noise_sigma < 0.0:
+            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.n_samples < 1 or self.channels < 1 or self.t_len < 2:
             raise ValueError("need n_samples >= 1, channels >= 1, t_len >= 2")
         return self

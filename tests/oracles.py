@@ -18,7 +18,18 @@ import math
 import numpy as np
 
 import moediff.autodiff as ad
+from moediff.backbone import named_params, replace_param
 from moediff.blocks import rfamoe_forward, route_top1
+
+
+def random_affine(params, rng):
+    """``params`` with every bias, ``in_gamma`` and ``in_beta`` drawn from
+    N(0, 1). At initialisation biases are 0 and the norm's gain and shift
+    1 and 0, so an oracle comparison there cannot see a dropped bias term."""
+    for name, value in named_params(params):
+        if name.endswith(("bias", "in_gamma", "in_beta")):
+            params = replace_param(params, name, rng.standard_normal(np.shape(value)))
+    return params
 
 
 def naive_conv1d(x, w, b, padding="same"):

@@ -349,6 +349,96 @@ class TestBackward:
         assert ad.finite_diff_check(f, x) <= 1e-4
 
 
+# ---------------------------------------------------------------------------
+# what the tape holds: leaves, softmax outputs and the inputs in _READS
+# ---------------------------------------------------------------------------
+
+# One recording of each op on graph leaves of these shapes.
+READ_CASES = {
+    "add": ([(3, 4), (4,)], ad.add),
+    "sub": ([(3, 4), (3, 1)], ad.sub),
+    "mul": ([(3, 4), (4,)], ad.mul),
+    "scale": ([(3, 4)], lambda a: ad.scale(a, -1.7)),
+    "matmul": ([(3, 4), (4, 2)], ad.matmul),
+    "bmm": ([(2, 3, 4), (2, 4, 5)], ad.bmm),
+    "reshape": ([(3, 4)], lambda a: ad.reshape(a, (2, 6))),
+    "transpose": ([(2, 3, 4)], lambda a: ad.transpose(a, (2, 0, 1))),
+    "concat": ([(2, 3), (4, 3)], lambda a, b: ad.concat([a, b], axis=0)),
+    "slice": ([(3, 4)], lambda a: ad.slice_axis(a, 1, 1, 3)),
+    "take_rows": ([(5, 3)], lambda a: ad.take_rows(a, [3, 0, 3])),
+    "scatter_rows": ([(2, 3)], lambda a: ad.scatter_rows(a, [4, 1], 5)),
+    "gather_cols": ([(4, 3)], lambda a: ad.gather_cols(a, [0, 2, 1, 1])),
+    "sum": ([(3, 4)], ad.tsum),
+    "mean": ([(3, 4)], lambda a: ad.mean(a, axis=1)),
+    "conv1d": ([(2, 3, 7), (4, 3, 3), (4,)], ad.conv1d),
+    "gelu": ([(3, 4)], ad.gelu),
+    "softmax": ([(3, 4)], ad.softmax),
+    "instance_norm": ([(2, 3, 5), (3,), (3,)], ad.instance_norm),
+}
+
+
+def _dense(g):
+    if isinstance(g, ad.Region):
+        out = np.zeros(g.shape)
+        out[g.index] += g.piece
+        return out
+    return np.asarray(g)
+
+
+class TestTapeHolds:
+    def test_every_rule_has_a_case(self):
+        assert set(READ_CASES) == set(ad._BACKWARD)
+
+    def test_read_table_names_only_recorded_ops(self):
+        assert set(ad._READS) <= set(ad._BACKWARD)
+
+    @pytest.mark.parametrize("op", sorted(READ_CASES))
+    def test_rule_reads_only_declared_inputs(self, rng, op):
+        # Handed NaN stand-ins for every input _READS does not name, the
+        # rule still gives the gradients it gives on the real values.
+        shapes, build = READ_CASES[op]
+        g = ad.Graph()
+        out = build(*(g.leaf(rng.standard_normal(s)) for s in shapes))
+        node = g.nodes[out.id]
+        assert node.op == op
+        real = [g.nodes[i].value for i in node.inputs]
+        reads = ad._READS.get(op, ())
+        bare = [v if k in reads else ad._stand_in(v.shape) for k, v in enumerate(real)]
+        grad = rng.standard_normal(out.shape)
+        rule = ad._BACKWARD[op]
+        for k, (want, got) in enumerate(zip(rule(node, grad, real), rule(node, grad, bare), strict=True)):
+            npt.assert_array_equal(_dense(got), _dense(want), err_msg=f"{op} input {k}")
+
+    def test_released_value_is_a_read_only_nan_stand_in(self):
+        g = ad.Graph()
+        x = g.leaf(np.arange(6.0).reshape(2, 3))
+        y = ad.add(x, x)
+        node = g.nodes[y.id]
+        assert node.held is None
+        assert node.value.shape == (2, 3) and np.isnan(node.value).all()
+        assert not node.value.flags.writeable
+        npt.assert_array_equal(y.value, 2 * np.arange(6.0).reshape(2, 3))
+
+    @pytest.mark.parametrize("op, held", [(ad.add, 1), (ad.mul, 20)], ids=["add", "mul"])
+    def test_forward_keeps_only_values_rules_read(self, op, held):
+        # A 20-op chain of 1 MiB arrays. The add rule reads no value, so
+        # only the last output (through its Var) is alive after the
+        # forward; the mul rule reads both inputs, so every link is held.
+        size = 1 << 20
+        g = ad.Graph()
+        x = g.leaf(np.ones(size // 8))
+        c = g.leaf(np.full(size // 8, 1.5))
+        tracemalloc.start()
+        try:
+            y = x
+            for _ in range(20):
+                y = op(y, c)
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held * size <= current < (held + 1) * size, f"forward holds {current / size:.1f} MiB"
+
+
 class TestFiniteDiffCheck:
     def test_sum_has_constant_gradient(self, rng):
         assert ad.finite_diff_check(ad.tsum, rng.standard_normal(6)) <= 1e-10

@@ -24,7 +24,7 @@ from moediff.backbone import (
 )
 from moediff.diffusion import make_schedule, sample
 from moediff.tensor import read_checkpoint, write_checkpoint
-from oracles import naive_backbone
+from oracles import naive_backbone, random_affine
 
 
 def _build(seed=0, channels=2, width=4, depth=1, kernels=(1, 3), k=2, d_emb=8, gate_mode="unit"):
@@ -55,7 +55,7 @@ class TestNoiseEstimate:
     @pytest.mark.parametrize("depth", [1, 2])
     def test_matches_naive_oracle(self, seed, depth):
         rng = np.random.default_rng(seed + 100)
-        params = _build(seed=seed, depth=depth)
+        params = random_affine(_build(seed=seed, depth=depth), rng)
         x_t = rng.standard_normal((2, 2, 12))
         x_bar = rng.standard_normal((2, 2, 12))
         npt.assert_allclose(
@@ -107,8 +107,12 @@ class TestNoiseEstimate:
 
     def test_hand_sized_manual_trace(self):
         # Depth 1, width 2, length 4: same prediction as the stage-by-stage
-        # reference on a fixed tiny signal.
-        params = _build(seed=42, channels=2, width=2, kernels=(1,), k=2, d_emb=4)
+        # reference on a fixed tiny signal. The expert's kernel is 3: under
+        # a kernel-1 expert the lift bias only shifts each map by a constant
+        # that the instance norm removes, so a dropped lift bias would not show.
+        params = random_affine(
+            _build(seed=42, channels=2, width=2, kernels=(3,), k=2, d_emb=4), np.random.default_rng(42)
+        )
         x_t = np.array([[[1.0, -1.0, 0.5, 2.0], [0.0, 1.0, -2.0, 1.0]]])
         x_bar = np.array([[[1.0, 0.0, 0.0, 2.0], [0.0, 1.0, 0.0, 0.0]]])
         npt.assert_allclose(

@@ -146,8 +146,9 @@ def test_kshot_condition_call_counts(monkeypatch):
 
 def test_backward_keeps_rules_and_tape(monkeypatch):
     # The sparse gather/slice gradients are still computed by the rules in
-    # _BACKWARD (the bwd.* spans wrap them there), and backward leaves every
-    # node's value on the graph (the tape span reads them after it returns).
+    # _BACKWARD (the bwd.* spans wrap them there), and after backward returns
+    # every node still exposes an ndarray value (the tape span reads them):
+    # the held ones are real, the released ones shape-only NaN stand-ins.
     import moediff.backbone as backbone
     import moediff.diffusion as diffusion
 
@@ -176,6 +177,23 @@ def test_backward_keeps_rules_and_tape(monkeypatch):
     assert all(counts.values()), counts
     (graph,) = graphs
     assert all(isinstance(node.value, np.ndarray) for node in graph.nodes)
+
+
+def test_tape_span_measures_a_train_step_graph(monkeypatch):
+    # The autodiff.backward span's hook reads the graph after backward
+    # returns; on a real training step it must give a node count and a
+    # finite byte total.
+    import moediff.diffusion as diffusion
+
+    params, sched = _model()
+    calls = _spy(monkeypatch, (ad, "backward"))
+    batch = np.random.default_rng(1).standard_normal((2, 2, 16))
+    diffusion.train_step(params, batch, np.ones_like(batch), sched, np.random.default_rng(2))
+
+    ((_, args),) = calls
+    nodes, nbytes = spans._tape(args, {}, None)
+    assert nodes == len(args[0].nodes) > 0
+    assert np.isfinite(nbytes) and nbytes > 0
 
 
 @pytest.mark.parametrize("workload", ["train-toy", "impute-kshot-toy"])

@@ -32,6 +32,7 @@ from oracles import (
     naive_conv1d,
     naive_fusion_moe,
     naive_rfamoe,
+    random_affine,
     two_conv_rfamoe,
 )
 
@@ -132,7 +133,7 @@ class TestRFAMoE:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_naive_oracle(self, seed, gate_mode):
         rng = np.random.default_rng(seed)
-        params = self._params(rng, kernels=(1, 3, 5))
+        params = random_affine(self._params(rng, kernels=(1, 3, 5)), rng)
         x = rng.standard_normal((4, 7, 4))
         npt.assert_allclose(
             rfamoe_forward(x, params, (2, 2), gate_mode), naive_rfamoe(x, params, 2, 2, gate_mode), atol=1e-10

@@ -214,6 +214,16 @@ class TestExitCodes:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, key", [("--noise-sigma", "-1", "noise_sigma"), ("--harmonics", "-2", "harmonics")]
+    )
+    def test_out_of_range_synth_option_is_2(self, workspace, tmp_path, capsys, flag, value, key):
+        out = tmp_path / "x"
+        rc = main(["synth", "--config", workspace["cfg"], "--out", str(out), "--n-samples", "2", flag, value])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_resume_below_stored_step_is_2(self, workspace, tmp_path, capsys):
         # The checkpoint has taken 15 steps; asking for 6 must not rewrite it.
         out = tmp_path / "run"

@@ -228,6 +228,22 @@ def grouped_train_step(params, batch, mask, sched, rng):
     return float(loss.value), grads_like(pvars, ad.backward(graph, loss)), ts
 
 
+def _step_graph(monkeypatch, params, sched):
+    """The graph one ``train_step`` on a fixed [3, 2, 16] batch hands to ``backward``."""
+    graphs = []
+    original_backward = ad.backward
+
+    def spy(graph, loss):
+        graphs.append(graph)
+        return original_backward(graph, loss)
+
+    monkeypatch.setattr(ad, "backward", spy)
+    batch = np.random.default_rng(1).standard_normal((3, 2, 16))
+    train_step(params, batch, np.ones_like(batch), sched, np.random.default_rng(2))
+    (graph,) = graphs
+    return graph
+
+
 class TestTrainStep:
     @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
     @pytest.mark.parametrize("distinct", [False, True])
@@ -290,22 +306,11 @@ class TestTrainStep:
         # norm on the tape. A first-level block's experts read [signal, 1]
         # gathered on the tape (input axis 2, the lift composed into their
         # weight); a deeper block's read its width-8 input maps.
-        graphs = []
-        original_backward = ad.backward
-
-        def spy(graph, loss):
-            graphs.append(graph)
-            return original_backward(graph, loss)
-
-        monkeypatch.setattr(ad, "backward", spy)
         params = init_backbone(
             np.random.default_rng(0), channels=2, width=8, depth=depth,
             kernel_sizes=(1, 3, 5), head_experts=2, d_emb=8,
         )
-        batch = np.random.default_rng(1).standard_normal((3, 2, 16))
-        train_step(params, batch, np.ones_like(batch), sched10, np.random.default_rng(2))
-
-        (graph,) = graphs
+        graph = _step_graph(monkeypatch, params, sched10)
         blocks, axes = [], []  # input axes of each block's expert conv weights
         for node in graph.nodes:
             if node.op == "conv1d" and graph.nodes[node.inputs[0]].op == "take_rows":
@@ -318,6 +323,22 @@ class TestTrainStep:
             assert block_axes and set(block_axes) == ({2} if k % depth == 0 else {8}), k
         ops = [node.op for node in graph.nodes]
         assert ops.count("take_rows") == sum(map(len, blocks))
+
+    @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
+    def test_tape_holds_only_values_rules_read(self, sched10, monkeypatch, gate_mode):
+        # After a training step, a node keeps its forward value only if it
+        # is a leaf, a softmax output, or an input that a consumer's rule
+        # reads (autodiff._READS); no other node holds one.
+        params = init_backbone(
+            np.random.default_rng(0), channels=2, width=8, depth=2,
+            kernel_sizes=(1, 3, 5), head_experts=2, d_emb=8, gate_mode=gate_mode,
+        )
+        graph = _step_graph(monkeypatch, params, sched10)
+        read = {node.inputs[k] for node in graph.nodes for k in ad._READS.get(node.op, ())}
+        held = {nid for nid, node in enumerate(graph.nodes) if node.held is not None}
+        kept = {nid for nid, node in enumerate(graph.nodes) if node.op in ("leaf", "softmax")} | read
+        assert held == kept
+        assert len(held) < len(graph.nodes)
 
     def test_zero_backbone_unit_loss(self, sched10):
         params = init_backbone(
