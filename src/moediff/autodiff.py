@@ -32,7 +32,8 @@ _NORM_EPS = 1e-5  # instance_norm variance floor
 class Node:
     """One tape entry. ``held`` is the forward value when a backward rule
     reads it: a leaf's, a softmax output's, or an input's named in
-    ``_READS`` by a consumer. Otherwise it is ``None`` and ``value`` is a
+    ``_READS`` by a consumer; :func:`backward` drops it from each non-leaf
+    node it has passed. Otherwise it is ``None`` and ``value`` is a
     read-only NaN stand-in of ``shape``, enough for the rules that read
     only shapes; a rule that read it would give NaN gradients."""
 
@@ -59,10 +60,12 @@ class Graph:
 
     The tape keeps a node's value only while a backward rule needs it (see
     :class:`Node`); the :class:`Var` handles own the forward values, so an
-    intermediate no rule reads is freed with its last handle."""
+    intermediate no rule reads is freed with its last handle. ``backward``
+    consumes the tape and marks it ``spent``."""
 
     def __init__(self):
         self.nodes: list[Node] = []
+        self.spent = False
 
     def leaf(self, value) -> "Var":
         """Add an input node (parameter or constant) and return its handle."""
@@ -529,9 +532,14 @@ def backward(graph: Graph, loss) -> dict[int, np.ndarray]:
     fan-out, and each non-leaf node's gradient is dropped once its rule has
     run, so only the gradients still to be consumed are alive at any time.
     The returned map is keyed by leaf id; a leaf the loss does not reach is
-    absent (use ``.get(id)``). Held values and ctx stay on the graph.
+    absent (use ``.get(id)``).
     A rule is handed each input's ``Node.value``: the held value of a leaf
     or of an input ``_READS`` declares, a NaN stand-in of its shape otherwise.
+
+    Backward consumes the graph: once a non-leaf node's rule has run, its
+    held value and ctx are dropped. Every consumer that reads the node has
+    a larger id, so its rule has already run. Leaves keep their values; a
+    second ``backward`` on the same graph raises ``ValueError``.
 
     A rule returns one gradient per input: a full array, or a
     :class:`Region` when the gradient is zero outside a few rows or a
@@ -543,6 +551,9 @@ def backward(graph: Graph, loss) -> dict[int, np.ndarray]:
     loss_node = graph.nodes[loss_id]
     if loss_node.shape != ():
         raise ValueError(f"backward: loss must be scalar, got shape {loss_node.shape}")
+    if graph.spent:
+        raise ValueError("backward: this graph was consumed by an earlier backward; record a new one")
+    graph.spent = True
     grads: dict[int, np.ndarray] = {loss_id: np.asarray(1.0)}
     owned: set[int] = set()  # ids whose accumulator backward allocated itself
     for nid in range(loss_id, -1, -1):
@@ -566,6 +577,8 @@ def backward(graph: Graph, loss) -> dict[int, np.ndarray]:
                 acc = acc + g
                 owned.add(input_id)
             grads[input_id] = acc
+        node.held = None
+        node.ctx = {}
     return grads
 
 

@@ -102,7 +102,10 @@ def _parse_value(field: dataclasses.Field, raw: str):
             raise ValueError(f"expected a boolean, got {raw!r}")
         return _BOOL[raw.lower()]
     if field.type in ("tuple", tuple):
-        return tuple(int(p) for p in raw.split(",") if p.strip())
+        items = raw.split(",")
+        if any(not p.strip() for p in items):
+            raise ValueError(f"empty item in list {raw!r}")
+        return tuple(int(p) for p in items)
     return raw
 
 

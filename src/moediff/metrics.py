@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import as_tensor, write_csv
+from .tensor import as_tensor, require_binary, write_csv
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def evaluate(truth, pred, region=None) -> MetricsReport:
     if truth.ndim != 3:
         raise ValueError(f"evaluate: expected [B, C, Tlen] stacks, got shape {truth.shape}")
     if region is not None:
-        region = as_tensor(region)
+        region = require_binary(as_tensor(region), "region")
         if region.shape != truth.shape:
             raise ValueError(
                 f"evaluate: region shape {region.shape} != signal shape {truth.shape}"

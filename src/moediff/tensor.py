@@ -12,6 +12,11 @@ dims, then product(dims) float64 little-endian values in row-major order.
 CKP1 is the checkpoint container: magic ``CKP1``, u32 record count, then
 records of (u16 name length, UTF-8 name, embedded TSB1 blob).
 
+Both formats are streamed. A writer sends each payload from its array's
+own buffer to a new file next to the target and moves that file into
+place once it is complete; a reader reads each payload straight into its
+array. So neither holds a second copy of the data.
+
 Every CSV file the package writes goes through :func:`write_csv`.
 
 :func:`pin_heap_thresholds`, called when the package is imported, keeps
@@ -20,7 +25,11 @@ freed arrays on the C heap for reuse (glibc only).
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import io
+import math
+import os
 import struct
 import sys
 
@@ -99,51 +108,76 @@ def pin_heap_thresholds() -> bool:
 # ---------------------------------------------------------------------------
 
 
-def tsb1_bytes(arr) -> bytes:
-    arr = as_tensor(arr)
-    header = TSB1_MAGIC + struct.pack("<I", arr.ndim)
-    header += struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b""
-    return header + arr.astype("<f8").tobytes(order="C")
+def _write_tensor(fh, arr) -> None:
+    """Write one TSB1 blob: the header, then the payload straight from the
+    array's own C-ordered little-endian buffer (copied only when ``arr`` is
+    not already one)."""
+    arr = np.asarray(arr, dtype="<f8", order="C")
+    fh.write(TSB1_MAGIC + struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape))
+    fh.write(arr)
 
 
-def tsb1_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
-    """Decode one TSB1 blob starting at ``offset``; returns (array, next offset)."""
-    magic = buf[offset : offset + 4]
+def _read_tensor(fh, offset: int, size: int) -> tuple[np.ndarray, int]:
+    """Decode the TSB1 blob at ``offset`` of an open file of ``size`` bytes;
+    returns (array, next offset). Each length is checked against ``size``
+    before anything is allocated, and the payload is read straight into
+    the returned array."""
+    magic = fh.read(4)
     if magic != TSB1_MAGIC:
         raise TensorFormatError(
-            f"bad tensor magic at offset {offset}: expected {TSB1_MAGIC!r}, found {bytes(magic)!r}"
+            f"bad tensor magic at offset {offset}: expected {TSB1_MAGIC!r}, found {magic!r}"
         )
     offset += 4
-    if len(buf) < offset + 4:
+    if size < offset + 4:
         raise TensorFormatError(f"truncated tensor header at offset {offset}")
-    (rank,) = struct.unpack_from("<I", buf, offset)
+    (rank,) = struct.unpack("<I", fh.read(4))
     offset += 4
-    if len(buf) < offset + 4 * rank:
+    if size < offset + 4 * rank:
         raise TensorFormatError(f"truncated dim list at offset {offset} (rank {rank})")
-    dims = struct.unpack_from(f"<{rank}I", buf, offset) if rank else ()
+    dims = struct.unpack(f"<{rank}I", fh.read(4 * rank))
     offset += 4 * rank
-    count = int(np.prod(dims, dtype=np.int64)) if rank else 1
-    nbytes = 8 * count
-    if len(buf) < offset + nbytes:
+    nbytes = 8 * math.prod(dims)
+    if size < offset + nbytes:
         raise TensorFormatError(
-            f"truncated tensor payload at offset {offset}: need {nbytes} bytes, have {len(buf) - offset}"
+            f"truncated tensor payload at offset {offset}: need {nbytes} bytes, have {size - offset}"
         )
-    data = np.frombuffer(buf, dtype="<f8", count=count, offset=offset)
-    offset += nbytes
-    return data.astype(np.float64).reshape(dims), offset
+    arr = np.empty(dims, dtype="<f8")
+    fh.readinto(arr)
+    return arr.astype(np.float64, copy=False), offset + nbytes
+
+
+def _write_replacing(path, write) -> None:
+    """Run ``write`` on a new file next to ``path``, then move that file
+    onto ``path``. A write that fails part-way leaves an existing file at
+    ``path`` as it was and removes the new one."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def tsb1_bytes(arr) -> bytes:
+    buf = io.BytesIO()
+    _write_tensor(buf, arr)
+    return buf.getvalue()
 
 
 def write_tsb1(path, arr) -> None:
-    with open(path, "wb") as fh:
-        fh.write(tsb1_bytes(arr))
+    _write_replacing(path, lambda fh: _write_tensor(fh, arr))
 
 
 def read_tsb1(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        buf = fh.read()
-    arr, end = tsb1_from_bytes(buf, 0)
-    if end != len(buf):
-        raise TensorFormatError(f"{len(buf) - end} trailing bytes after tensor payload")
+        size = os.fstat(fh.fileno()).st_size
+        arr, end = _read_tensor(fh, 0, size)
+    if end != size:
+        raise TensorFormatError(f"{size - end} trailing bytes after tensor payload")
     return arr
 
 
@@ -171,43 +205,55 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_checkpoint(path, named: dict[str, np.ndarray]) -> None:
-    """Write a name -> tensor mapping; records are sorted by name for
-    byte-stable output."""
-    parts = [CKP1_MAGIC, struct.pack("<I", len(named))]
-    for name in sorted(named):
-        raw = name.encode("utf-8")
-        if len(raw) > 0xFFFF:
-            raise TensorFormatError(f"record name too long: {name[:40]}...")
-        parts.append(struct.pack("<H", len(raw)))
-        parts.append(raw)
-        parts.append(tsb1_bytes(named[name]))
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+    """Write a name -> tensor mapping. Records are sorted by name for
+    byte-stable output and written one at a time, each payload from its
+    array's own buffer, so no copy of the file is built in memory."""
+
+    def write(fh):
+        fh.write(CKP1_MAGIC + struct.pack("<I", len(named)))
+        for name in sorted(named):
+            raw = name.encode("utf-8")
+            if len(raw) > 0xFFFF:
+                raise TensorFormatError(f"record name too long: {name[:40]}...")
+            fh.write(struct.pack("<H", len(raw)) + raw)
+            _write_tensor(fh, named[name])
+
+    _write_replacing(path, write)
 
 
 def read_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read a name -> tensor mapping, each payload straight into its array."""
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if buf[:4] != CKP1_MAGIC:
-        raise TensorFormatError(
-            f"bad checkpoint magic: expected {CKP1_MAGIC!r}, found {bytes(buf[:4])!r}"
-        )
-    if len(buf) < 8:
-        raise TensorFormatError(f"truncated checkpoint header: need 8 bytes, have {len(buf)}")
-    (count,) = struct.unpack_from("<I", buf, 4)
-    offset = 8
-    named: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        if len(buf) < offset + 2:
-            raise TensorFormatError(f"truncated record header at offset {offset}")
-        (nlen,) = struct.unpack_from("<H", buf, offset)
-        offset += 2
-        name = buf[offset : offset + nlen].decode("utf-8")
-        offset += nlen
-        arr, offset = tsb1_from_bytes(buf, offset)
-        if name in named:
-            raise TensorFormatError(f"duplicate record name {name!r}")
-        named[name] = arr
-    if offset != len(buf):
-        raise TensorFormatError(f"{len(buf) - offset} trailing bytes after last record")
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(8)
+        if head[:4] != CKP1_MAGIC:
+            raise TensorFormatError(
+                f"bad checkpoint magic: expected {CKP1_MAGIC!r}, found {head[:4]!r}"
+            )
+        if len(head) < 8:
+            raise TensorFormatError(f"truncated checkpoint header: need 8 bytes, have {len(head)}")
+        (count,) = struct.unpack_from("<I", head, 4)
+        offset = 8
+        named: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            if size < offset + 2:
+                raise TensorFormatError(f"truncated record header at offset {offset}")
+            (nlen,) = struct.unpack("<H", fh.read(2))
+            offset += 2
+            if size < offset + nlen:
+                raise TensorFormatError(
+                    f"truncated record name at offset {offset}: need {nlen} bytes, have {size - offset}"
+                )
+            try:
+                name = fh.read(nlen).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise TensorFormatError(
+                    f"record name at offset {offset} is not UTF-8: {exc.reason} at byte {exc.start}"
+                ) from None
+            if name in named:
+                raise TensorFormatError(f"duplicate record name {name!r}")
+            offset += nlen
+            named[name], offset = _read_tensor(fh, offset, size)
+    if offset != size:
+        raise TensorFormatError(f"{size - offset} trailing bytes after last record")
     return named

@@ -89,6 +89,7 @@ def train(cfg: RunConfig, data: np.ndarray, out_dir, resume_from=None):
             params = zip_map_params(lambda p, v: p - cfg.lr * v, params, velocity)
         else:
             params = zip_map_params(lambda p, g: p - cfg.lr * g, params, grads)
+        del grads  # else this step's gradients stay alive through the next step
         losses.append((step, loss))
 
     os.makedirs(out_dir, exist_ok=True)

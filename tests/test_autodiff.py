@@ -329,12 +329,35 @@ class TestBackward:
         c1, c2 = rng.standard_normal((2, 5, 4))
         parts = parts(ad.mul(x, c1), ad.mul(x, c2))
         loss = ad.tsum(ad.concat([ad.reshape(ad.mul(p, p), (-1,)) for p in parts]))
+        ref = dense_backward(g, loss)  # before backward, which consumes the graph
         grads = ad.backward(g, loss)
-        ref = dense_backward(g, loss)
         assert x.id in grads
         assert set(grads) == {i for i in ref if g.nodes[i].op == "leaf"}
         for i in grads:
             npt.assert_array_equal(grads[i], ref[i], err_msg=f"leaf {i}")
+
+    def test_backward_frees_each_node_it_passes(self, rng):
+        g = ad.Graph()
+        x = g.leaf(rng.standard_normal((2, 3)))
+        c = g.leaf(rng.standard_normal((2, 3)))
+        y = ad.gelu(ad.mul(x, c))
+        loss = ad.tsum(ad.softmax(y))
+        spare = ad.scale(x, 2.0)  # not on the loss's path
+        ad.backward(g, loss)
+        for nid, node in enumerate(g.nodes):
+            if node.op == "leaf":
+                assert node.held is not None, nid
+            elif nid != spare.id:
+                assert node.held is None and node.ctx == {}, (nid, node.op)
+        assert g.nodes[spare.id].ctx == {"s": 2.0}
+
+    def test_second_backward_is_rejected(self):
+        g = ad.Graph()
+        x = g.leaf(np.arange(3.0))
+        loss = ad.tsum(ad.mul(x, x))
+        npt.assert_array_equal(ad.backward(g, loss)[x.id], 2 * np.arange(3.0))
+        with pytest.raises(ValueError, match="consumed by an earlier backward"):
+            ad.backward(g, loss)
 
     def test_conv_mse_matches_finite_differences(self, rng):
         w = rng.standard_normal((2, 1, 3))

@@ -180,6 +180,29 @@ class TestExitCodes:
         assert rc == 2
         assert "truncated checkpoint header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "record, located",
+        [(b"\x0a\x00abc", "truncated record name at offset 10: need 10 bytes, have 3"),
+         (b"\x02\x00a\xff", "record name at offset 10 is not UTF-8")],
+        ids=["truncated", "not_utf8"],
+    )
+    def test_bad_record_name_is_2(self, workspace, tmp_path, capsys, record, located):
+        # One record: a u16 name length, then the name's bytes.
+        ckpt = tmp_path / "bad.ckp1"
+        ckpt.write_bytes(b"CKP1\x01\x00\x00\x00" + record)
+        rc = main(["impute", "--config", workspace["cfg"], "--checkpoint", str(ckpt),
+                   "--input", workspace["data"], "--out", str(tmp_path / "imp")])
+        assert rc == 2
+        assert located in capsys.readouterr().err
+
+    def test_non_binary_eval_region_is_2(self, workspace, tmp_path, capsys):
+        out = tmp_path / "ev"
+        rc = main(["eval", "--truth", workspace["data"], "--pred", workspace["data"],
+                   "--region", workspace["data"], "--out", str(out)])
+        assert rc == 2
+        assert "region must contain only 0.0 and 1.0 entries" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_loss_is_3(self, workspace, tmp_path):
         cfg = tmp_path / "explode.cfg"
@@ -204,7 +227,8 @@ class TestExitCodes:
         "line, key",
         [("depth = -1", "depth"), ("batch = 0", "batch"), ("train_steps = -3", "train_steps"),
          ("momentum = 1.5", "momentum"), ("width = 0", "width"), ("width = -2", "width"), ("d_emb = 0", "d_emb"),
-         ("d_emb = 7", "d_emb"), ("head_experts = 0", "head_experts"), ("rfa_kernels = 3,4", "rfa_kernels")],
+         ("d_emb = 7", "d_emb"), ("head_experts = 0", "head_experts"), ("rfa_kernels = 3,4", "rfa_kernels"),
+         ("rfa_kernels = 1,,3", "rfa_kernels")],
     )
     def test_out_of_range_config_is_2(self, workspace, tmp_path, capsys, line, key):
         cfg = tmp_path / "bad.cfg"

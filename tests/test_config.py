@@ -38,6 +38,11 @@ class TestConfigRoundtrip:
         assert cfg.shared_window is True
         assert cfg.beta_end == 0.02
 
+    @pytest.mark.parametrize("raw", ["3,,5", "3,5,", ",3", " "])
+    def test_empty_list_item_rejected(self, raw):
+        with pytest.raises(ValueError, match=r"config line 2: key 'rfa_kernels': empty item"):
+            parse_config(f"steps = 5\nrfa_kernels = {raw}\n")
+
     def test_bad_bool_rejected(self):
         with pytest.raises(ValueError, match="boolean"):
             parse_config("shared_window = maybe\n")

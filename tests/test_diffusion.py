@@ -229,19 +229,21 @@ def grouped_train_step(params, batch, mask, sched, rng):
 
 
 def _step_graph(monkeypatch, params, sched):
-    """The graph one ``train_step`` on a fixed [3, 2, 16] batch hands to ``backward``."""
+    """The graph one ``train_step`` on a fixed [3, 2, 16] batch hands to
+    ``backward``, and the ids of its nodes that held a value on entry."""
     graphs = []
     original_backward = ad.backward
 
     def spy(graph, loss):
-        graphs.append(graph)
+        held = {nid for nid, node in enumerate(graph.nodes) if node.held is not None}
+        graphs.append((graph, held))
         return original_backward(graph, loss)
 
     monkeypatch.setattr(ad, "backward", spy)
     batch = np.random.default_rng(1).standard_normal((3, 2, 16))
     train_step(params, batch, np.ones_like(batch), sched, np.random.default_rng(2))
-    (graph,) = graphs
-    return graph
+    (graph_and_held,) = graphs
+    return graph_and_held
 
 
 class TestTrainStep:
@@ -310,7 +312,7 @@ class TestTrainStep:
             np.random.default_rng(0), channels=2, width=8, depth=depth,
             kernel_sizes=(1, 3, 5), head_experts=2, d_emb=8,
         )
-        graph = _step_graph(monkeypatch, params, sched10)
+        graph, _ = _step_graph(monkeypatch, params, sched10)
         blocks, axes = [], []  # input axes of each block's expert conv weights
         for node in graph.nodes:
             if node.op == "conv1d" and graph.nodes[node.inputs[0]].op == "take_rows":
@@ -326,19 +328,39 @@ class TestTrainStep:
 
     @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
     def test_tape_holds_only_values_rules_read(self, sched10, monkeypatch, gate_mode):
-        # After a training step, a node keeps its forward value only if it
-        # is a leaf, a softmax output, or an input that a consumer's rule
-        # reads (autodiff._READS); no other node holds one.
+        # When a training step's forward ends, a node keeps its forward
+        # value only if it is a leaf, a softmax output, or an input that a
+        # consumer's rule reads (autodiff._READS); no other node holds one.
         params = init_backbone(
             np.random.default_rng(0), channels=2, width=8, depth=2,
             kernel_sizes=(1, 3, 5), head_experts=2, d_emb=8, gate_mode=gate_mode,
         )
-        graph = _step_graph(monkeypatch, params, sched10)
+        graph, held = _step_graph(monkeypatch, params, sched10)
         read = {node.inputs[k] for node in graph.nodes for k in ad._READS.get(node.op, ())}
-        held = {nid for nid, node in enumerate(graph.nodes) if node.held is not None}
         kept = {nid for nid, node in enumerate(graph.nodes) if node.op in ("leaf", "softmax")} | read
         assert held == kept
         assert len(held) < len(graph.nodes)
+
+    @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
+    def test_backward_frees_the_nodes_it_reaches(self, sched10, monkeypatch, gate_mode):
+        # Once backward returns, every non-leaf node on the loss's path has
+        # dropped its value and ctx; the leaves keep theirs.
+        params = init_backbone(
+            np.random.default_rng(0), channels=2, width=8, depth=2,
+            kernel_sizes=(1, 3, 5), head_experts=2, d_emb=8, gate_mode=gate_mode,
+        )
+        graph, _ = _step_graph(monkeypatch, params, sched10)
+        reached = {len(graph.nodes) - 1}  # the loss is the last node recorded
+        for nid in range(len(graph.nodes) - 1, -1, -1):
+            if nid in reached:
+                reached.update(graph.nodes[nid].inputs)
+        for nid in reached:
+            node = graph.nodes[nid]
+            if node.op == "leaf":
+                assert node.held is not None, nid
+            else:
+                assert node.held is None and node.ctx == {}, (nid, node.op)
+        assert graph.spent
 
     def test_zero_backbone_unit_loss(self, sched10):
         params = init_backbone(

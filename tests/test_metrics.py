@@ -139,6 +139,11 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="empty missing region"):
             evaluate(truth, truth, region=np.ones_like(truth))
 
+    def test_non_binary_region_rejected(self, rng):
+        truth = rng.standard_normal((1, 1, 4))
+        with pytest.raises(ValueError, match="region must contain only 0.0 and 1.0"):
+            evaluate(truth, truth, region=np.array([[[0.0, 0.5, 1.0, 1.0]]]))
+
     def test_csv_layout(self, rng, tmp_path):
         truth = rng.standard_normal((2, 1, 4))
         write_report(tmp_path / "metrics.csv", evaluate(truth, truth))

@@ -1,7 +1,10 @@
 """TSB1 binary format and CSV signal layout: round trips and diagnostics;
 the pinned heap thresholds."""
 
+import os
 import resource
+import struct
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -110,6 +113,60 @@ class TestCheckpointContainer:
         path.write_bytes(b"CKP1" + tail)
         with pytest.raises(TensorFormatError, match=f"truncated checkpoint header: need 8 bytes, have {4 + len(tail)}"):
             read_checkpoint(path)
+
+    def test_layout_bytes(self, tmp_path):
+        # Sorted records of (u16 name length, name, TSB1 blob); an integer or
+        # strided array is stored as the float64 values of its C-order copy.
+        path = tmp_path / "c.ckp1"
+        write_checkpoint(path, {"bb": np.arange(6).reshape(2, 3).T, "a": np.asarray(3.5)})
+        assert path.read_bytes() == (
+            b"CKP1" + struct.pack("<I", 2)
+            + struct.pack("<H", 1) + b"a" + b"TSB1" + struct.pack("<Id", 0, 3.5)
+            + struct.pack("<H", 2) + b"bb" + b"TSB1" + struct.pack("<3I", 2, 3, 2)
+            + struct.pack("<6d", 0, 3, 1, 4, 2, 5)
+        )
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "c.ckp1"
+        write_checkpoint(path, {"a": np.ones(3)})
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            write_checkpoint(path, {"a": np.zeros(3), "z": "not a number"})
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["c.ckp1"]
+
+    def test_truncated_record_name(self, tmp_path):
+        path = tmp_path / "short.ckp1"
+        path.write_bytes(b"CKP1" + struct.pack("<IH", 1, 10) + b"abc")
+        with pytest.raises(TensorFormatError, match="truncated record name at offset 10: need 10 bytes, have 3"):
+            read_checkpoint(path)
+
+    def test_non_utf8_record_name(self, tmp_path):
+        path = tmp_path / "bad.ckp1"
+        path.write_bytes(b"CKP1" + struct.pack("<IH", 1, 2) + b"a\xff" + tsb1_bytes(np.ones(1)))
+        with pytest.raises(TensorFormatError, match="record name at offset 10 is not UTF-8"):
+            read_checkpoint(path)
+
+    def test_streamed_io_holds_no_second_copy(self, tmp_path):
+        # 8 MiB in 1 MiB records. Building the file in memory, or reading it
+        # whole before copying the arrays out, would hold every byte twice.
+        size = 1 << 20
+        named = {f"r{i}": np.full(size // 8, float(i)) for i in range(8)}
+        path = tmp_path / "big.ckp1"
+        tracemalloc.start()
+        try:
+            write_checkpoint(path, named)
+            _, write_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            loaded = read_checkpoint(path)
+            held, read_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert write_peak < size + size // 4, f"write peaked at {write_peak / size:.2f} MiB"
+        assert held >= 8 * size
+        assert read_peak - held < size + size // 4, f"read held {(read_peak - held) / size:.2f} MiB extra"
+        for name, arr in named.items():
+            npt.assert_array_equal(loaded[name], arr)
 
 
 class TestSignalsCsv:

@@ -1,8 +1,11 @@
 """Training loop: determinism, resume semantics, NaN abort."""
 
+import weakref
+
 import numpy.testing as npt
 import pytest
 
+import moediff.training as training
 from moediff.config import RunConfig
 from moediff.synth import SyntheticConfig, synth_generate
 from moediff.tensor import read_checkpoint
@@ -84,6 +87,21 @@ class TestTrain:
         cfg = _tiny_cfg(channels=3)
         with pytest.raises(ValueError, match="does not match config"):
             train(cfg, _tiny_data(channels=2), tmp_path / "bad")
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_step_gradients_freed_before_next_step(self, tmp_path, monkeypatch, momentum):
+        previous = []  # weak reference to the last step's gradient tree
+        original = training.train_step
+
+        def spy(*args):
+            assert not previous or previous[-1]() is None, "last step's gradients are still alive"
+            loss, grads = original(*args)
+            previous.append(weakref.ref(grads))
+            return loss, grads
+
+        monkeypatch.setattr(training, "train_step", spy)
+        train(_tiny_cfg(train_steps=3, momentum=momentum), _tiny_data(), tmp_path / "run")
+        assert len(previous) == 3
 
     def test_loss_curve_format(self, tmp_path):
         cfg = _tiny_cfg(train_steps=3)
