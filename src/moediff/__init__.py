@@ -14,7 +14,7 @@ from .blocks import (
     route_top1,
     step_embedding,
 )
-from .config import RunConfig, full_profile, load_config, parse_config, serialize_config, toy_profile
+from .config import RunConfig, load_config, parse_config
 from .diffusion import (
     NoiseSchedule,
     ReverseCoefficients,

@@ -269,29 +269,25 @@ def _conv1d_check(x, w, b):
         raise ValueError(
             f"conv1d: input channel axis has size {x.shape[1]}, weight expects {w.shape[1]}"
         )
-    if w.shape[2] < 1:
-        raise ValueError("conv1d: kernel size must be >= 1")
+    if w.shape[2] % 2 == 0:
+        raise ValueError(f"conv1d: kernel size must be odd for same padding, got {w.shape[2]}")
 
 
-def _conv1d_pads(s: int) -> tuple[int, int]:
-    left = (s - 1) // 2
-    return left, s - 1 - left  # even kernels pad one extra on the right
-
-
-def _pad_time(x: np.ndarray, pl: int, pr: int) -> np.ndarray:
-    if not (pl or pr):
+def _pad_time(x: np.ndarray, p: int) -> np.ndarray:
+    if not p:
         return x
     t = x.shape[2]
-    xp = np.zeros(x.shape[:2] + (pl + t + pr,), dtype=x.dtype)
-    xp[:, :, pl : pl + t] = x
+    xp = np.zeros(x.shape[:2] + (t + 2 * p,), dtype=x.dtype)
+    xp[:, :, p : p + t] = x
     return xp
 
 
-def _tap_sum(x: np.ndarray, w: np.ndarray, pl: int, pr: int) -> np.ndarray:
-    """``sum_j w[:, :, j] @ xp[:, :, j:j+T']`` with ``xp`` = ``x`` zero-padded
-    by (pl, pr) on the time axis: one matmul per tap, batched over the maps."""
-    xp = _pad_time(x, pl, pr)
-    t_out = xp.shape[2] - w.shape[2] + 1
+def _tap_sum(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``sum_j w[:, :, j] @ xp[:, :, j:j+T]`` with ``xp`` = ``x`` zero-padded
+    by (S-1)/2 on each side of the time axis: one matmul per tap, batched
+    over the maps."""
+    xp = _pad_time(x, (w.shape[2] - 1) // 2)
+    t_out = x.shape[2]
     out = w[:, :, 0] @ xp[:, :, :t_out]
     for j in range(1, w.shape[2]):
         out += w[:, :, j] @ xp[:, :, j : j + t_out]
@@ -299,19 +295,19 @@ def _tap_sum(x: np.ndarray, w: np.ndarray, pl: int, pr: int) -> np.ndarray:
 
 
 def conv1d(x, w, b):
-    """Same-padded cross-correlation over the last axis: [N,Cin,T] x [Cout,Cin,S] -> [N,Cout,T].
+    """Same-padded cross-correlation over the last axis: [N,Cin,T] x [Cout,Cin,S] -> [N,Cout,T],
+    for an odd kernel size S.
 
-    Computed one kernel tap at a time: with ``xp`` the zero-padded input,
-    ``out = sum_j w[:, :, j] @ xp[:, :, j:j+T] + b``, each term one matmul
-    batched over the N maps. A kernel-1 convolution is the one-tap case.
-    The padded input is a temporary; the tape keeps only the pad widths.
+    Computed one kernel tap at a time: with ``xp`` the input zero-padded by
+    (S-1)/2 on each side, ``out = sum_j w[:, :, j] @ xp[:, :, j:j+T] + b``,
+    each term one matmul batched over the N maps. A kernel-1 convolution is
+    the one-tap case. The padded input is a temporary the tape does not keep.
     """
     xv, wv, bv = value_of(x), value_of(w), value_of(b)
     _conv1d_check(xv, wv, bv)
-    pl, pr = _conv1d_pads(wv.shape[2])
-    out = _tap_sum(xv, wv, pl, pr)
+    out = _tap_sum(xv, wv)
     out += bv[:, None]
-    return _node("conv1d", out, (x, w, b), {"pads": (pl, pr)})
+    return _node("conv1d", out, (x, w, b))
 
 
 def gelu(x):
@@ -447,22 +443,21 @@ def _bwd_mean(node, grad, vals):
 def _bwd_conv1d(node, grad, vals):
     """Per-tap transpose of :func:`conv1d`; the input is re-padded from its value.
 
-    ``dw[:, :, j] = sum_n grad[n] @ xp[n, :, j:j+T'].T``, one batched matmul
-    per tap; ``db`` sums ``grad`` over maps and time. ``dx`` is the same tap
-    sum as the forward, run over ``grad`` with the kernel flipped in time
-    and transposed (tap j becomes ``w[:, :, S-1-j].T``) and padded by
-    (S-1-pl, S-1-pr). That equals accumulating
-    ``dxp[:, :, j:j+T'] += w[:, :, j].T @ grad`` and dropping the padding,
-    without building ``dxp``.
+    With ``p = (S-1)/2``, ``dw[:, :, j] = sum_n grad[n] @ xp[n, :, j:j+T].T``,
+    one batched matmul per tap; ``db`` sums ``grad`` over maps and time.
+    ``dx`` is the same tap sum as the forward, run over ``grad`` with the
+    kernel flipped in time and transposed (tap j becomes
+    ``w[:, :, S-1-j].T``); the symmetric padding is its own mirror image.
+    That equals accumulating ``dxp[:, :, j:j+T] += w[:, :, j].T @ grad``
+    and dropping the padding, without building ``dxp``.
     """
     x, w, _ = vals
-    pl, pr = node.ctx["pads"]
     s, t_out = w.shape[2], grad.shape[2]
-    xp = _pad_time(x, pl, pr)
+    xp = _pad_time(x, (s - 1) // 2)
     dw = np.empty_like(w)
     for j in range(s):
         dw[:, :, j] = (grad @ xp[:, :, j : j + t_out].transpose(0, 2, 1)).sum(axis=0)
-    dx = _tap_sum(grad, w[:, :, ::-1].transpose(1, 0, 2), s - 1 - pl, s - 1 - pr)
+    dx = _tap_sum(grad, w[:, :, ::-1].transpose(1, 0, 2))
     return [dx, dw, grad.sum(axis=(0, 2))]
 
 

@@ -161,11 +161,11 @@ def _check_inputs(where: str, x, params: BackboneParams) -> tuple[int, int, int]
 
 
 def _lift(x, lift: ConvParams, n: int, t_len: int):
-    """The pointwise lift of [B, C, Tlen] ``x`` to [N, T, L] maps, and the
+    """The pointwise lift of [B, C, Tlen] ``x`` to [N, L, T] maps, and the
     same lift as the first block's source: ``z = [x, 1]`` per map and
     ``m = [weight, bias]`` (see :func:`rfamoe_forward`)."""
     x1 = ad.reshape(x, (n, 1, t_len))
-    h = ad.transpose(ad.conv1d(x1, lift.weight, lift.bias), (0, 2, 1))
+    h = ad.conv1d(x1, lift.weight, lift.bias)
     z = ad.concat([x1, np.ones((n, 1, t_len))], axis=1)
     m = ad.concat([ad.reshape(lift.weight, (-1, 1)), ad.reshape(lift.bias, (-1, 1))], axis=1)
     return h, (z, m)
@@ -174,7 +174,7 @@ def _lift(x, lift: ConvParams, n: int, t_len: int):
 def condition_features(x_bar, params: BackboneParams) -> list:
     """Run the condition path over the masked condition ``x_bar`` [B, C, Tlen].
 
-    Returns one [N, T, L] map per level (N = B*C), the input to that
+    Returns one [N, L, T] map per level (N = B*C), the input to that
     level's FiLM bridge. The maps depend on ``x_bar`` and the weights only,
     never on the noisy signal or the step, so a sampler computes them once
     and hands them to every :func:`noise_estimate` call as ``cond``.
@@ -194,11 +194,11 @@ def noise_estimate(x_t, x_bar, t, params: BackboneParams, head_gates=None, *, co
 
     Inputs are [B, C, Tlen]; each of the N = B*C channels becomes an
     independent feature map. ``t`` is one step for the batch or B steps,
-    one per batch row. ``cond`` holds the per-level condition maps of
-    :func:`condition_features` for ``x_bar``; when None they are computed
-    here. Each level FiLM-injects its condition map into the main path; the
-    fusion head collapses the final width-L features back to one value per
-    timestep.
+    one per batch row. ``cond`` holds the per-level [N, L, T] condition
+    maps of :func:`condition_features` for ``x_bar``; when None they are
+    computed here. Each level FiLM-injects its condition map into the main
+    path; the fusion head collapses the final width-L features back to one
+    value per timestep.
     """
     xv, cv = ad.value_of(x_t), ad.value_of(x_bar)
     if xv.shape != cv.shape:
@@ -216,7 +216,7 @@ def noise_estimate(x_t, x_bar, t, params: BackboneParams, head_gates=None, *, co
     n = b * c
     if cond is None:
         cond = condition_features(x_bar, params)
-    want = (n, t_len, params.spec.width)
+    want = (n, params.spec.width, t_len)
     shapes = [ad.value_of(m).shape for m in cond]
     if len(shapes) != params.spec.depth or any(s != want for s in shapes):
         raise ValueError(
@@ -228,7 +228,7 @@ def noise_estimate(x_t, x_bar, t, params: BackboneParams, head_gates=None, *, co
         main = rfamoe_forward(h, level.main, (b, c), params.spec.gate_mode, source)
         h = ad.add(main, bridge_forward(cond_map, steps, level.bridge))
         source = None
-    out = fusion_moe_forward(h, params.head, gates_override=head_gates)  # [N, T, 1]
+    out = fusion_moe_forward(h, params.head, gates_override=head_gates)  # [N, 1, T]
     return ad.reshape(out, (b, c, t_len))
 
 

@@ -4,9 +4,9 @@ All forward functions accept parameters holding either plain arrays
 (pure inference) or graph-attached :class:`~moediff.autodiff.Var` handles
 (training); see :func:`moediff.backbone.lift_params`.
 
-Layouts: block inputs and outputs are time-major feature maps [N, T, L]
-with N = B * C independent per-channel maps; convolutions run internally
-in [N, L, T].
+Layout: every feature map is channel-major, [N, L, T] with N = B * C
+independent per-channel maps, the layout the convolutions, the instance
+norm and the routing read directly.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ def _compose_source(conv: ConvParams, m):
 
 
 def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int], gate_mode: str, source=None):
-    """Apply the block to [N, T, L] feature maps, N = B * C, routing in
+    """Apply the block to [N, L, T] feature maps, N = B * C, routing in
     ``gate_mode`` (one of :data:`GATE_MODES`).
 
     Stages: routed expert convolution, instance norm, gated split (gelu
@@ -145,7 +145,7 @@ def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int], gate_mode: st
 
     ``source`` optionally gives the input as a linear map of fewer
     channels: ``(z, m)`` with ``z`` [N, R, T] and ``m`` [L, R] such that
-    ``x`` is ``(m @ z)`` transposed to [N, T, L]. The experts then run on
+    ``x`` is ``m @ z`` for every map. The experts then run on
     ``z`` with ``m`` composed into their weights, an L/R-fold cut in their
     work; routing, the norm and the residual still read ``x``. A pointwise
     lift ``w * x + b`` is the source ``z = [x, 1]``, ``m = [w, b]``: same
@@ -156,8 +156,8 @@ def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int], gate_mode: st
     b, c = dims
     xv = ad.value_of(x)
     if xv.ndim != 3:
-        raise ValueError(f"rfamoe: input must be [N, T, L], got shape {xv.shape}")
-    n, t_len, l_in = xv.shape
+        raise ValueError(f"rfamoe: input must be [N, L, T], got shape {xv.shape}")
+    n, l_in, t_len = xv.shape
     if b * c != n:
         raise ValueError(f"rfamoe: N={n} does not factor as B*C = {b}*{c}")
     l = ad.value_of(params.in_gamma).shape[0]
@@ -173,8 +173,7 @@ def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int], gate_mode: st
                 f"and [L, R] = [{l}, R]"
             )
 
-    xt = ad.transpose(x, (0, 2, 1))  # [N, L, T]
-    sel, gates, _ = route_top1(xt, params.router, gate_mode)
+    sel, gates, _ = route_top1(x, params.router, gate_mode)
 
     # One scatter puts every active expert's output rows back in place.
     outs, rows = [], []
@@ -182,7 +181,7 @@ def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int], gate_mode: st
         idx = np.where(sel == e)[0]
         if idx.size:
             if source is None:
-                rows_in, weight = ad.take_rows(xt, idx), conv.weight
+                rows_in, weight = ad.take_rows(x, idx), conv.weight
             else:
                 rows_in, weight = ad.take_rows(source[0], idx), _compose_source(conv, source[1])
             outs.append(ad.conv1d(rows_in, weight, conv.bias))
@@ -197,20 +196,19 @@ def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int], gate_mode: st
 
     pointwise = _compose_pointwise(params.gate_proj, params.fuse, c)
     fused = ad.conv1d(ad.reshape(gated, (b, c * half, t_len)), pointwise.weight, pointwise.bias)
-    fused = ad.reshape(fused, (n, l, t_len))
-    return ad.transpose(ad.add(fused, xt), (0, 2, 1))
+    return ad.add(ad.reshape(fused, (n, l, t_len)), x)
 
 
 def bridge_forward(h, t, params: BridgeParams):
-    """FiLM the [N, T, L] feature map: gamma(t) * h + beta(t) per channel,
+    """FiLM the [N, L, T] feature map: gamma(t) * h + beta(t) per channel,
     with ``t`` one step for every map or an array of N steps, one per map."""
     w = params.film.weight
     d_emb, two_l = ad.value_of(w).shape
     l = two_l // 2
     emb = step_embedding(t, d_emb).reshape(-1, d_emb)  # [1 or N, d_emb]
     gb = ad.add(ad.matmul(emb, w), params.film.bias)  # [1 or N, 2L]
-    gamma = ad.reshape(ad.slice_axis(gb, 1, 0, l), (-1, 1, l))
-    beta = ad.reshape(ad.slice_axis(gb, 1, l, two_l), (-1, 1, l))
+    gamma = ad.reshape(ad.slice_axis(gb, 1, 0, l), (-1, l, 1))
+    beta = ad.reshape(ad.slice_axis(gb, 1, l, two_l), (-1, l, 1))
     return ad.add(ad.mul(h, gamma), beta)
 
 
@@ -225,11 +223,11 @@ def fusion_moe_forward(x, params: FusionMoEParams, gates_override=None):
     """
     xv = ad.value_of(x)
     if xv.ndim != 3:
-        raise ValueError(f"fusion head: input must be [N, T, L], got shape {xv.shape}")
-    n, _, l = xv.shape
+        raise ValueError(f"fusion head: input must be [N, L, T], got shape {xv.shape}")
+    n, l, _ = xv.shape
     k = len(params.experts)
     if gates_override is None:
-        pooled = ad.mean(x, axis=1)  # [N, L]
+        pooled = ad.mean(x, axis=2)  # [N, L]
         logits = ad.add(ad.matmul(pooled, params.router.weight), params.router.bias)
         gates = ad.softmax(logits)
     else:
@@ -243,7 +241,7 @@ def fusion_moe_forward(x, params: FusionMoEParams, gates_override=None):
     b_stack = ad.concat([ad.reshape(e.bias, (1, 1)) for e in params.experts], axis=0)  # [K, 1]
     merged_w = ad.matmul(gates, w_stack)  # [N, L]
     merged_b = ad.matmul(gates, b_stack)  # [N, 1]
-    out = ad.bmm(x, ad.reshape(merged_w, (n, l, 1)))  # [N, T, 1]
+    out = ad.bmm(ad.reshape(merged_w, (n, 1, l)), x)  # [N, 1, T]
     return ad.add(out, ad.reshape(merged_b, (n, 1, 1)))
 
 

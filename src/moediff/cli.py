@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .backbone import load_backbone, param_count
-from .config import RunConfig, load_config, toy_profile
+from .config import RunConfig, load_config
 from .diffusion import make_schedule, sample
 from .kshot import (
     ConvexLoss,
@@ -84,6 +84,10 @@ def _add_mask_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--drop-channels", type=int)
 
 
+# SyntheticConfig fields that synth takes as flags, with the dataclass's defaults
+_SYNTH_FLAGS = ("f_min", "f_max", "harmonics", "spike_prob", "amp_jitter", "noise_sigma")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="moediff", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -91,12 +95,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     _add_common(p)
     p.add_argument("--n-samples", type=int, default=64)
-    p.add_argument("--f-min", type=float, default=3.0)
-    p.add_argument("--f-max", type=float, default=9.0)
-    p.add_argument("--harmonics", type=int, default=2)
-    p.add_argument("--spike-prob", type=float, default=0.3)
-    p.add_argument("--amp-jitter", type=float, default=0.2)
-    p.add_argument("--noise-sigma", type=float, default=0.05)
+    for name in _SYNTH_FLAGS:
+        default = getattr(SyntheticConfig, name)
+        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
     p.add_argument("--format", choices=("tsb1", "csv"), default="tsb1")
 
     p = sub.add_parser("train", help="train the noise estimator")
@@ -149,7 +150,7 @@ def build_parser() -> _Parser:
 
 
 def _load_cfg(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else toy_profile()
+    cfg = load_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
         cfg.seed = args.seed
     return cfg.check()
@@ -165,19 +166,31 @@ def _mask_spec(cfg: RunConfig, args) -> MaskSpec:
     return dataclasses.replace(training_mask_spec(cfg), **{k: v for k, v in updates.items() if v is not None})
 
 
+def _masked_task(args, data_path):
+    """The shared start of the commands that mask a dataset and reconstruct
+    it with a checkpoint: (cfg, params, signals, mask, x_bar, schedule).
+    A dataset whose channel count differs from the checkpoint's raises
+    ValueError naming it."""
+    cfg = _load_cfg(args)
+    params, _ = load_backbone(args.checkpoint, gate_mode=cfg.gate_mode)
+    signals = load_signals(data_path)
+    if signals.shape[1] != params.spec.channels:
+        raise ValueError(
+            f"checkpoint expects {params.spec.channels} channels, {data_path} has {signals.shape[1]}"
+        )
+    mask = _mask_spec(cfg, args).build(*signals.shape)
+    sched = make_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
+    return cfg, params, signals, mask, apply_mask(signals, mask), sched
+
+
 def _cmd_synth(args) -> int:
     cfg = _load_cfg(args)
     scfg = SyntheticConfig(
         n_samples=args.n_samples,
         channels=cfg.channels,
         t_len=cfg.t_len,
-        f_min=args.f_min,
-        f_max=args.f_max,
-        harmonics=args.harmonics,
-        spike_prob=args.spike_prob,
-        amp_jitter=args.amp_jitter,
-        noise_sigma=args.noise_sigma,
         seed=cfg.seed,
+        **{name: getattr(args, name) for name in _SYNTH_FLAGS},
     )
     data = synth_generate(scfg)
     os.makedirs(args.out, exist_ok=True)
@@ -200,16 +213,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_impute(args) -> int:
-    cfg = _load_cfg(args)
-    params, _ = load_backbone(args.checkpoint, gate_mode=cfg.gate_mode)
-    signals = load_signals(args.input)
-    if signals.shape[1] != params.spec.channels:
-        raise ValueError(
-            f"checkpoint expects {params.spec.channels} channels, input has {signals.shape[1]}"
-        )
-    sched = make_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
-    mask = _mask_spec(cfg, args).build(*signals.shape)
-    x_bar = apply_mask(signals, mask)
+    cfg, params, signals, mask, x_bar, sched = _masked_task(args, args.input)
     recon = sample(params, x_bar, sched, np.random.default_rng(cfg.seed))
     os.makedirs(args.out, exist_ok=True)
     write_tsb1(os.path.join(args.out, "reconstruction.tsb1"), recon)
@@ -239,12 +243,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_compare_kshot(args) -> int:
-    cfg = _load_cfg(args)
-    params, _ = load_backbone(args.checkpoint, gate_mode=cfg.gate_mode)
-    truth = load_signals(args.data)
-    mask = _mask_spec(cfg, args).build(*truth.shape)
-    x_bar = apply_mask(truth, mask)
-    sched = make_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
+    cfg, params, truth, mask, x_bar, sched = _masked_task(args, args.data)
     rows = compare_kshot(
         params,
         truth,
@@ -333,12 +332,7 @@ def _cmd_theorem_check(args) -> int:
 
 
 def _cmd_error_dist(args) -> int:
-    cfg = _load_cfg(args)
-    params, _ = load_backbone(args.checkpoint, gate_mode=cfg.gate_mode)
-    truth = load_signals(args.data)
-    mask = _mask_spec(cfg, args).build(*truth.shape)
-    x_bar = apply_mask(truth, mask)
-    sched = make_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
+    cfg, params, truth, mask, x_bar, sched = _masked_task(args, args.data)
     if not 0 <= args.sample < truth.shape[0]:
         raise ValueError(
             f"--sample {args.sample} outside 0..{truth.shape[0] - 1}: "

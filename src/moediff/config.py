@@ -1,9 +1,10 @@
 """Run configuration: flat ``key=value`` files with ``#`` comments.
 
-Two built-in profiles: the toy profile keeps every experiment in the
-minutes range on one core; the full profile is sized for real 12-lead
-recordings (40 diffusion steps, width 160, 15 receptive field experts,
-16 head experts, batch 6).
+Two profiles ship in ``configs/``: ``toy.cfg`` restates the
+:class:`RunConfig` defaults, which keep every experiment in the minutes
+range on one core; ``full.cfg`` is sized for real 12-lead recordings
+(40 diffusion steps, width 160, 15 receptive field experts, 16 head
+experts, batch 6).
 """
 
 from __future__ import annotations
@@ -69,25 +70,6 @@ class RunConfig:
         return self
 
 
-def toy_profile() -> RunConfig:
-    return RunConfig()
-
-
-def full_profile() -> RunConfig:
-    return RunConfig(
-        steps=40,
-        width=160,
-        depth=3,
-        rfa_kernels=tuple(range(3, 32, 2)),  # 15 experts
-        head_experts=16,
-        channels=12,
-        t_len=1000,
-        batch=6,
-        train_steps=20000,
-        drop_length=300,
-    )
-
-
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
@@ -127,18 +109,6 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: key {key!r}: {exc}") from None
     return RunConfig(**values).check()
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    lines = []
-    for f in dataclasses.fields(RunConfig):
-        v = getattr(cfg, f.name)
-        if isinstance(v, tuple):
-            v = ",".join(str(p) for p in v)
-        elif isinstance(v, bool):
-            v = "true" if v else "false"
-        lines.append(f"{f.name} = {v}")
-    return "\n".join(lines) + "\n"
 
 
 def load_config(path) -> RunConfig:

@@ -36,10 +36,13 @@ class NoiseSchedule:
         alpha = 1.0 - beta
         return cls(beta=beta, alpha=alpha, alpha_bar=np.cumprod(alpha))
 
-    def check_step(self, t: int) -> int:
-        if not 1 <= t <= self.t_steps:
-            raise ValueError(f"step t={t} outside 1..{self.t_steps}")
-        return int(t)
+    def check_step(self, t):
+        """``t`` as an int, or an array of steps as an int array; a step
+        outside 1..t_steps raises ValueError."""
+        steps = np.asarray(t)
+        if np.any((steps < 1) | (steps > self.t_steps)):
+            raise ValueError(f"step t={steps.tolist()} outside 1..{self.t_steps}")
+        return int(steps) if steps.ndim == 0 else steps.astype(int)
 
 
 @dataclass(frozen=True)
@@ -73,14 +76,18 @@ def reverse_coefficients(sched: NoiseSchedule, t: int) -> ReverseCoefficients:
     return ReverseCoefficients(a=a, b=b, sigma=sigma)
 
 
-def forward_noise(x0, t: int, eps, sched: NoiseSchedule):
-    """x_t = sqrt(abar_t) x0 + sqrt(1 - abar_t) eps."""
+def forward_noise(x0, t, eps, sched: NoiseSchedule):
+    """x_t = sqrt(abar_t) x0 + sqrt(1 - abar_t) eps, with ``t`` one step for
+    all of ``x0`` or an array of steps, one per row of its first axis."""
     x0, eps = as_tensor(x0), as_tensor(eps)
     if x0.shape != eps.shape:
         raise ValueError(f"forward_noise: x0 shape {x0.shape} != eps shape {eps.shape}")
-    t = sched.check_step(t)
-    abar = sched.alpha_bar[t - 1]
-    return math.sqrt(abar) * x0 + math.sqrt(1.0 - abar) * eps
+    abar = sched.alpha_bar[sched.check_step(t) - 1]
+    if np.ndim(abar):
+        if abar.shape != x0.shape[:1]:
+            raise ValueError(f"forward_noise: steps of shape {abar.shape} do not fit x0 rows {x0.shape}")
+        abar = abar.reshape(-1, *(1,) * (x0.ndim - 1))
+    return np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
 
 
 def reverse_step(x_t, eps_hat, t: int, sched: NoiseSchedule, z):
@@ -147,8 +154,7 @@ def train_step(
 
     ts = rng.integers(1, sched.t_steps + 1, size=batch.shape[0])
     eps = rng.standard_normal(batch.shape)
-    abar = sched.alpha_bar[ts - 1][:, None, None]
-    x_t = np.sqrt(abar) * batch + np.sqrt(1.0 - abar) * eps
+    x_t = forward_noise(batch, ts, eps, sched)
     x_bar = batch * mask
 
     graph = ad.Graph()

@@ -95,7 +95,7 @@ def check_primitive_layers(seed: int = 0, points: int = 100):
 
 def _routing_margin(x, params) -> float:
     """Smallest top-2 logit gap over the feature maps of ``x``."""
-    _, _, logits = route_top1(np.transpose(x, (0, 2, 1)), params.router)
+    _, _, logits = route_top1(x, params.router)
     if logits.shape[1] < 2:
         return np.inf
     part = np.partition(logits, -2, axis=1)
@@ -114,7 +114,7 @@ def check_blocks(seed: int = 0, points: int = 100):
         mode = "raw" if i % 2 else "unit"
         while True:
             params = init_rfamoe(rng, l, c, (1, 3))
-            x = rng.standard_normal((n, t_len, l))
+            x = rng.standard_normal((n, l, t_len))
             if _routing_margin(x, params) > 0.05:
                 break
         worst = max(
@@ -128,7 +128,7 @@ def check_blocks(seed: int = 0, points: int = 100):
         params = init_bridge(rng, 8, l)
         params.film.weight = rng.standard_normal((8, 2 * l))
         params.film.bias = rng.standard_normal(2 * l)
-        x = rng.standard_normal((n, t_len, l))
+        x = rng.standard_normal((n, l, t_len))
         t = int(rng.integers(1, 11))
         worst = max(
             worst, ad.finite_diff_check(lambda v: _sq_sum(bridge_forward(v, t, params)), x)
@@ -138,7 +138,7 @@ def check_blocks(seed: int = 0, points: int = 100):
     worst = 0.0
     for _ in range(points):
         params = init_fusion(rng, l, 3)
-        x = rng.standard_normal((n, t_len, l))
+        x = rng.standard_normal((n, l, t_len))
         worst = max(
             worst, ad.finite_diff_check(lambda v: _sq_sum(fusion_moe_forward(v, params)), x)
         )

@@ -36,14 +36,13 @@ def naive_conv1d(x, w, b, padding="same"):
     n, cin, t = x.shape
     cout, _, s = w.shape
     if padding == "same":
-        pl = (s - 1) // 2
-        pr = s - 1 - pl
+        p = (s - 1) // 2  # odd kernels only
         t_out = t
     else:
-        pl = pr = 0
+        p = 0
         t_out = t - s + 1
-    xp = np.zeros((n, cin, t + pl + pr))
-    xp[:, :, pl : pl + t] = x
+    xp = np.zeros((n, cin, t + 2 * p))
+    xp[:, :, p : p + t] = x
     out = np.zeros((n, cout, t_out))
     for ni in range(n):
         for co in range(cout):
@@ -101,18 +100,17 @@ def naive_softmax_row(row):
     return np.array([v / z for v in e])
 
 
-def naive_rfamoe(x_ntl, params, b, c, gate_mode):
-    """Stage-by-stage reference of the adaptive-receptive-field block."""
-    n, t_len, _ = x_ntl.shape
-    l = len(params.in_gamma)
-    xt = np.transpose(x_ntl, (0, 2, 1))  # [N, L, T]
+def naive_rfamoe(x, params, b, c, gate_mode):
+    """Stage-by-stage reference of the adaptive-receptive-field block on
+    [N, L, T] maps."""
+    n, l, t_len = x.shape
 
-    pooled = xt.mean(axis=2)
+    pooled = x.mean(axis=2)
     logits = pooled @ params.router.weight + params.router.bias
     routed = np.zeros((n, l, t_len))
     for ni in range(n):
         e = int(np.argmax(logits[ni]))
-        y = naive_conv1d(xt[ni : ni + 1], params.experts[e].weight, params.experts[e].bias)
+        y = naive_conv1d(x[ni : ni + 1], params.experts[e].weight, params.experts[e].bias)
         if gate_mode == "raw":
             y = y * naive_softmax_row(logits[ni])[e]
         routed[ni] = y[0]
@@ -123,20 +121,19 @@ def naive_rfamoe(x_ntl, params, b, c, gate_mode):
     fused = naive_conv1d(
         body.reshape(b, c * l, t_len), params.fuse.weight, params.fuse.bias
     ).reshape(n, l, t_len)
-    return np.transpose(fused + xt, (0, 2, 1))
+    return fused + x
 
 
 def two_conv_rfamoe(x, params, b, c, gate_mode):
     """The block from tape ops with ``gate_proj`` and ``fuse`` applied as
     two convolutions, as the stored parameters describe them."""
-    xt = ad.transpose(x, (0, 2, 1))
-    n, l, t_len = ad.value_of(xt).shape
-    sel, gates, _ = route_top1(xt, params.router, gate_mode)
+    n, l, t_len = ad.value_of(x).shape
+    sel, gates, _ = route_top1(x, params.router, gate_mode)
     outs, rows = [], []
     for e, conv in enumerate(params.experts):
         idx = np.where(sel == e)[0]
         if idx.size:
-            outs.append(ad.conv1d(ad.take_rows(xt, idx), conv.weight, conv.bias))
+            outs.append(ad.conv1d(ad.take_rows(x, idx), conv.weight, conv.bias))
             rows.append(idx)
     routed = ad.scatter_rows(ad.concat(outs, axis=0), np.concatenate(rows), n)
     if gate_mode == "raw":
@@ -145,18 +142,19 @@ def two_conv_rfamoe(x, params, b, c, gate_mode):
     gated = ad.mul(ad.gelu(ad.slice_axis(h, 1, 0, l // 2)), ad.slice_axis(h, 1, l // 2, l))
     body = ad.conv1d(gated, params.gate_proj.weight, params.gate_proj.bias)
     fused = ad.conv1d(ad.reshape(body, (b, c * l, t_len)), params.fuse.weight, params.fuse.bias)
-    return ad.transpose(ad.add(ad.reshape(fused, (n, l, t_len)), xt), (0, 2, 1))
+    return ad.add(ad.reshape(fused, (n, l, t_len)), x)
 
 
 def explicit_lift_rfamoe(x1, lift, params, b, c, gate_mode):
     """The block on the maps ``h0 = lift(x1)`` of [N, 1, T] signals, the
     pointwise lift applied as its own convolution and handed over as the
     block's input with no lifted source."""
-    h0 = ad.transpose(ad.conv1d(x1, lift.weight, lift.bias), (0, 2, 1))
+    h0 = ad.conv1d(x1, lift.weight, lift.bias)
     return rfamoe_forward(h0, params, (b, c), gate_mode)
 
 
-def naive_bridge(h_ntl, t, params):
+def naive_bridge(h, t, params):
+    """FiLM of [N, L, T] maps, one affine map per feature channel."""
     d_emb = params.film.weight.shape[0]
     l = params.film.weight.shape[1] // 2
     emb = np.zeros(d_emb)
@@ -166,27 +164,28 @@ def naive_bridge(h_ntl, t, params):
         emb[2 * i + 1] = math.cos(ang)
     gb = emb @ params.film.weight + params.film.bias
     gamma, beta = gb[:l], gb[l:]
-    out = np.zeros_like(h_ntl)
-    for ni in range(h_ntl.shape[0]):
-        for ti in range(h_ntl.shape[1]):
-            for li in range(l):
-                out[ni, ti, li] = gamma[li] * h_ntl[ni, ti, li] + beta[li]
+    out = np.zeros_like(h)
+    for ni in range(h.shape[0]):
+        for li in range(l):
+            for ti in range(h.shape[2]):
+                out[ni, li, ti] = gamma[li] * h[ni, li, ti] + beta[li]
     return out
 
 
-def naive_fusion_moe(x_ntl, params, gates=None):
-    n, t_len, l = x_ntl.shape
+def naive_fusion_moe(x, params, gates=None):
+    """The fusion head on [N, L, T] maps; [N, 1, T] out."""
+    n, l, t_len = x.shape
     k = len(params.experts)
     if gates is None:
-        pooled = x_ntl.mean(axis=1)
+        pooled = x.mean(axis=2)
         logits = pooled @ params.router.weight + params.router.bias
         gates = np.stack([naive_softmax_row(row) for row in logits])
-    out = np.zeros((n, t_len, 1))
+    out = np.zeros((n, 1, t_len))
     for ni in range(n):
         mw = sum(gates[ni, ki] * params.experts[ki].weight[0, :, 0] for ki in range(k))
         mb = sum(gates[ni, ki] * params.experts[ki].bias[0] for ki in range(k))
         for ti in range(t_len):
-            out[ni, ti, 0] = mb + sum(mw[li] * x_ntl[ni, ti, li] for li in range(l))
+            out[ni, 0, ti] = mb + sum(mw[li] * x[ni, li, ti] for li in range(l))
     return out
 
 
@@ -195,8 +194,6 @@ def naive_backbone(x_t, x_bar, t, params):
     n = b * c
     h = naive_conv1d(x_t.reshape(n, 1, t_len), params.lift_xt.weight, params.lift_xt.bias)
     cond = naive_conv1d(x_bar.reshape(n, 1, t_len), params.lift_cond.weight, params.lift_cond.bias)
-    h = np.transpose(h, (0, 2, 1))
-    cond = np.transpose(cond, (0, 2, 1))
     for level in params.levels:
         cond = naive_rfamoe(cond, level.cond, b, c, params.spec.gate_mode)
         h = naive_rfamoe(h, level.main, b, c, params.spec.gate_mode) + naive_bridge(cond, t, level.bridge)

@@ -17,7 +17,7 @@ import pytest
 from moediff.backbone import init_backbone, noise_estimate
 from moediff.blocks import fusion_moe_forward, init_fusion
 from moediff.cli import main as cli_main
-from moediff.config import toy_profile
+from moediff.config import RunConfig
 from moediff.diffusion import make_schedule, reverse_step, sample
 from moediff.gradcheck import check_backbone_params, check_blocks, check_primitive_layers
 from moediff.kshot import (
@@ -54,7 +54,7 @@ def criterion(number, description):
 
 @pytest.fixture(scope="module")
 def toy_run(tmp_path_factory):
-    cfg = toy_profile()  # width 16, depth 1, 5 kernel experts, 4 head experts, 10 steps
+    cfg = RunConfig()  # width 16, depth 1, 5 kernel experts, 4 head experts, 10 steps
     cfg.train_steps = 500
     train_data = synth_generate(
         SyntheticConfig(n_samples=64, channels=cfg.channels, t_len=cfg.t_len, seed=5)
@@ -101,7 +101,8 @@ def test_criterion_01_fusion_algebra():
             l = int(rng.integers(2, 8))
             n = int(rng.integers(1, 4))
             params = init_fusion(rng, l, k)
-            x = rng.standard_normal((n, int(rng.integers(2, 12)), l))
+            t_len = int(rng.integers(2, 12))
+            x = rng.standard_normal((n, l, t_len))
             gates = rng.dirichlet(np.ones(k), size=n)
             fused = fusion_moe_forward(x, params, gates_override=gates)
             by_outputs = np.zeros_like(fused)

@@ -183,12 +183,12 @@ class TestNoiseEstimate:
             sample(params, np.zeros((1, 3, 8)), make_schedule(2), np.random.default_rng(0))
         # Precomputed condition maps must match params (one per level) and x_t.
         x = np.zeros((1, 2, 8))
-        with pytest.raises(ValueError, match=r"condition maps have shapes \[\], .* need 1 of \(2, 8, 4\)"):
+        with pytest.raises(ValueError, match=r"condition maps have shapes \[\], .* need 1 of \(2, 4, 8\)"):
             noise_estimate(x, x, 1, params, cond=[])
-        wrong_n = r"shapes \[\(4, 8, 4\)\], inputs \(1, 2, 8\) need 1 of \(2, 8, 4\)"
+        wrong_n = r"shapes \[\(4, 4, 8\)\], inputs \(1, 2, 8\) need 1 of \(2, 4, 8\)"
         with pytest.raises(ValueError, match=wrong_n):
             noise_estimate(x, x, 1, params, cond=condition_features(np.zeros((2, 2, 8)), params))
-        with pytest.raises(ValueError, match=r"shapes \[\(2, 9, 4\)\]"):
+        with pytest.raises(ValueError, match=r"shapes \[\(2, 4, 9\)\]"):
             noise_estimate(x, x, 1, params, cond=condition_features(np.zeros((1, 2, 9)), params))
 
 

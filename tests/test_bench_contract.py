@@ -7,8 +7,10 @@ too, since the per-step sampler metric pairs spans call by call, and so
 are the K-shot paths' condition-stack counts that the K-shot times rest on.
 The traced run times every backward rule through ``_BACKWARD`` and measures
 the tape after ``backward`` returns, so both are pinned as well. One short
-traced run of each toy workload checks the benchmark's own outputs (the
-seed-0 reference values and a call in every span)."""
+traced run of each workload checks the benchmark's own outputs (the
+seed-0 reference values and a call in every span); the wide one holds the
+reference where rounding is most exposed (12 channels, depth 2, 16 head
+experts)."""
 
 import importlib
 import json
@@ -196,7 +198,7 @@ def test_tape_span_measures_a_train_step_graph(monkeypatch):
     assert np.isfinite(nbytes) and nbytes > 0
 
 
-@pytest.mark.parametrize("workload", ["train-toy", "impute-kshot-toy"])
+@pytest.mark.parametrize("workload", ["train-toy", "impute-kshot-toy", "train-wide"])
 def test_toy_benchmark_output_checks_pass(workload):
     run = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",

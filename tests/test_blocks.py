@@ -126,7 +126,7 @@ class TestRFAMoE:
         params = self._params(rng)
         for name, _ in named_params(params):
             params = replace_param(params, name, np.zeros_like(dict(named_params(params))[name]))
-        x = rng.standard_normal((4, 6, 4))
+        x = rng.standard_normal((4, 4, 6))
         npt.assert_array_equal(rfamoe_forward(x, params, (2, 2), "unit"), x)
 
     @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
@@ -134,7 +134,7 @@ class TestRFAMoE:
     def test_matches_naive_oracle(self, seed, gate_mode):
         rng = np.random.default_rng(seed)
         params = random_affine(self._params(rng, kernels=(1, 3, 5)), rng)
-        x = rng.standard_normal((4, 7, 4))
+        x = rng.standard_normal((4, 4, 7))
         npt.assert_allclose(
             rfamoe_forward(x, params, (2, 2), gate_mode), naive_rfamoe(x, params, 2, 2, gate_mode), atol=1e-10
         )
@@ -143,7 +143,7 @@ class TestRFAMoE:
     def test_router_on_tape_only_in_raw_mode(self, rng, gate_mode):
         g = ad.Graph()
         params = lift_params(g, self._params(rng))
-        rfamoe_forward(g.leaf(rng.standard_normal((4, 6, 4))), params, (2, 2), gate_mode)
+        rfamoe_forward(g.leaf(rng.standard_normal((4, 4, 6))), params, (2, 2), gate_mode)
         consumed = {i for node in g.nodes for i in node.inputs}
         router_leaves = {params.router.weight.id, params.router.bias.id}
         ops = {node.op for node in g.nodes}
@@ -160,8 +160,8 @@ class TestRFAMoE:
         rng = np.random.default_rng(5)
         plain = self._params(rng, c=3, kernels=(1, 3, 5))
         plain.router.weight = 3.0 * rng.standard_normal((4, 3))
-        x = rng.standard_normal((12, 6, 4))
-        sel, _, _ = route_top1(np.transpose(x, (0, 2, 1)), plain.router, gate_mode)
+        x = rng.standard_normal((12, 4, 6))
+        sel, _, _ = route_top1(x, plain.router, gate_mode)
         active = len(np.unique(sel))
         assert active >= 2
         g = ad.Graph()
@@ -173,6 +173,15 @@ class TestRFAMoE:
         assert ops.count("conv1d") == active + 1
         # The composed bias, the residual, and the router's bias in raw mode.
         assert ops.count("add") == (2 if gate_mode == "unit" else 3)
+
+    @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
+    def test_no_source_call_records_no_transpose(self, rng, gate_mode):
+        # Maps stay [N, L, T] from block to block: a call with no lifted
+        # source, as at every level after the first, changes no layout.
+        g = ad.Graph()
+        params = lift_params(g, self._params(rng))
+        rfamoe_forward(g.leaf(rng.standard_normal((4, 4, 6))), params, (2, 2), gate_mode)
+        assert "transpose" not in {node.op for node in g.nodes}
 
     @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
     @pytest.mark.parametrize("c", [1, 3])
@@ -187,7 +196,7 @@ class TestRFAMoE:
         plain.router.weight = 3.0 * rng.standard_normal((6, 3))
         for conv in [plain.gate_proj, plain.fuse] + plain.experts:
             conv.bias = rng.standard_normal(conv.bias.shape)
-        x = rng.standard_normal((2 * c, 9, 6))
+        x = rng.standard_normal((2 * c, 6, 9))
         probe = rng.standard_normal(x.shape)
 
         def run(forward):
@@ -219,7 +228,7 @@ class TestRFAMoE:
             conv.bias = rng.standard_normal(conv.bias.shape)
         b = 4 // c + 1
         x1 = rng.standard_normal((b * c, 1, 9)) + np.linspace(-3.0, 3.0, b * c)[:, None, None]
-        probe = rng.standard_normal((b * c, 9, 6))
+        probe = rng.standard_normal((b * c, 6, 9))
         return plain, lift, x1, b, probe
 
     def _run_lifted(self, forward, c, gate_mode):
@@ -233,7 +242,7 @@ class TestRFAMoE:
     @staticmethod
     def _with_source(x1, lift, params, b, c, gate_mode):
         # z = [x1, 1] and m = [w, b], so the block input is m @ z.
-        h0 = ad.transpose(ad.conv1d(x1, lift.weight, lift.bias), (0, 2, 1))
+        h0 = ad.conv1d(x1, lift.weight, lift.bias)
         z = ad.concat([x1, np.ones(ad.value_of(x1).shape)], axis=1)
         m = ad.concat([ad.reshape(lift.weight, (-1, 1)), ad.reshape(lift.bias, (-1, 1))], axis=1)
         return rfamoe_forward(h0, params, (b, c), gate_mode, (z, m))
@@ -276,7 +285,7 @@ class TestRFAMoE:
         experts = plain.experts
         if broken == "constant_bias":
             experts = [ConvParams(e.weight, e.bias + e.weight.sum(axis=2) @ lift.bias) for e in experts]
-        h0 = np.transpose(ad.conv1d(x1, lift.weight, lift.bias), (0, 2, 1))
+        h0 = ad.conv1d(x1, lift.weight, lift.bias)
         source = (x1, lift.weight.reshape(-1, 1))
         y = rfamoe_forward(h0, replace(plain, experts=experts), (b, 3), "unit", source)
         close = np.allclose(y, y_ref, rtol=1e-12, atol=1e-12 * np.abs(y_ref).max())
@@ -286,19 +295,16 @@ class TestRFAMoE:
         # B = C = 1: the cross-channel reshape is a no-op, so the output is
         # the residual plus the fusion conv applied to the gated body alone.
         params = self._params(rng, c=1)
-        x = rng.standard_normal((1, 6, 4))
+        x = rng.standard_normal((1, 4, 6))
         out = rfamoe_forward(x, params, (1, 1), "unit")
 
-        xt = np.transpose(x, (0, 2, 1))
-        pooled = xt.mean(axis=2)
+        pooled = x.mean(axis=2)
         sel = int(np.argmax(pooled @ params.router.weight + params.router.bias))
-        routed = naive_conv1d(xt, params.experts[sel].weight, params.experts[sel].bias)
+        routed = naive_conv1d(x, params.experts[sel].weight, params.experts[sel].bias)
         h = ad.instance_norm(routed, params.in_gamma, params.in_beta)
         gated = ad.gelu(h[:, :2]) * h[:, 2:]
         body = naive_conv1d(gated, params.gate_proj.weight, params.gate_proj.bias)
-        expected = np.transpose(
-            naive_conv1d(body, params.fuse.weight, params.fuse.bias) + xt, (0, 2, 1)
-        )
+        expected = naive_conv1d(body, params.fuse.weight, params.fuse.bias) + x
         npt.assert_allclose(out, expected, atol=1e-11)
 
     def test_hand_traced_identity_configuration(self):
@@ -313,7 +319,7 @@ class TestRFAMoE:
             gate_proj=ConvParams(weight=np.array([[[2.0]], [[-1.0]]]), bias=np.zeros(l)),
             fuse=ConvParams(weight=np.array([[[1.0], [1.0]], [[0.0], [1.0]]]), bias=np.array([0.5, 0.0])),
         )
-        x = np.array([[[1.0, 0.0], [2.0, 1.0], [3.0, -1.0]]])  # [1, T=3, L=2]
+        x = np.array([[[1.0, 2.0, 3.0], [0.0, 1.0, -1.0]]])  # [1, L=2, T=3]
 
         # Stage by stage, by hand:
         ch0, ch1 = np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, -1.0])
@@ -323,7 +329,7 @@ class TestRFAMoE:
         body0, body1 = 2.0 * gated, -1.0 * gated
         fused0 = body0 + body1 + 0.5
         fused1 = body1
-        expected = np.stack([fused0 + ch0, fused1 + ch1], axis=1)[None]
+        expected = np.stack([fused0 + ch0, fused1 + ch1])[None]
         npt.assert_allclose(rfamoe_forward(x, params, (1, 1), "unit"), expected, atol=1e-12)
 
     def test_shape_errors(self, rng):
@@ -336,21 +342,21 @@ class TestRFAMoE:
         with pytest.raises(ValueError, match="even"):
             rfamoe_forward(rng.standard_normal((4, 4, 4)), odd, (2, 2), "unit")
         with pytest.raises(ValueError, match="input width 2 differs from the block's width 4"):
-            rfamoe_forward(rng.standard_normal((4, 4, 2)), params, (2, 2), "unit")
-        x = rng.standard_normal((4, 5, 4))
+            rfamoe_forward(rng.standard_normal((4, 2, 4)), params, (2, 2), "unit")
+        x = rng.standard_normal((4, 4, 5))
         m = rng.standard_normal((4, 2))
         for z_shape, m in [((4, 2, 6), m), ((3, 2, 5), m), ((4, 3, 5), m), ((4, 2, 5), m[:3])]:
             with pytest.raises(ValueError, match=r"source z .* do not fit \[N, R, T\] = \[4, R, 5\]"):
                 rfamoe_forward(x, params, (2, 2), "unit", (rng.standard_normal(z_shape), m))
 
     def test_unknown_gate_mode_rejected(self, rng):
-        x = rng.standard_normal((4, 6, 4))
+        x = rng.standard_normal((4, 4, 6))
         with pytest.raises(ValueError, match=r"'soft' is not one of \('unit', 'raw'\)"):
             rfamoe_forward(x, self._params(rng), (2, 2), "soft")
 
     def test_every_parameter_gradient(self, rng):
         params = self._params(rng, kernels=(1, 3))
-        x = rng.standard_normal((2, 5, 4))
+        x = rng.standard_normal((2, 4, 5))
 
         worst = 0.0
         for name, leaf in named_params(params):
@@ -379,13 +385,13 @@ class TestBridge:
         return BridgeParams(film=film)
 
     def test_identity_modulation(self, rng):
-        h = rng.standard_normal((2, 5, 3))
+        h = rng.standard_normal((2, 3, 5))
         npt.assert_array_equal(bridge_forward(h, 3, self._identity_params()), h)
 
     def test_constant_collapse(self, rng):
         params = self._identity_params()
         params.film.bias = np.concatenate([np.zeros(3), np.full(3, 2.5)])
-        out = bridge_forward(rng.standard_normal((2, 5, 3)), 1, params)
+        out = bridge_forward(rng.standard_normal((2, 3, 5)), 1, params)
         npt.assert_allclose(out, 2.5, atol=1e-15)
 
     def test_direct_affine_arithmetic(self):
@@ -401,7 +407,7 @@ class TestBridge:
         params = init_bridge(rng, 8, 4)
         params.film.weight = rng.standard_normal((8, 8))
         params.film.bias = rng.standard_normal(8)
-        h = rng.standard_normal((3, 6, 4))
+        h = rng.standard_normal((3, 4, 6))
         for t in (1, 7, 40):
             npt.assert_allclose(bridge_forward(h, t, params), naive_bridge(h, t, params), atol=1e-12)
         # One step per feature map: each row is FiLMed with its own step.
@@ -415,9 +421,9 @@ class TestBridge:
         params = init_bridge(rng, 6, 4)
         params.film.weight = rng.standard_normal((6, 8))
         params.film.bias = rng.standard_normal(8)
-        h1, h2 = rng.standard_normal((2, 2, 5, 4))
+        h1, h2 = rng.standard_normal((2, 2, 4, 5))
         a, b = 0.7, -0.4
-        beta_term = bridge_forward(np.zeros((2, 5, 4)), 3, params)
+        beta_term = bridge_forward(np.zeros((2, 4, 5)), 3, params)
         lhs = bridge_forward(a * h1 + b * h2, 3, params)
         rhs = a * bridge_forward(h1, 3, params) + b * bridge_forward(h2, 3, params) + (
             1.0 - a - b
@@ -426,7 +432,7 @@ class TestBridge:
 
     def test_film_parameter_gradients(self, rng):
         params = init_bridge(rng, 6, 4)
-        h = rng.standard_normal((2, 5, 4))
+        h = rng.standard_normal((2, 4, 5))
         for name, leaf in named_params(params):
             shape = np.asarray(leaf).shape
 
@@ -440,18 +446,18 @@ class TestBridge:
 class TestFusionMoE:
     def test_one_hot_gates_select_expert(self, rng):
         params = init_fusion(rng, 4, 3)
-        x = rng.standard_normal((2, 6, 4))
+        x = rng.standard_normal((2, 4, 6))
         for k in range(3):
             one_hot = np.zeros(3)
             one_hot[k] = 1.0
             out = fusion_moe_forward(x, params, gates_override=one_hot)
             w = params.experts[k].weight[0, :, 0]
-            expected = x @ w[:, None] + params.experts[k].bias[0]
+            expected = w[None, :] @ x + params.experts[k].bias[0]
             npt.assert_allclose(out, expected, atol=1e-12)
 
     def test_single_expert_ignores_router(self, rng):
         params = init_fusion(rng, 4, 1)
-        x = rng.standard_normal((2, 6, 4))
+        x = rng.standard_normal((2, 4, 6))
         out = fusion_moe_forward(x, params)
         params.router.weight = rng.standard_normal((4, 1)) * 100
         npt.assert_allclose(fusion_moe_forward(x, params), out, atol=1e-12)
@@ -459,7 +465,7 @@ class TestFusionMoE:
     def test_uniform_gates_average_outputs(self, rng):
         # Linearity oracle: compute both experts separately, average.
         params = init_fusion(rng, 4, 2)
-        x = rng.standard_normal((3, 5, 4))
+        x = rng.standard_normal((3, 4, 5))
         uniform = np.array([0.5, 0.5])
         fused = fusion_moe_forward(x, params, gates_override=uniform)
         separate = 0.5 * (
@@ -470,7 +476,7 @@ class TestFusionMoE:
 
     def test_matches_naive_oracle(self, rng):
         params = init_fusion(rng, 5, 4)
-        x = rng.standard_normal((3, 7, 5))
+        x = rng.standard_normal((3, 5, 7))
         npt.assert_allclose(fusion_moe_forward(x, params), naive_fusion_moe(x, params), atol=1e-11)
 
     @settings(max_examples=50, deadline=None)
@@ -479,7 +485,7 @@ class TestFusionMoE:
         rng = np.random.default_rng(seed)
         k, l = int(rng.integers(1, 6)), 4
         params = init_fusion(rng, l, k)
-        x = rng.standard_normal((3, 6, l))
+        x = rng.standard_normal((3, l, 6))
         gates = rng.dirichlet(np.ones(k), size=3)
         fused = fusion_moe_forward(x, params, gates_override=gates)
         by_outputs = np.zeros_like(fused)
@@ -492,7 +498,7 @@ class TestFusionMoE:
 
     def test_router_and_expert_gradients(self, rng):
         params = init_fusion(rng, 4, 3)
-        x = rng.standard_normal((2, 5, 4))
+        x = rng.standard_normal((2, 4, 5))
         for name, leaf in named_params(params):
             shape = np.asarray(leaf).shape
 

@@ -211,17 +211,18 @@ class TestExitCodes:
                    "--out", str(tmp_path / "x")])
         assert rc == 3
 
-    def test_checkpoint_dimension_mismatch_is_2(self, workspace, tmp_path):
-        other = tmp_path / "other"
-        rc = main(["synth", "--config", workspace["cfg"], "--out", str(other), "--n-samples", "2"])
-        assert rc == 0
+    def test_checkpoint_dimension_mismatch_is_2(self, workspace, tmp_path, capsys):
+        # Every command that masks a dataset for a checkpoint checks its
+        # channel count up front, with the same located message.
         cfg3 = tmp_path / "c3.cfg"
         cfg3.write_text(TINY_CONFIG.replace("channels = 2", "channels = 3"))
-        data3 = tmp_path / "d3"
-        assert main(["synth", "--config", str(cfg3), "--out", str(data3), "--n-samples", "2"]) == 0
-        rc = main(["impute", "--config", workspace["cfg"], "--checkpoint", workspace["ckpt"],
-                   "--input", str(data3 / "dataset.tsb1"), "--out", str(tmp_path / "imp")])
-        assert rc == 2
+        data3 = str(tmp_path / "d3" / "dataset.tsb1")
+        assert main(["synth", "--config", str(cfg3), "--out", str(tmp_path / "d3"), "--n-samples", "2"]) == 0
+        common = ["--config", workspace["cfg"], "--checkpoint", workspace["ckpt"], "--out", str(tmp_path / "x")]
+        for command, data_flag in (("impute", "--input"), ("compare-kshot", "--data"), ("error-dist", "--data")):
+            capsys.readouterr()
+            assert main([command, data_flag, data3, *common]) == 2, command
+            assert f"checkpoint expects 2 channels, {data3} has 3" in capsys.readouterr().err, command
 
     @pytest.mark.parametrize(
         "line, key",

@@ -1,23 +1,28 @@
-"""Flat key=value configuration: parsing, serialization, validation."""
+"""Flat key=value configuration: parsing, the shipped profiles, validation."""
 
-import dataclasses
+from pathlib import Path
 
 import pytest
 
-from moediff.config import RunConfig, full_profile, parse_config, serialize_config, toy_profile
+from moediff.config import RunConfig, load_config, parse_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestConfigRoundtrip:
-    def test_parse_serialize_parse_identity(self):
-        cfg = RunConfig(steps=7, width=8, rfa_kernels=(3, 7), lr=0.01, mask_kind="random", seed=42)
-        text = serialize_config(cfg)
-        again = parse_config(text)
-        assert dataclasses.asdict(again) == dataclasses.asdict(cfg)
-        assert serialize_config(again) == text
+    def test_parse_reads_every_value_type(self):
+        text = (
+            "steps = 7\nwidth = 8\nrfa_kernels = 3,7\nlr = 0.01\n"
+            "mask_kind = random\nshared_window = yes\nseed = 42\n"
+        )
+        cfg = RunConfig(
+            steps=7, width=8, rfa_kernels=(3, 7), lr=0.01, mask_kind="random", shared_window=True, seed=42
+        )
+        assert parse_config(text) == cfg
 
     def test_defaults_roundtrip(self):
-        cfg = toy_profile()
-        assert parse_config(serialize_config(cfg)) == cfg
+        # configs/toy.cfg restates every default; the two must not drift apart.
+        assert load_config(CONFIGS / "toy.cfg") == RunConfig()
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("# a comment\n\nsteps = 5  # trailing\nwidth=4\n")
@@ -82,13 +87,13 @@ class TestValidation:
 
 class TestProfiles:
     def test_toy_profile_valid_and_small(self):
-        cfg = toy_profile().check()
+        cfg = RunConfig().check()
         assert cfg.steps == 10
         assert cfg.width == 16
         assert len(cfg.rfa_kernels) == 5
 
     def test_full_profile_hyperparameters(self):
-        cfg = full_profile().check()
+        cfg = load_config(CONFIGS / "full.cfg")
         assert cfg.steps == 40
         assert cfg.width == 160
         assert len(cfg.rfa_kernels) == 15

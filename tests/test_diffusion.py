@@ -94,10 +94,21 @@ class TestForwardNoise:
             forward_noise(x, 0, x, sched10)
         with pytest.raises(ValueError, match="outside"):
             forward_noise(x, 11, x, sched10)
+        with pytest.raises(ValueError, match=r"step t=\[3, 11, 1, 2\] outside 1..10"):
+            forward_noise(x, np.array([3, 11, 1, 2]), x, sched10)
 
     def test_shape_mismatch(self, sched10):
         with pytest.raises(ValueError, match="shape"):
             forward_noise(np.zeros(3), 1, np.zeros(4), sched10)
+        with pytest.raises(ValueError, match=r"steps of shape \(2,\) do not fit x0 rows \(3, 4\)"):
+            forward_noise(np.zeros((3, 4)), np.array([1, 2]), np.zeros((3, 4)), sched10)
+
+    def test_per_row_steps_match_one_call_per_row(self, sched10, rng):
+        x0, eps = rng.standard_normal((2, 3, 2, 5))
+        ts = np.array([10, 1, 4])
+        out = forward_noise(x0, ts, eps, sched10)
+        for row, t in enumerate(ts):
+            npt.assert_array_equal(out[row], forward_noise(x0[row], int(t), eps[row], sched10))
 
 
 class TestReverseStep:
