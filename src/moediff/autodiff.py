@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
 from .tensor import as_tensor
@@ -283,13 +284,30 @@ def _pad_time(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def _tap_sum(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``sum_j w[:, :, j] @ xp[:, :, j:j+T]`` with ``xp`` = ``x`` zero-padded
-    by (S-1)/2 on each side of the time axis: one matmul per tap, batched
-    over the maps."""
-    xp = _pad_time(x, (w.shape[2] - 1) // 2)
-    t_out = x.shape[2]
+    """``sum_j w[:, :, j] @ xp[:, :, j:j+T]`` with ``xp`` = ``x`` [N,Cin,T]
+    zero-padded by (S-1)/2 on each side of the time axis, for ``w``
+    [Cout,Cin,S]. The contraction is chosen from the shapes alone, as the
+    one that moves fewer bytes:
+
+    - Cin < Cout and S > 1: ``xp`` is unfolded once into tap-minor columns
+      [N, Cin*S, T] and contracted with ``w.reshape(Cout, Cin*S)`` in one
+      batched matmul (im2col). The columns cost Cin*S*T per map, less than
+      the Cout*T output that the per-tap sum reads and writes S times.
+    - Cin = S = 1: the broadcast product ``w[:, :, 0] * x``, bit-identical
+      to the size-1 matmul it replaces.
+    - Otherwise one matmul per tap, batched over the maps, accumulated into
+      the output: where Cin >= Cout the columns would outweigh the output.
+    """
+    n, c_in, t_out = x.shape
+    c_out, _, s = w.shape
+    if c_in == 1 and s == 1:
+        return w[:, :, 0] * x
+    xp = _pad_time(x, (s - 1) // 2)
+    if c_in < c_out and s > 1:
+        cols = sliding_window_view(xp, t_out, axis=2).reshape(n, c_in * s, t_out)
+        return w.reshape(c_out, c_in * s) @ cols
     out = w[:, :, 0] @ xp[:, :, :t_out]
-    for j in range(1, w.shape[2]):
+    for j in range(1, s):
         out += w[:, :, j] @ xp[:, :, j : j + t_out]
     return out
 
@@ -298,10 +316,13 @@ def conv1d(x, w, b):
     """Same-padded cross-correlation over the last axis: [N,Cin,T] x [Cout,Cin,S] -> [N,Cout,T],
     for an odd kernel size S.
 
-    Computed one kernel tap at a time: with ``xp`` the input zero-padded by
-    (S-1)/2 on each side, ``out = sum_j w[:, :, j] @ xp[:, :, j:j+T] + b``,
-    each term one matmul batched over the N maps. A kernel-1 convolution is
-    the one-tap case. The padded input is a temporary the tape does not keep.
+    With ``xp`` the input zero-padded by (S-1)/2 on each side,
+    ``out = sum_j w[:, :, j] @ xp[:, :, j:j+T] + b``. :func:`_tap_sum`
+    picks the contraction from the shapes: a narrow input (Cin < Cout,
+    S > 1) is unfolded into [N, Cin*S, T] columns for one batched matmul,
+    a one-channel kernel-1 conv is a broadcast product, and every other
+    shape runs one matmul per tap. The padded input and the columns are
+    temporaries the tape does not keep.
     """
     xv, wv, bv = value_of(x), value_of(w), value_of(b)
     _conv1d_check(xv, wv, bv)
@@ -449,7 +470,9 @@ def _bwd_conv1d(node, grad, vals):
     kernel flipped in time and transposed (tap j becomes
     ``w[:, :, S-1-j].T``); the symmetric padding is its own mirror image.
     That equals accumulating ``dxp[:, :, j:j+T] += w[:, :, j].T @ grad``
-    and dropping the padding, without building ``dxp``.
+    and dropping the padding, without building ``dxp``. :func:`_tap_sum`
+    picks its contraction from the flipped kernel's shape, so the dx of a
+    narrow-input conv (Cout >= Cin) runs per tap.
     """
     x, w, _ = vals
     s, t_out = w.shape[2], grad.shape[2]

@@ -34,24 +34,29 @@ def check_primitive_layers(seed: int = 0, points: int = 100):
     rng = np.random.default_rng(seed)
     results = []
 
-    worst = 0.0
-    for _ in range(points):
-        w = rng.standard_normal((2, 2, 3))
-        b = rng.standard_normal(2)
-        x = rng.standard_normal((2, 2, 7))
-        worst = max(worst, ad.finite_diff_check(lambda v: _sq_sum(ad.conv1d(v, w, b)), x))
-    results.append(("conv1d/input", worst, GRAD_TOL))
+    # A 2->2 kernel-3 conv runs conv1d's per-tap sum, a narrow 2->4 kernel-5
+    # conv its unfolded GEMM (see autodiff._tap_sum).
+    for name, (c_out, c_in, s) in (("conv1d", (2, 2, 3)), ("conv1d-narrow", (4, 2, 5))):
+        worst = 0.0
+        for _ in range(points):
+            w = rng.standard_normal((c_out, c_in, s))
+            b = rng.standard_normal(c_out)
+            x = rng.standard_normal((2, c_in, 7))
+            worst = max(worst, ad.finite_diff_check(lambda v: _sq_sum(ad.conv1d(v, w, b)), x))
+        results.append((f"{name}/input", worst, GRAD_TOL))
 
-    worst = 0.0
-    for _ in range(points):
-        x = rng.standard_normal((2, 2, 7))
-        b = rng.standard_normal(2)
-        w = rng.standard_normal((2, 2, 3))
-        worst = max(
-            worst,
-            ad.finite_diff_check(lambda v: _sq_sum(ad.conv1d(x, ad.reshape(v, (2, 2, 3)), b)), w.ravel()),
-        )
-    results.append(("conv1d/weight", worst, GRAD_TOL))
+        worst = 0.0
+        for _ in range(points):
+            x = rng.standard_normal((2, c_in, 7))
+            b = rng.standard_normal(c_out)
+            w = rng.standard_normal((c_out, c_in, s))
+            worst = max(
+                worst,
+                ad.finite_diff_check(
+                    lambda v: _sq_sum(ad.conv1d(x, ad.reshape(v, w.shape), b)), w.ravel()
+                ),
+            )
+        results.append((f"{name}/weight", worst, GRAD_TOL))
 
     worst = 0.0
     for _ in range(points):

@@ -9,6 +9,7 @@ momentum is active.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 
 import numpy as np
@@ -38,6 +39,21 @@ class NanLossError(ArithmeticError):
 
 def _step_rng(seed: int, step: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, step]))
+
+
+# The update runs in place, leaf by leaf, so no second parameter or velocity
+# tree is alive beside the first; each applies the same float operations as
+# its out-of-place form (``m * v + g``, ``p - lr * d``), so the numbers are
+# bit-identical to it.
+def _decay_add(m: float, v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    v *= m
+    v += g
+    return v
+
+
+def _sub_scaled(lr: float, p: np.ndarray, d: np.ndarray) -> np.ndarray:
+    p -= lr * d
+    return p
 
 
 def init_from_config(cfg: RunConfig) -> BackboneParams:
@@ -85,10 +101,10 @@ def train(cfg: RunConfig, data: np.ndarray, out_dir, resume_from=None):
         if not np.isfinite(loss):
             raise NanLossError(step)
         if cfg.momentum > 0.0:
-            velocity = zip_map_params(lambda v, g: cfg.momentum * v + g, velocity, grads)
-            params = zip_map_params(lambda p, v: p - cfg.lr * v, params, velocity)
+            zip_map_params(functools.partial(_decay_add, cfg.momentum), velocity, grads)
+            zip_map_params(functools.partial(_sub_scaled, cfg.lr), params, velocity)
         else:
-            params = zip_map_params(lambda p, g: p - cfg.lr * g, params, grads)
+            zip_map_params(functools.partial(_sub_scaled, cfg.lr), params, grads)
         del grads  # else this step's gradients stay alive through the next step
         losses.append((step, loss))
 

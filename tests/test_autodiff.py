@@ -40,6 +40,27 @@ def _conv(x, w, b, padding):
 # ---------------------------------------------------------------------------
 
 
+# conv1d picks its contraction from the operand shapes (autodiff._tap_sum):
+# 3->4 at S > 1 runs the unfolded GEMM, 4->3 and 3->3 the per-tap sum, and
+# 1->4 at S = 1 the broadcast product; a 4->3 conv's dx is a 3->4 tap sum.
+CHANNEL_PAIRS = ((3, 4), (4, 3), (3, 3), (1, 4))
+
+
+def _over_channel_pairs(cases, s_at):
+    """Each case tuple as a pytest param under every channel pair, 1->4 only
+    where the kernel size ``case[s_at]`` is 1. The 3->4 ids are the bare
+    case; the others end in ``-<Cin>to<Cout>``."""
+    params = []
+    for c_in, c_out in CHANNEL_PAIRS:
+        tag = "" if (c_in, c_out) == (3, 4) else f"-{c_in}to{c_out}"
+        params += [
+            pytest.param(c_in, c_out, *case, id="-".join(map(str, case)) + tag)
+            for case in cases
+            if c_in > 1 or case[s_at] == 1
+        ]
+    return params
+
+
 class TestConv1d:
     def test_identity_kernel(self):
         x = np.array([[[1.0, 2.0, 3.0]]])
@@ -58,36 +79,55 @@ class TestConv1d:
         npt.assert_array_equal(naive_conv1d(x, w, b), [[[3.0, 6.0, 5.0]]])
         npt.assert_allclose(ad.conv1d(x, w, b), [[[3.0, 6.0, 5.0]]], rtol=0, atol=0)
 
-    @pytest.mark.parametrize("padding", ["same", "valid"])
-    @pytest.mark.parametrize("s", [1, 3, 5])
-    def test_matches_naive_oracle(self, rng, padding, s):
-        x = rng.standard_normal((2, 3, 9))
-        w = rng.standard_normal((4, 3, s))
-        b = rng.standard_normal(4)
+    @pytest.mark.parametrize(
+        "c_in, c_out, s, padding",
+        _over_channel_pairs([(s, p) for s in (1, 3, 5) for p in ("same", "valid")], s_at=0),
+    )
+    def test_matches_naive_oracle(self, rng, c_in, c_out, s, padding):
+        x = rng.standard_normal((2, c_in, 9))
+        w = rng.standard_normal((c_out, c_in, s))
+        b = rng.standard_normal(c_out)
         npt.assert_allclose(_conv(x, w, b, padding), naive_conv1d(x, w, b, padding), atol=1e-12)
 
-    @pytest.mark.parametrize("padding, s, t", [("same", 5, 3), ("same", 7, 2), ("same", 3, 1), ("valid", 5, 5)])
-    def test_kernel_as_long_as_or_longer_than_signal_matches_naive_oracle(self, rng, padding, s, t):
-        x = rng.standard_normal((2, 3, t))
-        w = rng.standard_normal((4, 3, s))
-        b = rng.standard_normal(4)
+    @pytest.mark.parametrize(
+        "c_in, c_out, padding, s, t",
+        _over_channel_pairs([("same", 5, 3), ("same", 7, 2), ("same", 3, 1), ("valid", 5, 5)], s_at=1),
+    )
+    def test_kernel_as_long_as_or_longer_than_signal_matches_naive_oracle(self, rng, c_in, c_out, padding, s, t):
+        x = rng.standard_normal((2, c_in, t))
+        w = rng.standard_normal((c_out, c_in, s))
+        b = rng.standard_normal(c_out)
         npt.assert_allclose(_conv(x, w, b, padding), naive_conv1d(x, w, b, padding), atol=1e-12)
+
+    @pytest.mark.parametrize("c_in, s, t", [(1, 1, 9), (1, 3, 9), (2, 5, 9), (2, 27, 40), (2, 7, 2)])
+    def test_unfolded_and_per_tap_sums_agree(self, rng, c_in, s, t):
+        # The same conv widened with zero input channels to Cin = Cout takes
+        # the per-tap sum; the narrow one takes the unfolded GEMM at S > 1
+        # and the broadcast product at Cin = S = 1, which adds no rounding.
+        x = rng.standard_normal((3, c_in, t))
+        w = rng.standard_normal((6, c_in, s))
+        b = rng.standard_normal(6)
+        wide_x = np.concatenate([x, np.zeros((3, 6 - c_in, t))], axis=1)
+        wide_w = np.concatenate([w, np.zeros((6, 6 - c_in, s))], axis=1)
+        narrow, wide = ad.conv1d(x, w, b), ad.conv1d(wide_x, wide_w, b)
+        if s == 1:
+            npt.assert_array_equal(narrow, wide)
+        npt.assert_allclose(narrow, wide, rtol=0, atol=1e-12)
 
     # Kernel sizes 1, 3 and 5, over the whole output and over its valid
     # columns alone (the loss then sees no zero-padded column), and
     # kernels longer than the signal (every tap then overhangs an edge).
-    GRAD_CASES = [(p, s, 7) for p in ("same", "valid") for s in (1, 3, 5)] + [
-        ("same", 5, 3),
-        ("same", 7, 2),
-    ]
+    GRAD_CASES = _over_channel_pairs(
+        [(p, s, 7) for p in ("same", "valid") for s in (1, 3, 5)] + [("same", 5, 3), ("same", 7, 2)], s_at=1
+    )
 
-    @pytest.mark.parametrize("padding, s, t", GRAD_CASES)
+    @pytest.mark.parametrize("c_in, c_out, padding, s, t", GRAD_CASES)
     @pytest.mark.parametrize("wrt", ["input", "weight", "bias"])
-    def test_gradient_matches_finite_differences(self, rng, padding, s, t, wrt):
+    def test_gradient_matches_finite_differences(self, rng, c_in, c_out, padding, s, t, wrt):
         args = {
-            "input": rng.standard_normal((2, 3, t)),
-            "weight": rng.standard_normal((4, 3, s)),
-            "bias": rng.standard_normal(4),
+            "input": rng.standard_normal((2, c_in, t)),
+            "weight": rng.standard_normal((c_out, c_in, s)),
+            "bias": rng.standard_normal(c_out),
         }
 
         def f(v):
@@ -99,11 +139,13 @@ class TestConv1d:
         assert ad.finite_diff_check(f, args[wrt]) <= 1e-6
 
     def test_tape_holds_no_array(self, rng):
-        g = ad.Graph()
-        out = ad.conv1d(g.leaf(rng.standard_normal((2, 3, 8))), rng.standard_normal((4, 3, 5)), np.zeros(4))
-        node = g.nodes[out.id]
-        assert node.op == "conv1d"
-        assert not any(isinstance(v, np.ndarray) for v in node.ctx.values()), node.ctx.keys()
+        for c_in, c_out in CHANNEL_PAIRS:
+            g = ad.Graph()
+            x = g.leaf(rng.standard_normal((2, c_in, 8)))
+            out = ad.conv1d(x, rng.standard_normal((c_out, c_in, 5 if c_in > 1 else 1)), np.zeros(c_out))
+            node = g.nodes[out.id]
+            assert node.op == "conv1d"
+            assert not any(isinstance(v, np.ndarray) for v in node.ctx.values()), node.ctx.keys()
 
     @pytest.mark.parametrize("s", [0, 2])
     def test_even_kernel_rejected(self, s):

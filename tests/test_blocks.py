@@ -444,8 +444,10 @@ class TestBridge:
 
 
 class TestFusionMoE:
+    # The oracle tests draw every bias (init_fusion's are zero), so a head
+    # that drops its merged bias fails them.
     def test_one_hot_gates_select_expert(self, rng):
-        params = init_fusion(rng, 4, 3)
+        params = random_affine(init_fusion(rng, 4, 3), rng)
         x = rng.standard_normal((2, 4, 6))
         for k in range(3):
             one_hot = np.zeros(3)
@@ -475,7 +477,7 @@ class TestFusionMoE:
         npt.assert_allclose(fused, separate, atol=1e-12)
 
     def test_matches_naive_oracle(self, rng):
-        params = init_fusion(rng, 5, 4)
+        params = random_affine(init_fusion(rng, 5, 4), rng)
         x = rng.standard_normal((3, 5, 7))
         npt.assert_allclose(fusion_moe_forward(x, params), naive_fusion_moe(x, params), atol=1e-11)
 

@@ -2,10 +2,12 @@
 
 import weakref
 
+import numpy as np
 import numpy.testing as npt
 import pytest
 
 import moediff.training as training
+from moediff.backbone import named_params, save_backbone, zip_map_params
 from moediff.config import RunConfig
 from moediff.synth import SyntheticConfig, synth_generate
 from moediff.tensor import read_checkpoint
@@ -102,6 +104,42 @@ class TestTrain:
         monkeypatch.setattr(training, "train_step", spy)
         train(_tiny_cfg(train_steps=3, momentum=momentum), _tiny_data(), tmp_path / "run")
         assert len(previous) == 3
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_update_matches_out_of_place_formula(self, tmp_path, monkeypatch, momentum):
+        # The in-place update must leave the parameters, the velocity and the
+        # saved checkpoint bit-identical to v' = m*v + g, p' = p - lr*v'
+        # (p' = p - lr*g without momentum), applied to copies of the
+        # gradients each step produced.
+        cfg = _tiny_cfg(train_steps=2, momentum=momentum)
+        recorded = []
+        original = training.train_step
+
+        def spy(*args):
+            loss, grads = original(*args)
+            recorded.append(zip_map_params(lambda g, _: g.copy(), grads, grads))
+            return loss, grads
+
+        monkeypatch.setattr(training, "train_step", spy)
+        trained, _ = train(cfg, _tiny_data(), tmp_path / "run")
+
+        params = training.init_from_config(cfg)
+        velocity = zip_map_params(lambda p, _: np.zeros_like(p), params, params)
+        for grads in recorded:
+            if momentum:
+                velocity = zip_map_params(lambda v, g: cfg.momentum * v + g, velocity, grads)
+                params = zip_map_params(lambda p, v: p - cfg.lr * v, params, velocity)
+            else:
+                params = zip_map_params(lambda p, g: p - cfg.lr * g, params, grads)
+        assert len(recorded) == 2
+        for (name, got), (_, want) in zip(named_params(trained), named_params(params)):
+            assert got.tobytes() == want.tobytes(), name
+
+        extra = {"meta.step": np.asarray(2.0)}
+        if momentum:
+            extra.update({f"opt.v.{name}": v for name, v in named_params(velocity)})
+        save_backbone(tmp_path / "want.ckp1", params, extra=extra)
+        assert (tmp_path / "run" / "checkpoint.ckp1").read_bytes() == (tmp_path / "want.ckp1").read_bytes()
 
     def test_loss_curve_format(self, tmp_path):
         cfg = _tiny_cfg(train_steps=3)
