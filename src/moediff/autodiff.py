@@ -20,13 +20,26 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import erf
 
 from .tensor import as_tensor
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _NORM_EPS = 1e-5  # instance_norm variance floor
+
+# Hart (1968) algorithm 5666 for the normal tail, as given by West (2005),
+# "Better approximations to cumulative normal functions": for a = |x|,
+# 1 - Phi(a) = exp(-a^2/2) * P(a) / Q(a). Coefficients highest degree first.
+_CDF_P = (0.0352624965998911, 0.700383064443688, 6.37396220353165, 33.912866078383,
+          112.079291497871, 221.213596169931, 220.206867912376)
+_CDF_Q = (0.0883883476483184, 1.75566716318264, 16.064177579207, 86.7807322029461,
+          296.564248779674, 637.333633378831, 793.826512519948, 440.413735824752)
+# Past this |x| the tail is below 1e-300 and Phi rounds to 0 or 1; clamping
+# here keeps exp(-a^2/2) * P / Q finite at +-inf.
+_CDF_CLAMP = 40.0
+# Elements per block. The rational makes 32 passes over each block, which
+# with its two polynomial buffers (1.5 MiB) stays in a core's L2 cache
+# between them. Sweeping a whole [24, 16, 500] map at once ran ~60% slower.
+_CDF_BLOCK = 1 << 16
 
 
 @dataclass
@@ -331,10 +344,48 @@ def conv1d(x, w, b):
     return _node("conv1d", out, (x, w, b))
 
 
+def _horner(coeffs, a: np.ndarray) -> np.ndarray:
+    """The polynomial ``coeffs`` (highest degree first) at ``a``, in one new buffer."""
+    out = a * coeffs[0]
+    out += coeffs[1]
+    for c in coeffs[2:]:
+        out *= a
+        out += c
+    return out
+
+
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, Phi(x) = 0.5 + copysign(0.5 - tail(|x|), x),
+    with the tail from Hart's rational (see ``_CDF_P``). Its absolute error
+    against ``0.5 * (1 + erf(x / sqrt(2)))`` is at most 4.5e-16 (2 ulp at
+    1) over [-40, 40]; +-inf give 1 and 0, and NaN stays NaN. Returns a new
+    C-ordered array of ``x``'s shape, 0-d included."""
+    # Worked in place over one flat buffer, a block at a time. out= keeps a
+    # 0-d result an array: a ufunc on a 0-d array returns a scalar.
+    phi = np.abs(x, out=np.empty(x.shape))
+    flat = phi.reshape(-1)
+    np.minimum(flat, _CDF_CLAMP, out=flat)
+    for start in range(0, flat.size, _CDF_BLOCK):
+        a = flat[start : start + _CDF_BLOCK]
+        tail = _horner(_CDF_P, a)
+        den = _horner(_CDF_Q, a)
+        a *= a
+        a *= -0.5
+        np.exp(a, out=a)
+        a *= tail
+        a /= den
+        np.subtract(0.5, a, out=a)
+    np.copysign(phi, x, out=phi)
+    phi += 0.5
+    return phi
+
+
 def gelu(x):
-    """Exact-CDF GELU: x * Phi(x) with Phi the standard normal CDF (erf form)."""
+    """Exact-CDF GELU (Hendrycks & Gimpel 2016): x * Phi(x), with Phi the
+    standard normal CDF computed by :func:`_normal_cdf` (Hart's rational,
+    within 4.5e-16 of the erf form)."""
     xv = value_of(x)
-    phi = 0.5 * (1.0 + erf(xv * _INV_SQRT2))
+    phi = _normal_cdf(xv)
     return _node("gelu", xv * phi, (x,), {"phi": phi})
 
 

@@ -10,6 +10,7 @@ experts, batch 6).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .backbone import ModelSpec, SpecError
@@ -63,6 +64,8 @@ class RunConfig:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
         if self.train_steps < 0:
             raise ValueError(f"train_steps must be >= 0, got {self.train_steps}")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.mask_kind not in ("random", "continuous"):

@@ -8,6 +8,7 @@ variance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,9 @@ class SyntheticConfig:
     seed: int = 0
 
     def check(self) -> "SyntheticConfig":
+        for name in ("f_min", "f_max", "amp_jitter", "noise_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.f_min > self.f_max:
             raise ValueError(f"f_min {self.f_min} exceeds f_max {self.f_max}")
         if not 0.0 <= self.spike_prob <= 1.0:

@@ -252,6 +252,41 @@ class TestGelu:
         npt.assert_allclose(expected, 0.8413447, atol=1e-7)
 
 
+def _erf_cdf(v):
+    return 0.5 * (1.0 + math.erf(v / math.sqrt(2.0)))
+
+
+class TestNormalCdf:
+    ATOL = 4.5e-16  # 2 ulp at 1
+
+    def test_matches_erf_oracle(self):
+        # 7.07 is where Hart's rational is stated to end; the model uses it past there.
+        special = [0.0, -0.0, 1e-300, -1e-300, 7.07, -7.07, 7.08, -7.08]
+        x = np.concatenate([np.linspace(-40.0, 40.0, 400_001), special])
+        expected = np.array([_erf_cdf(v) for v in x])
+        npt.assert_allclose(ad._normal_cdf(x), expected, rtol=0.0, atol=self.ATOL)
+
+    def test_infinities_and_nan(self):
+        out = ad._normal_cdf(np.array([np.inf, -np.inf, np.nan]))
+        assert out[0] == 1.0 and out[1] == 0.0 and np.isnan(out[2])
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda r: np.asarray(r.standard_normal()),
+            lambda r: np.empty((0, 4)),
+            lambda r: r.standard_normal((6, 8, 16))[:, :4],  # the gated half rfamoe_forward passes
+            lambda r: r.standard_normal((16, 6)).T,
+        ],
+        ids=["0d", "empty", "half-slice", "transposed"],
+    )
+    def test_layout_does_not_change_values(self, rng, make):
+        x = make(rng)
+        out = ad._normal_cdf(x)
+        assert isinstance(out, np.ndarray) and out.shape == x.shape
+        npt.assert_array_equal(out.reshape(-1), ad._normal_cdf(np.ascontiguousarray(x).reshape(-1)))
+
+
 class TestSoftmax:
     def test_uniform_on_constant(self):
         npt.assert_allclose(ad.softmax(np.array([3.3, 3.3, 3.3])), 1.0 / 3.0, atol=1e-15)
@@ -509,6 +544,12 @@ class TestFiniteDiffCheck:
 
     def test_gelu_sum(self, rng):
         err = ad.finite_diff_check(lambda v: ad.tsum(ad.gelu(v)), rng.standard_normal(8))
+        assert err <= 1e-6
+
+    def test_gelu_sum_in_the_tails(self):
+        # Past |x| = 7.07 the CDF is Hart's rational extended beyond its stated range.
+        x = np.array([-9.0, -8.0, -7.5, -7.08, -7.07, -3.0, -0.5, 0.5, 3.0, 7.07, 7.08, 7.5, 8.0, 9.0])
+        err = ad.finite_diff_check(lambda v: ad.tsum(ad.gelu(v)), x)
         assert err <= 1e-6
 
     def test_rejects_bad_h(self):

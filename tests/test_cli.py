@@ -2,6 +2,9 @@
 byte-level reproducibility of every seeded command."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,7 +232,8 @@ class TestExitCodes:
         [("depth = -1", "depth"), ("batch = 0", "batch"), ("train_steps = -3", "train_steps"),
          ("momentum = 1.5", "momentum"), ("width = 0", "width"), ("width = -2", "width"), ("d_emb = 0", "d_emb"),
          ("d_emb = 7", "d_emb"), ("head_experts = 0", "head_experts"), ("rfa_kernels = 3,4", "rfa_kernels"),
-         ("rfa_kernels = 1,,3", "rfa_kernels")],
+         ("rfa_kernels = 1,,3", "rfa_kernels"), ("lr = 0", "lr"), ("lr = -1", "lr"),
+         ("lr = nan", "lr"), ("lr = inf", "lr")],
     )
     def test_out_of_range_config_is_2(self, workspace, tmp_path, capsys, line, key):
         cfg = tmp_path / "bad.cfg"
@@ -240,7 +244,9 @@ class TestExitCodes:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
-        "flag, value, key", [("--noise-sigma", "-1", "noise_sigma"), ("--harmonics", "-2", "harmonics")]
+        "flag, value, key",
+        [("--noise-sigma", "-1", "noise_sigma"), ("--harmonics", "-2", "harmonics"), ("--f-min", "nan", "f_min"),
+         ("--f-max", "inf", "f_max"), ("--amp-jitter", "nan", "amp_jitter"), ("--noise-sigma", "inf", "noise_sigma")],
     )
     def test_out_of_range_synth_option_is_2(self, workspace, tmp_path, capsys, flag, value, key):
         out = tmp_path / "x"
@@ -401,3 +407,14 @@ class TestDeterminism:
         a = (out1 / "dataset.tsb1").read_bytes()
         b = (out2 / "dataset.tsb1").read_bytes()
         assert a != b
+
+
+def test_import_loads_no_scipy():
+    # NumPy is the only runtime dependency; a fresh interpreter shows what
+    # importing the package and its CLI pulls in.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, moediff, moediff.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout.strip() == "[]"

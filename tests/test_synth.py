@@ -50,3 +50,9 @@ class TestSynthGenerate:
             synth_generate(SyntheticConfig(n_samples=1, channels=1, t_len=16, f_min=5, f_max=2))
         with pytest.raises(ValueError, match="spike_prob"):
             synth_generate(SyntheticConfig(n_samples=1, channels=1, t_len=16, spike_prob=1.5))
+
+    @pytest.mark.parametrize("field", ["f_min", "f_max", "amp_jitter", "noise_sigma"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SyntheticConfig(n_samples=1, channels=1, t_len=16, **{field: value}).check()
