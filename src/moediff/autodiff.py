@@ -230,7 +230,8 @@ def take_rows(a, idx):
     out = value_of(a)[idx]
     if not isinstance(a, Var):
         return out
-    return _node("take_rows", out, (a,), {"idx": idx, "repeats": len(np.unique(idx)) != len(idx)})
+    s = np.sort(idx, axis=None)  # not np.unique, which imports numpy.ma
+    return _node("take_rows", out, (a,), {"idx": idx, "repeats": bool((s[1:] == s[:-1]).any())})
 
 
 def scatter_rows(a, idx, n: int):

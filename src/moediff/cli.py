@@ -34,7 +34,7 @@ from .metrics import evaluate, write_report
 from .signals import load_signals, save_signals
 from .synth import SyntheticConfig, synth_generate
 from .tensor import TensorFormatError, write_csv, write_tsb1
-from .training import NanLossError, train, training_mask_spec
+from .training import train, training_mask_spec
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -312,7 +312,7 @@ def _cmd_theorem_check(args) -> int:
         eps = [rng.standard_normal(shape) for _ in range(3)]
         x_t = rng.standard_normal(shape)
         target = rng.standard_normal(shape)
-        _, best, uniform = weight_sweep(eps, x_t, 1, sched, target, ConvexLoss.mse())
+        _, best, uniform = weight_sweep(eps, x_t, 1, sched, target)
         sweep_ok &= best <= uniform + 1e-12
     failed |= not sweep_ok
     print(f"[{'PASS' if sweep_ok else 'FAIL'}] swept weights never lose to uniform averaging")
@@ -320,7 +320,7 @@ def _cmd_theorem_check(args) -> int:
     pool = [rng.standard_normal(shape) for _ in range(8)]
     x_t = rng.standard_normal(shape)
     target = rng.standard_normal(shape)
-    rows = expert_count_sweep(pool, (1, 2, 4, 8), x_t, 1, sched, target, ConvexLoss.mse())
+    rows = expert_count_sweep(pool, (1, 2, 4, 8), x_t, 1, sched, target)
     mono = all(rows[i + 1][1] <= rows[i][1] + 1e-12 for i in range(len(rows) - 1))
     failed |= not mono
     print(f"[{'PASS' if mono else 'FAIL'}] best loss nonincreasing in expert count")
@@ -372,7 +372,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except NanLossError as exc:
+    except ArithmeticError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (TensorFormatError, FileNotFoundError, IsADirectoryError, ValueError) as exc:

@@ -68,6 +68,8 @@ class RunConfig:
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.mask_kind not in ("random", "continuous"):
             raise ValueError(f"mask_kind must be 'random' or 'continuous', got {self.mask_kind!r}")
         return self

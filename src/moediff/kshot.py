@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -22,8 +21,7 @@ from .diffusion import NoiseSchedule, reverse_step, sample
 from .tensor import as_tensor
 
 _SIMPLEX_TOL = 1e-9
-_GRID_RESOLUTION = 0.05  # weight_sweep's grid step for K <= 4
-_DESCENT_ITERS, _DESCENT_STEP = 200, 0.1  # its projected descent for K > 4
+_KKT_TOL = 1e-10  # weight_sweep's certificate, relative to max|G|
 
 
 @dataclass(frozen=True)
@@ -59,13 +57,6 @@ class ConvexLoss:
         if self.kind == "mae":
             return float(np.mean(np.abs(err)))
         raise ValueError(f"unknown loss kind {self.kind!r}")
-
-    def error_gradient(self, err: np.ndarray) -> np.ndarray:
-        if self.kind == "mse":
-            return 2.0 * err / err.size
-        if self.kind == "mae":
-            return np.sign(err) / err.size
-        raise ValueError(f"no analytic gradient for loss kind {self.kind!r}")
 
 
 def _check_simplex(weights) -> np.ndarray:
@@ -137,6 +128,11 @@ def jensen_check(points, weights, target, loss: ConvexLoss) -> float:
     w = _check_simplex(weights)
     points = [as_tensor(p) for p in points]
     target = as_tensor(target)
+    if len(points) != len(w):
+        raise ValueError(f"got {len(points)} points but {len(w)} weights")
+    for i, p in enumerate(points):
+        if p.shape != target.shape:
+            raise ValueError(f"point {i} has shape {p.shape}, target has shape {target.shape}")
     per_point = sum(wk * loss(p - target) for wk, p in zip(w, points))
     fused = loss(sum(wk * p for wk, p in zip(w, points)) - target)
     return float(per_point - fused)
@@ -147,133 +143,87 @@ def jensen_check(points, weights, target, loss: ConvexLoss) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u * np.arange(1, len(v) + 1) > css)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+def weight_sweep(expert_eps, x_t, t: int, sched: NoiseSchedule, target):
+    """Minimise the MSE of step(x_t, fused estimate) against ``target`` over
+    simplex weights, stepping with a zero injected draw.
 
-
-def simplex_grid(k: int, resolution: float) -> np.ndarray:
-    """All weight vectors with coordinates on a grid of the given step."""
-    n = int(round(1.0 / resolution))
-    points = []
-    # Stars and bars: place k-1 cut points among n units.
-    for cuts in combinations(range(n + k - 1), k - 1):
-        prev, parts = -1, []
-        for cut in cuts:
-            parts.append(cut - prev - 1)
-            prev = cut
-        parts.append(n + k - 2 - prev)
-        points.append(parts)
-    return np.asarray(points, dtype=np.float64) / n
-
-
-def weight_sweep(
-    expert_eps,
-    x_t,
-    t: int,
-    sched: NoiseSchedule,
-    target,
-    loss: ConvexLoss,
-    extra_candidates=None,
-):
-    """Minimize L(step(x_t, fused estimate) - target) over simplex weights,
-    stepping with a zero injected draw.
-
-    K <= 4 is solved by exhaustive grid enumeration at step 0.05; larger
-    pools use projected gradient descent (200 iterations, step 0.1, halved
-    on non-improvement) from several starts. The uniform weighting is
-    always a candidate, so best_loss <= uniform_loss by construction.
+    With D holding one stepped estimate minus the target per row and
+    G = D D^T / n, the MSE of weights w on the simplex is w^T G w. Each
+    nonempty support S (2^K - 1 of them) gives one candidate from the
+    bordered KKT system [[G_S, -1], [1^T, 0]] [w_S; mu] = [0; 1];
+    singular systems and negative weights are skipped. Of the candidates
+    that pass the KKT certificate (equal gradients (G w)_i = mu on the
+    support, none smaller off it, to 1e-10 of max|G|), the one with the
+    lowest directly evaluated MSE wins. A convex QP has such a point, so
+    when none passes the solve is wrong and ArithmeticError is raised.
 
     Returns (best_weights, best_loss, uniform_loss).
     """
+    x_t, target = as_tensor(x_t), as_tensor(target)
     eps_list = [as_tensor(e) for e in expert_eps]
+    for name, arr in [("target", target)] + [(f"estimate {i}", e) for i, e in enumerate(eps_list)]:
+        if arr.shape != x_t.shape:
+            raise ValueError(f"{name} has shape {arr.shape}, x_t has shape {x_t.shape}")
     k = len(eps_list)
-    x_t = as_tensor(x_t)
-    target = as_tensor(target)
     z = np.zeros_like(x_t)
-    # The update is affine in the estimate, so precompute per-expert stepped
-    # outputs; any convex combination of estimates steps to the same
-    # combination of these.
-    stepped = np.stack([reverse_step(x_t, e, t, sched, z) for e in eps_list])
-    flat = stepped.reshape(k, -1)
+    # The update is affine in the estimate, so any convex combination of
+    # estimates steps to the same combination of these.
+    flat = np.stack([reverse_step(x_t, e, t, sched, z).ravel() for e in eps_list])
     target_flat = target.ravel()
+    resid = flat - target_flat
+    gram = resid @ resid.T / resid.shape[1]
+    scale = np.abs(gram).max() or 1.0
 
-    def loss_of(w: np.ndarray) -> float:
-        return loss((w @ flat) - target_flat)
-
-    uniform = np.full(k, 1.0 / k)
-    uniform_loss = loss_of(uniform)
-
-    candidates = [uniform]
-    if extra_candidates is not None:
-        candidates.extend(_check_simplex(w) for w in extra_candidates)
-
-    if k <= 4:
-        grid = simplex_grid(k, _GRID_RESOLUTION)
-        losses = np.array([loss_of(w) for w in grid])
-        gi = int(np.argmin(losses))
-        candidates.append(grid[gi])
-        best_w = min(candidates, key=loss_of)
-        return best_w, loss_of(best_w), uniform_loss
-
-    candidates.extend(np.eye(k))
-    best_w, best = None, np.inf
-    for w0 in candidates:
-        w, val = _projected_descent(loss_of, loss, flat, target_flat, w0)
-        if val < best:
-            best_w, best = w, val
-    return best_w, best, uniform_loss
-
-
-def _projected_descent(loss_of, loss: ConvexLoss, flat, target_flat, w0):
-    w = _project_simplex(np.asarray(w0, dtype=np.float64))
-    best_w, best = w, loss_of(w)
-    cur = _DESCENT_STEP
-    for _ in range(_DESCENT_ITERS):
+    def mse(w: np.ndarray) -> float:
         err = (w @ flat) - target_flat
-        grad = flat @ loss.error_gradient(err)
-        cand = _project_simplex(w - cur * grad)
-        val = loss_of(cand)
-        if val < best:
-            best_w, best, w = cand, val, cand
-        else:
-            cur *= 0.5
-            if cur < 1e-14:
-                break
-    return best_w, best
+        return float(np.mean(err * err))
+
+    best_w, best, least_violation = None, np.inf, np.inf
+    for bits in range(1, 2**k):
+        support = np.flatnonzero((bits >> np.arange(k)) & 1)
+        m = len(support)
+        kkt = np.zeros((m + 1, m + 1))
+        kkt[:m, :m] = gram[np.ix_(support, support)]
+        kkt[:m, m], kkt[m, :m] = -1.0, 1.0
+        try:
+            sol = np.linalg.solve(kkt, np.eye(m + 1)[m])
+        except np.linalg.LinAlgError:
+            continue
+        if (sol[:m] < 0).any():
+            continue
+        w = np.zeros(k)
+        w[support] = sol[:m] / sol[:m].sum()  # a singleton's weight is exactly 1
+        grad, mu = gram @ w, sol[m]
+        on = w > 0
+        violation = max(
+            abs(w.sum() - 1.0),
+            np.abs(grad[on] - mu).max(initial=0.0) / scale,
+            (mu - grad[~on]).max(initial=0.0) / scale,
+        )
+        least_violation = min(least_violation, violation)
+        if violation <= _KKT_TOL and (loss := mse(w)) < best:
+            best_w, best = w, loss
+    if best_w is None:
+        raise ArithmeticError(
+            f"weight_sweep: no simplex weights pass the KKT certificate; "
+            f"the least violation is {least_violation:.3e} (tolerance {_KKT_TOL:.0e})"
+        )
+    return best_w, best, mse(np.full(k, 1.0 / k))
 
 
-def expert_count_sweep(
-    eps_pool,
-    ks,
-    x_t,
-    t: int,
-    sched: NoiseSchedule,
-    target,
-    loss: ConvexLoss,
-):
-    """Best achievable loss over growing prefixes of one fixed expert pool.
+def expert_count_sweep(eps_pool, ks, x_t, t: int, sched: NoiseSchedule, target):
+    """Best achievable MSE over growing prefixes of one fixed expert pool.
 
-    Each sweep warm-starts from the previous best weights padded with
-    zeros, so a superset can never do worse. Returns rows of
+    A larger pool keeps every smaller pool's weights (padded with zeros)
+    feasible, so its exact optimum can only be lower. Returns rows of
     (k, best_loss, uniform_loss).
     """
-    eps_pool = [as_tensor(e) for e in eps_pool]
     rows = []
-    prev_w = None
     for k in sorted(ks):
         if k > len(eps_pool):
             raise ValueError(f"sweep k={k} exceeds pool size {len(eps_pool)}")
-        extras = []
-        if prev_w is not None:
-            extras.append(np.concatenate([prev_w, np.zeros(k - len(prev_w))]))
-        best_w, best, uniform = weight_sweep(eps_pool[:k], x_t, t, sched, target, loss, extras or None)
+        _, best, uniform = weight_sweep(eps_pool[:k], x_t, t, sched, target)
         rows.append((k, best, uniform))
-        prev_w = best_w
     return rows
 
 

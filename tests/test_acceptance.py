@@ -27,7 +27,6 @@ from moediff.kshot import (
     jensen_check,
     kshot_ensemble,
     shot_error_table,
-    simplex_grid,
     verify_convex_combination,
     weight_sweep,
 )
@@ -139,7 +138,7 @@ def test_criterion_02_convex_combination_identity():
 
 
 def test_criterion_03_jensen_and_weight_sweep():
-    with criterion(3, "Jensen margin >= -1e-12 (1e4 trials each loss); sweep never loses to uniform"):
+    with criterion(3, "Jensen margin >= -1e-12 (1e4 trials each loss); exact sweep <= uniform and a 0.05 grid"):
         rng = np.random.default_rng(30)
         for loss in (ConvexLoss.mse(), ConvexLoss.mae()):
             min_margin = np.inf
@@ -151,14 +150,13 @@ def test_criterion_03_jensen_and_weight_sweep():
             assert min_margin >= -1e-12, f"{loss.kind}: min margin {min_margin}"
 
         sched = make_schedule(10)
-        grid = simplex_grid(3, 0.05)
         for trial in range(50):
             shape = (1, 12)
             x_t = rng.standard_normal(shape)
             eps = [rng.standard_normal(shape) for _ in range(3)]
             target = rng.standard_normal(shape)
             t = int(rng.integers(1, 11))
-            _, best, uniform = weight_sweep(eps, x_t, t, sched, target, ConvexLoss.mse())
+            _, best, uniform = weight_sweep(eps, x_t, t, sched, target)
             assert best <= uniform + 1e-12
             # Brute-force grid oracle (independent itertools enumeration).
             z = np.zeros(shape)
@@ -170,10 +168,6 @@ def test_criterion_03_jensen_and_weight_sweep():
                 w = np.array(parts) / n
                 fused = w[0] * stepped[0] + w[1] * stepped[1] + w[2] * stepped[2]
                 oracle = min(oracle, float(np.mean((fused - target.ravel()) ** 2)))
-            grid_best = min(
-                float(np.mean(((w @ np.stack(stepped)) - target.ravel()) ** 2)) for w in grid
-            )
-            assert abs(grid_best - oracle) <= 1e-12
             assert best <= oracle + 1e-12
 
 
@@ -386,7 +380,7 @@ def test_criterion_10_expert_count_sweep(toy_run, tmp_path):
                 gates = rng.dirichlet(np.ones(k_head))
             pool.append(noise_estimate(x_t, x_bar[:2], 1, params, head_gates=gates))
         target = rng.standard_normal(x_t.shape)
-        sweep = expert_count_sweep(pool, (1, 2, 4, 8), x_t, 1, sched, target, ConvexLoss.mse())
+        sweep = expert_count_sweep(pool, (1, 2, 4, 8), x_t, 1, sched, target)
         best = [r[1] for r in sweep]
         for i in range(len(best) - 1):
             assert best[i + 1] <= best[i] + 1e-12, f"best loss rose at K={sweep[i + 1][0]}"

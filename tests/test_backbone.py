@@ -8,6 +8,7 @@ import numpy.testing as npt
 import pytest
 
 import moediff.autodiff as ad
+import moediff.blocks as blocks
 from moediff.backbone import (
     ModelSpec,
     SpecError,
@@ -22,8 +23,12 @@ from moediff.backbone import (
     save_backbone,
     zip_map_params,
 )
+from moediff.config import RunConfig
 from moediff.diffusion import make_schedule, sample
+from moediff.masking import apply_mask
+from moediff.synth import SyntheticConfig, synth_generate
 from moediff.tensor import read_checkpoint, write_checkpoint
+from moediff.training import init_from_config, train, training_mask_spec
 from oracles import naive_backbone, random_affine
 
 
@@ -193,6 +198,46 @@ class TestNoiseEstimate:
 
 
 _SPEC = dict(channels=2, width=4, depth=1, kernel_sizes=(1, 3), head_experts=2, d_emb=8, gate_mode="unit")
+
+
+class TestConditionRouting:
+    def test_level0_condition_routing_reads_no_signal(self, tmp_path, monkeypatch):
+        """Characterization, not a requirement: level 0 of the condition
+        path routes every fully observed map on rounding noise at
+        initialisation, and on the lift bias alone once trained. synth
+        zero-means each channel, the lift bias starts at 0, and route_top1
+        pools over time, so such a map's pooled features are w * ~1e-17 + b.
+        The routers themselves stay frozen (test_which_routers_learn in
+        test_diffusion.py). When ROADMAP item 3 (the mask as a condition
+        input) or item 7 (learned routing) lands, rewrite this test to pin
+        the new behaviour; do not loosen it."""
+        cfg = RunConfig(channels=3, t_len=64, width=4, depth=1, rfa_kernels=(1, 3, 5), head_experts=2, d_emb=8,
+                        batch=4, train_steps=5, drop_length=10)
+        data = synth_generate(SyntheticConfig(8, 3, 64, seed=1))
+        mask = training_mask_spec(cfg).build(*data.shape)
+        x_bar = apply_mask(data, mask)
+        observed = mask.reshape(-1, cfg.t_len).all(axis=1)  # one flag per [N, L, T] map
+        assert observed.sum() == 16
+        calls = []
+        route = blocks.route_top1
+        monkeypatch.setattr(blocks, "route_top1", lambda *args: calls.append(route(*args)) or calls[-1])
+
+        def level0_routing(params):
+            calls.clear()
+            condition_features(x_bar, params)
+            return calls[0][0], calls[0][2]  # expert index and logits per map
+
+        _, logits = level0_routing(init_from_config(cfg))
+        assert np.abs(logits[observed]).max() < 1e-12
+        assert np.abs(logits[~observed]).max() > 1e-3  # a gap moves the pooled mean
+
+        trained, _ = train(cfg, data, tmp_path)
+        sel, logits = level0_routing(trained)
+        router, lift_bias = trained.levels[0].cond.router, trained.lift_cond.bias
+        assert np.abs(lift_bias).max() > 1e-6
+        from_bias = lift_bias @ router.weight + router.bias
+        npt.assert_allclose(logits[observed], np.tile(from_bias, (16, 1)), rtol=0, atol=1e-12)
+        assert len(set(sel[observed].tolist())) == 1
 
 
 class TestModelSpec:

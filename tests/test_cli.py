@@ -233,7 +233,7 @@ class TestExitCodes:
          ("momentum = 1.5", "momentum"), ("width = 0", "width"), ("width = -2", "width"), ("d_emb = 0", "d_emb"),
          ("d_emb = 7", "d_emb"), ("head_experts = 0", "head_experts"), ("rfa_kernels = 3,4", "rfa_kernels"),
          ("rfa_kernels = 1,,3", "rfa_kernels"), ("lr = 0", "lr"), ("lr = -1", "lr"),
-         ("lr = nan", "lr"), ("lr = inf", "lr")],
+         ("lr = nan", "lr"), ("lr = inf", "lr"), ("seed = -1", "seed")],
     )
     def test_out_of_range_config_is_2(self, workspace, tmp_path, capsys, line, key):
         cfg = tmp_path / "bad.cfg"
@@ -253,6 +253,20 @@ class TestExitCodes:
         rc = main(["synth", "--config", workspace["cfg"], "--out", str(out), "--n-samples", "2", flag, value])
         assert rc == 2
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_sweep_certificate_is_3(self, tmp_path, capsys, monkeypatch):
+        # A solve that is off by 1e-3 leaves no support with equal gradients.
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-3)
+        assert main(["theorem-check", "--trials", "10", "--out", str(tmp_path / "x")]) == 3
+        assert "no simplex weights pass the KKT certificate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["synth", "gradcheck", "theorem-check"])
+    def test_negative_seed_flag_is_2(self, tmp_path, capsys, command):
+        out = tmp_path / "x"
+        assert main([command, "--seed", "-1", "--out", str(out)]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_resume_below_stored_step_is_2(self, workspace, tmp_path, capsys):
@@ -418,3 +432,28 @@ def test_import_loads_no_scipy():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr[-2000:]
     assert run.stdout.strip() == "[]"
+
+
+def test_training_and_kshot_load_no_numpy_ma():
+    # np.unique imports numpy.ma on first use (~15 ms); the taped gather
+    # checks its indices for repeats without it.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = """if True:
+        import sys
+        import numpy as np
+        from moediff import init_backbone, make_schedule, train_step
+        from moediff.kshot import compare_kshot
+        rng = np.random.default_rng(0)
+        params = init_backbone(rng, channels=2, width=4, depth=1, kernel_sizes=(1, 3), head_experts=2, d_emb=8)
+        batch = rng.standard_normal((2, 2, 16))
+        mask = np.ones_like(batch)
+        mask[:, 0, 4:9] = 0.0
+        sched = make_schedule(4)
+        train_step(params, batch, mask, sched, rng)
+        compare_kshot(params, batch, batch * mask, sched, (1, 2), rng, region=mask)
+        print("numpy.ma" in sys.modules)
+    """
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout.strip() == "False"

@@ -66,7 +66,8 @@ class TestValidation:
         "key, value",
         [("depth", -1), ("batch", 0), ("train_steps", -3), ("momentum", 1.5), ("momentum", 1.0), ("momentum", -0.1),
          ("width", 0), ("width", -2), ("d_emb", 0), ("d_emb", 7), ("head_experts", 0), ("channels", 0),
-         ("rfa_kernels", (3, 4)), ("lr", 0.0), ("lr", -1.0), ("lr", float("nan")), ("lr", float("inf"))],
+         ("rfa_kernels", (3, 4)), ("lr", 0.0), ("lr", -1.0), ("lr", float("nan")), ("lr", float("inf")),
+         ("seed", -1)],
     )
     def test_out_of_range_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):

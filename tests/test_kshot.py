@@ -1,5 +1,6 @@
 """Multi-run averaging, the per-step fusion identities, the Jensen loss
-comparison, and the simplex weight sweep with its brute-force grid oracle."""
+comparison, and the exact simplex weight sweep with its brute-force grid
+oracle and an independent KKT check."""
 
 import itertools
 
@@ -18,7 +19,6 @@ from moediff.kshot import (
     kshot_average,
     kshot_ensemble,
     shot_error_table,
-    simplex_grid,
     verify_convex_combination,
     weight_sweep,
 )
@@ -123,6 +123,13 @@ class TestJensen:
         pts = [rng.standard_normal(5) for _ in range(3)]
         assert jensen_check(pts, np.ones(3) / 3, rng.standard_normal(5), quartic) >= -1e-12
 
+    def test_shape_mismatch_is_located(self):
+        # Broadcasting (2, 8) against (3, 1, 8) would silently score a 3x2x8 error.
+        with pytest.raises(ValueError, match=r"point 0 has shape \(2, 8\), target has shape \(3, 1, 8\)"):
+            jensen_check([np.zeros((2, 8)), np.ones(8)], [0.5, 0.5], np.ones((3, 1, 8)), ConvexLoss.mse())
+        with pytest.raises(ValueError, match="got 3 points but 2 weights"):
+            jensen_check([np.zeros(8)] * 3, [0.5, 0.5], np.ones(8), ConvexLoss.mse())
+
 
 def brute_force_grid_minimum(stepped, target, resolution):
     """Independent enumeration over integer compositions (itertools-based)."""
@@ -143,11 +150,30 @@ def brute_force_grid_minimum(stepped, target, resolution):
     return best
 
 
+def assert_kkt(eps, x_t, t, sched, target, w, best):
+    """The KKT conditions of min w^T G w on the simplex, rebuilt from the
+    inputs: at the optimum every gradient component (G w)_i is >= the
+    optimal MSE, with equality wherever w_i > 0."""
+    z = np.zeros_like(x_t)
+    resid = np.stack([reverse_step(x_t, e, t, sched, z).ravel() for e in eps]) - target.ravel()
+    gram = resid @ resid.T / resid.shape[1]
+    grad, tol = gram @ w, 1e-10 * np.abs(gram).max()
+    assert w.min() >= 0.0 and abs(w.sum() - 1.0) <= 1e-12, w
+    assert (grad >= best - tol).all(), (grad - best).min()
+    assert np.abs(grad[w > 0] - best).max() <= tol, np.abs(grad[w > 0] - best).max()
+
+
+def dependent_pool(rng, shape):
+    """Criterion 10's pool: four estimates, then four convex mixes of them."""
+    basis = [rng.standard_normal(shape) for _ in range(4)]
+    return basis + [sum(g * b for g, b in zip(rng.dirichlet(np.ones(4)), basis)) for _ in range(4)]
+
+
 class TestWeightSweep:
     def test_single_expert_equal_losses(self, sched10, rng):
         eps = [rng.standard_normal((1, 4))]
         w, best, uniform = weight_sweep(
-            eps, rng.standard_normal((1, 4)), 2, sched10, rng.standard_normal((1, 4)), ConvexLoss.mse()
+            eps, rng.standard_normal((1, 4)), 2, sched10, rng.standard_normal((1, 4))
         )
         npt.assert_array_equal(w, [1.0])
         assert best == uniform
@@ -158,7 +184,7 @@ class TestWeightSweep:
         eps_true = rng.standard_normal((1, 6))
         target = reverse_step(x_t, eps_true, 3, sched10, np.zeros((1, 6)))
         eps = [rng.standard_normal((1, 6)) * 3, eps_true, rng.standard_normal((1, 6)) * 3]
-        w, best, uniform = weight_sweep(eps, x_t, 3, sched10, target, ConvexLoss.mse())
+        w, best, uniform = weight_sweep(eps, x_t, 3, sched10, target)
         expert_alone = float(np.mean((reverse_step(x_t, eps_true, 3, sched10, np.zeros((1, 6))) - target) ** 2))
         assert best <= expert_alone + 1e-15
         assert int(np.argmax(w)) == 1
@@ -170,33 +196,73 @@ class TestWeightSweep:
         eps = [rng.standard_normal((1, 8)) for _ in range(3)]
         target = rng.standard_normal((1, 8))
         z = np.zeros((1, 8))
-        _, best, uniform = weight_sweep(eps, x_t, 1, sched10, target, ConvexLoss.mse())
+        _, best, uniform = weight_sweep(eps, x_t, 1, sched10, target)
         stepped = [reverse_step(x_t, e, 1, sched10, z) for e in eps]
         oracle = brute_force_grid_minimum(stepped, target, 0.05)
         assert best <= uniform + 1e-12
-        assert best <= oracle + 1e-12  # uniform candidate can only improve on the grid
+        assert best <= oracle + 1e-12  # the exact optimum is below every grid point
 
-    def test_projected_descent_beats_uniform(self, sched10, rng):
-        eps = [rng.standard_normal((2, 6)) for _ in range(6)]  # K > 4 -> descent path
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kkt_certificate_random(self, sched10, k, seed):
+        rng = np.random.default_rng(100 * k + seed)
+        x_t, target = rng.standard_normal((2, 6)), rng.standard_normal((2, 6))
+        eps = [rng.standard_normal((2, 6)) for _ in range(k)]
+        w, best, uniform = weight_sweep(eps, x_t, 2, sched10, target)
+        assert_kkt(eps, x_t, 2, sched10, target, w, best)
+        assert best <= uniform + 1e-12
+
+    @pytest.mark.parametrize("case", ["interior", "duplicates", "perfect_fit", "dependent_pool"])
+    def test_kkt_certificate_constructed(self, sched10, rng, case):
+        x_t, target = rng.standard_normal((2, 6)), rng.standard_normal((2, 6))
+        if case == "interior":
+            # A target near the step of a strict mix: the optimum uses all five.
+            eps = [rng.standard_normal((2, 6)) for _ in range(5)]
+            mix = sum(g * e for g, e in zip(rng.dirichlet(np.ones(5)), eps))
+            target = reverse_step(x_t, mix, 3, sched10, np.zeros_like(x_t)) + 0.01 * target
+        elif case == "duplicates":
+            a, b = rng.standard_normal((2, 6)), rng.standard_normal((2, 6))
+            eps = [a, b, a.copy(), rng.standard_normal((2, 6)), b.copy()]
+        elif case == "perfect_fit":
+            # The step is affine in the estimate; invert it so one
+            # estimate lands on the target.
+            z = np.zeros_like(x_t)
+            at_zero = reverse_step(x_t, z, 3, sched10, z)
+            slope = reverse_step(x_t, np.ones_like(x_t), 3, sched10, z) - at_zero
+            eps = [rng.standard_normal((2, 6)) for _ in range(4)]
+            eps[2] = (target - at_zero) / slope
+        else:
+            eps = dependent_pool(rng, (2, 6))
+        w, best, _ = weight_sweep(eps, x_t, 3, sched10, target)
+        assert_kkt(eps, x_t, 3, sched10, target, w, best)
+        if case == "interior":
+            assert w.min() > 0.0
+        if case == "perfect_fit":
+            assert best <= 1e-20
+            npt.assert_allclose(w, np.eye(4)[2], atol=1e-12)
+
+    def test_six_estimates_beat_uniform(self, sched10, rng):
+        eps = [rng.standard_normal((2, 6)) for _ in range(6)]
         _, best, uniform = weight_sweep(
-            eps, rng.standard_normal((2, 6)), 4, sched10, rng.standard_normal((2, 6)), ConvexLoss.mse()
+            eps, rng.standard_normal((2, 6)), 4, sched10, rng.standard_normal((2, 6))
         )
         assert best <= uniform + 1e-12
 
     def test_expert_count_sweep_monotone(self, sched10, rng):
         pool = [rng.standard_normal((1, 8)) for _ in range(8)]
         rows = expert_count_sweep(
-            pool, (1, 2, 4, 8), rng.standard_normal((1, 8)), 2, sched10,
-            rng.standard_normal((1, 8)), ConvexLoss.mse(),
+            pool, (1, 2, 4, 8), rng.standard_normal((1, 8)), 2, sched10, rng.standard_normal((1, 8))
         )
         best = [r[1] for r in rows]
         assert all(best[i + 1] <= best[i] + 1e-12 for i in range(len(best) - 1))
 
-    def test_simplex_grid_is_exhaustive(self):
-        grid = simplex_grid(3, 0.25)
-        assert len(grid) == 15  # compositions of 4 into 3 parts
-        npt.assert_allclose(grid.sum(axis=1), 1.0, atol=1e-15)
-        assert (grid >= 0).all()
+    def test_wrong_shapes_are_located(self, sched10, rng):
+        eps = [rng.standard_normal((2, 6)) for _ in range(3)]
+        with pytest.raises(ValueError, match=r"target has shape \(3, 1, 6\), x_t has shape \(2, 6\)"):
+            weight_sweep(eps, rng.standard_normal((2, 6)), 2, sched10, np.ones((3, 1, 6)))
+        eps[1] = eps[1][:1]  # would broadcast against x_t
+        with pytest.raises(ValueError, match=r"estimate 1 has shape \(1, 6\), x_t has shape \(2, 6\)"):
+            weight_sweep(eps, rng.standard_normal((2, 6)), 2, sched10, np.ones((2, 6)))
 
 
 class TestErrorTables:
