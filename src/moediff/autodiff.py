@@ -243,15 +243,6 @@ def scatter_rows(a, idx, n: int):
     return _node("scatter_rows", out, (a,), {"idx": idx})
 
 
-def gather_cols(a, idx):
-    """out[n] = a[n, idx[n]] for a 2-d input."""
-    idx = np.asarray(idx, dtype=np.intp)
-    av = value_of(a)
-    if av.ndim != 2:
-        raise ValueError(f"gather_cols: expected 2-d input, got shape {av.shape}")
-    return _node("gather_cols", av[np.arange(av.shape[0]), idx], (a,), {"idx": idx})
-
-
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------
@@ -499,11 +490,6 @@ def _bwd_scatter_rows(node, grad, vals):
     return [grad[node.ctx["idx"]]]
 
 
-def _bwd_gather_cols(node, grad, vals):
-    shape = vals[0].shape
-    return [Region(shape, (np.arange(shape[0]), node.ctx["idx"]), grad)]
-
-
 def _bwd_sum(node, grad, vals):
     return [np.full(vals[0].shape, grad)]
 
@@ -574,7 +560,6 @@ _BACKWARD: dict[str, Callable] = {
     "slice": _bwd_slice,
     "take_rows": _bwd_take_rows,
     "scatter_rows": _bwd_scatter_rows,
-    "gather_cols": _bwd_gather_cols,
     "sum": _bwd_sum,
     "mean": _bwd_mean,
     "conv1d": _bwd_conv1d,

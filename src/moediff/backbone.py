@@ -183,7 +183,7 @@ def condition_features(x_bar, params: BackboneParams) -> list:
     h, source = _lift(x_bar, params.lift_cond, b * c, t_len)
     maps = []
     for level in params.levels:
-        h = rfamoe_forward(h, level.cond, (b, c), params.spec.gate_mode, source)
+        h = rfamoe_forward(h, level.cond, (b, c), source)
         maps.append(h)
         source = None  # only the first level reads the lifted signal
     return maps
@@ -225,7 +225,7 @@ def noise_estimate(x_t, x_bar, t, params: BackboneParams, head_gates=None, *, co
         )
     h, source = _lift(x_t, params.lift_xt, n, t_len)
     for level, cond_map in zip(params.levels, cond):
-        main = rfamoe_forward(h, level.main, (b, c), params.spec.gate_mode, source)
+        main = rfamoe_forward(h, level.main, (b, c), source)
         h = ad.add(main, bridge_forward(cond_map, steps, level.bridge))
         source = None
     out = fusion_moe_forward(h, params.head, gates_override=head_gates)  # [N, 1, T]

@@ -19,8 +19,10 @@ import numpy as np
 from . import autodiff as ad
 from .tensor import as_tensor
 
-# "unit": the routed gate is renormalized to 1; "raw": the softmax probability.
-GATE_MODES = ("unit", "raw")
+# "unit": the routed expert's output is taken as is, so the router is
+# frozen. A gate that scales it before the block's instance norm is
+# cancelled by the norm (up to its variance floor).
+GATE_MODES = ("unit",)
 
 
 @dataclass
@@ -80,30 +82,20 @@ def step_embedding(t, d_emb: int) -> np.ndarray:
     return np.stack([np.sin(angles), np.cos(angles)], axis=-1).reshape(*t.shape, d_emb)
 
 
-def route_top1(features, router: LinearParams, gate_mode: str = "unit"):
+def route_top1(features, router: LinearParams):
     """Select one expert per feature map; the one place routing logits are
     computed.
 
     ``features`` is [N, L, T]; maps are mean-pooled over time, routed
     through the linear layer, and the argmax expert wins (ties break to
-    the lowest index). Returns (expert index [N], gate [N], logits [N, E]).
-    Unit mode computes from values only and every gate is 1.0, so no
-    gradient reaches the router. Raw mode records the logits on the tape
-    when the inputs are graph-attached, and the gate is the selected
-    softmax probability. Any other mode is a ``ValueError``.
+    the lowest index). Returns (expert index [N], logits [N, E]), computed
+    from values only, so no gradient reaches the router.
     """
-    if gate_mode not in GATE_MODES:
-        raise ValueError(f"route_top1: gate mode {gate_mode!r} is not one of {GATE_MODES}")
     feats = ad.value_of(features)
     if feats.ndim != 3:
         raise ValueError(f"route_top1: features must be [N, L, T], got shape {feats.shape}")
-    if gate_mode == "unit":
-        logits = feats.mean(axis=2) @ ad.value_of(router.weight) + ad.value_of(router.bias)
-        idx = np.argmax(logits, axis=1)
-        return idx, np.ones(len(idx)), logits
-    logits = ad.add(ad.matmul(ad.mean(features, axis=2), router.weight), router.bias)
-    idx = np.argmax(ad.value_of(logits), axis=1)
-    return idx, ad.gather_cols(ad.softmax(logits), idx), logits
+    logits = feats.mean(axis=2) @ ad.value_of(router.weight) + ad.value_of(router.bias)
+    return np.argmax(logits, axis=1), logits
 
 
 def _compose_pointwise(gate_proj: ConvParams, fuse: ConvParams, c: int) -> ConvParams:
@@ -134,9 +126,8 @@ def _compose_source(conv: ConvParams, m):
     return ad.transpose(ad.reshape(ad.matmul(w, m), (c_out, s, r)), (0, 2, 1))
 
 
-def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int], gate_mode: str, source=None):
-    """Apply the block to [N, L, T] feature maps, N = B * C, routing in
-    ``gate_mode`` (one of :data:`GATE_MODES`).
+def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int], source=None):
+    """Apply the block to [N, L, T] feature maps, N = B * C.
 
     Stages: routed expert convolution, instance norm, gated split (gelu
     half times linear half), then one kernel-1 convolution over the C*L/2
@@ -173,7 +164,7 @@ def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int], gate_mode: st
                 f"and [L, R] = [{l}, R]"
             )
 
-    sel, gates, _ = route_top1(x, params.router, gate_mode)
+    sel, _ = route_top1(x, params.router)
 
     # One scatter puts every active expert's output rows back in place.
     outs, rows = [], []
@@ -187,8 +178,6 @@ def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int], gate_mode: st
             outs.append(ad.conv1d(rows_in, weight, conv.bias))
             rows.append(idx)
     routed = ad.scatter_rows(ad.concat(outs, axis=0), np.concatenate(rows), n)
-    if gate_mode == "raw":
-        routed = ad.mul(routed, ad.reshape(gates, (n, 1, 1)))
 
     h = ad.instance_norm(routed, params.in_gamma, params.in_beta)
     half = l // 2

@@ -58,7 +58,11 @@ def infer_format(path) -> str:
 
 
 def load_signals(path, fmt: str | None = None) -> np.ndarray:
-    """Load a [B, C, Tlen] stack; format inferred from the path if omitted."""
+    """Load a [B, C, Tlen] stack; format inferred from the path if omitted.
+
+    An empty stack, or one holding a NaN or an Inf, is a
+    :class:`TensorFormatError` naming the file (and the first bad entry).
+    """
     fmt = infer_format(path) if fmt is None else fmt
     if fmt == "tsb1":
         arr = read_tsb1(path)
@@ -66,8 +70,7 @@ def load_signals(path, fmt: str | None = None) -> np.ndarray:
             arr = arr[None]
         if arr.ndim != 3:
             raise TensorFormatError(f"{path}: expected rank 2 or 3 signals, got rank {arr.ndim}")
-        return arr
-    if fmt == "csv":
+    elif fmt == "csv":
         if os.path.isdir(path):
             names = sorted(n for n in os.listdir(path) if n.endswith(".csv"))
             if not names:
@@ -76,9 +79,20 @@ def load_signals(path, fmt: str | None = None) -> np.ndarray:
             shapes = {s.shape for s in samples}
             if len(shapes) != 1:
                 raise TensorFormatError(f"{path}: samples disagree in shape: {sorted(shapes)}")
-            return np.stack(samples)
-        return _parse_sample_csv(path)[None]
-    raise ValueError(f"format must be 'csv' or 'tsb1', got {fmt!r}")
+            arr = np.stack(samples)
+        else:
+            arr = _parse_sample_csv(path)[None]
+    else:
+        raise ValueError(f"format must be 'csv' or 'tsb1', got {fmt!r}")
+    if arr.size == 0:
+        raise TensorFormatError(f"{path}: empty signal stack of shape {list(arr.shape)}")
+    bad = np.argwhere(~np.isfinite(arr))
+    if len(bad):
+        where = tuple(int(i) for i in bad[0])
+        raise TensorFormatError(
+            f"{path}: non-finite value {arr[where]} at [sample, channel, timestep] = {list(where)}"
+        )
+    return arr
 
 
 def save_signals(path, data, fmt: str | None = None) -> None:

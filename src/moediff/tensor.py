@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import io
 import math
 import os
 import struct
@@ -160,12 +159,6 @@ def _write_replacing(path, write) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
-
-
-def tsb1_bytes(arr) -> bytes:
-    buf = io.BytesIO()
-    _write_tensor(buf, arr)
-    return buf.getvalue()
 
 
 def write_tsb1(path, arr) -> None:

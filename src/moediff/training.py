@@ -2,8 +2,8 @@
 
 Every training step draws its randomness from a stream seeded by
 (run seed, step index), so a resumed run continues bit-exactly where an
-unbroken run would be; optimizer velocity is checkpointed whenever
-momentum is active.
+unbroken run would be; the optimizer velocity is checkpointed with the
+parameters.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def _step_rng(seed: int, step: int) -> np.random.Generator:
 # The update runs in place, leaf by leaf, so no second parameter or velocity
 # tree is alive beside the first; each applies the same float operations as
 # its out-of-place form (``m * v + g``, ``p - lr * d``), so the numbers are
-# bit-identical to it.
+# bit-identical to it. At momentum 0, ``v * 0 + g`` is exactly ``g``.
 def _decay_add(m: float, v: np.ndarray, g: np.ndarray) -> np.ndarray:
     v *= m
     v += g
@@ -74,9 +74,8 @@ def train(cfg: RunConfig, data: np.ndarray, out_dir, resume_from=None):
     sched = make_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
 
     start_step = 0
-    velocity = None
     if resume_from is None:
-        params = init_from_config(cfg)
+        params, aux = init_from_config(cfg), {}
     else:
         params, aux = load_backbone(resume_from, gate_mode=cfg.gate_mode)
         start_step = int(aux.get("meta.step", np.asarray(0.0)))
@@ -85,9 +84,9 @@ def train(cfg: RunConfig, data: np.ndarray, out_dir, resume_from=None):
                 f"train_steps = {cfg.train_steps} is below the {start_step} steps "
                 f"checkpoint {resume_from} has already taken"
             )
-        if cfg.momentum > 0.0 and any(k.startswith("opt.v.") for k in aux):
-            velocity = fill_params(params, aux, prefix="opt.v.")
-    if velocity is None and cfg.momentum > 0.0:
+    if any(k.startswith("opt.v.") for k in aux):
+        velocity = fill_params(params, aux, prefix="opt.v.")
+    else:  # a fresh run, or a checkpoint that was not written by train
         velocity = zip_map_params(lambda p, _: np.zeros_like(p), params, params)
 
     mask_spec = training_mask_spec(cfg)
@@ -100,18 +99,14 @@ def train(cfg: RunConfig, data: np.ndarray, out_dir, resume_from=None):
         loss, grads = train_step(params, batch, mask, sched, rng)
         if not np.isfinite(loss):
             raise NanLossError(step)
-        if cfg.momentum > 0.0:
-            zip_map_params(functools.partial(_decay_add, cfg.momentum), velocity, grads)
-            zip_map_params(functools.partial(_sub_scaled, cfg.lr), params, velocity)
-        else:
-            zip_map_params(functools.partial(_sub_scaled, cfg.lr), params, grads)
+        zip_map_params(functools.partial(_decay_add, cfg.momentum), velocity, grads)
+        zip_map_params(functools.partial(_sub_scaled, cfg.lr), params, velocity)
         del grads  # else this step's gradients stay alive through the next step
         losses.append((step, loss))
 
     os.makedirs(out_dir, exist_ok=True)
     extra = {"meta.step": np.asarray(float(cfg.train_steps))}
-    if cfg.momentum > 0.0:
-        extra.update({f"opt.v.{name}": v for name, v in named_params(velocity)})
+    extra.update({f"opt.v.{name}": v for name, v in named_params(velocity)})
     save_backbone(os.path.join(out_dir, "checkpoint.ckp1"), params, extra=extra)
     write_csv(os.path.join(out_dir, "loss_curve.csv"), ["step", "loss"], losses)
     return params, losses

@@ -100,7 +100,7 @@ def naive_softmax_row(row):
     return np.array([v / z for v in e])
 
 
-def naive_rfamoe(x, params, b, c, gate_mode):
+def naive_rfamoe(x, params, b, c):
     """Stage-by-stage reference of the adaptive-receptive-field block on
     [N, L, T] maps."""
     n, l, t_len = x.shape
@@ -110,10 +110,7 @@ def naive_rfamoe(x, params, b, c, gate_mode):
     routed = np.zeros((n, l, t_len))
     for ni in range(n):
         e = int(np.argmax(logits[ni]))
-        y = naive_conv1d(x[ni : ni + 1], params.experts[e].weight, params.experts[e].bias)
-        if gate_mode == "raw":
-            y = y * naive_softmax_row(logits[ni])[e]
-        routed[ni] = y[0]
+        routed[ni] = naive_conv1d(x[ni : ni + 1], params.experts[e].weight, params.experts[e].bias)[0]
 
     h = naive_instance_norm(routed, params.in_gamma, params.in_beta)
     gated = naive_gelu(h[:, : l // 2]) * h[:, l // 2 :]
@@ -124,11 +121,11 @@ def naive_rfamoe(x, params, b, c, gate_mode):
     return fused + x
 
 
-def two_conv_rfamoe(x, params, b, c, gate_mode):
+def two_conv_rfamoe(x, params, b, c):
     """The block from tape ops with ``gate_proj`` and ``fuse`` applied as
     two convolutions, as the stored parameters describe them."""
     n, l, t_len = ad.value_of(x).shape
-    sel, gates, _ = route_top1(x, params.router, gate_mode)
+    sel, _ = route_top1(x, params.router)
     outs, rows = [], []
     for e, conv in enumerate(params.experts):
         idx = np.where(sel == e)[0]
@@ -136,8 +133,6 @@ def two_conv_rfamoe(x, params, b, c, gate_mode):
             outs.append(ad.conv1d(ad.take_rows(x, idx), conv.weight, conv.bias))
             rows.append(idx)
     routed = ad.scatter_rows(ad.concat(outs, axis=0), np.concatenate(rows), n)
-    if gate_mode == "raw":
-        routed = ad.mul(routed, ad.reshape(gates, (n, 1, 1)))
     h = ad.instance_norm(routed, params.in_gamma, params.in_beta)
     gated = ad.mul(ad.gelu(ad.slice_axis(h, 1, 0, l // 2)), ad.slice_axis(h, 1, l // 2, l))
     body = ad.conv1d(gated, params.gate_proj.weight, params.gate_proj.bias)
@@ -145,12 +140,12 @@ def two_conv_rfamoe(x, params, b, c, gate_mode):
     return ad.add(ad.reshape(fused, (n, l, t_len)), x)
 
 
-def explicit_lift_rfamoe(x1, lift, params, b, c, gate_mode):
+def explicit_lift_rfamoe(x1, lift, params, b, c):
     """The block on the maps ``h0 = lift(x1)`` of [N, 1, T] signals, the
     pointwise lift applied as its own convolution and handed over as the
     block's input with no lifted source."""
     h0 = ad.conv1d(x1, lift.weight, lift.bias)
-    return rfamoe_forward(h0, params, (b, c), gate_mode)
+    return rfamoe_forward(h0, params, (b, c))
 
 
 def naive_bridge(h, t, params):
@@ -195,8 +190,8 @@ def naive_backbone(x_t, x_bar, t, params):
     h = naive_conv1d(x_t.reshape(n, 1, t_len), params.lift_xt.weight, params.lift_xt.bias)
     cond = naive_conv1d(x_bar.reshape(n, 1, t_len), params.lift_cond.weight, params.lift_cond.bias)
     for level in params.levels:
-        cond = naive_rfamoe(cond, level.cond, b, c, params.spec.gate_mode)
-        h = naive_rfamoe(h, level.main, b, c, params.spec.gate_mode) + naive_bridge(cond, t, level.bridge)
+        cond = naive_rfamoe(cond, level.cond, b, c)
+        h = naive_rfamoe(h, level.main, b, c) + naive_bridge(cond, t, level.bridge)
     return naive_fusion_moe(h, params.head).reshape(b, c, t_len)
 
 
@@ -214,13 +209,7 @@ def _dense_take_rows(node, grad, vals):
     return [out]
 
 
-def _dense_gather_cols(node, grad, vals):
-    out = np.zeros(vals[0].shape)
-    out[np.arange(out.shape[0]), node.ctx["idx"]] = grad
-    return [out]
-
-
-_DENSE_RULES = {"slice": _dense_slice, "take_rows": _dense_take_rows, "gather_cols": _dense_gather_cols}
+_DENSE_RULES = {"slice": _dense_slice, "take_rows": _dense_take_rows}
 
 
 def dense_backward(graph, loss):

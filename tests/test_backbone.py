@@ -83,7 +83,7 @@ class TestNoiseEstimate:
             noise_estimate(x_t, x_bar, 4, params), naive_backbone(x_t, x_bar, 4, params), atol=1e-10
         )
 
-    @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
+    @pytest.mark.parametrize("gate_mode", blocks.GATE_MODES)
     def test_lifted_matches_plain_bitwise(self, gate_mode):
         # Training (on the tape) and sampling (plain arrays) must compute
         # the same estimate to the last bit, or a near-tie could route
@@ -225,7 +225,7 @@ class TestConditionRouting:
         def level0_routing(params):
             calls.clear()
             condition_features(x_bar, params)
-            return calls[0][0], calls[0][2]  # expert index and logits per map
+            return calls[0]  # expert index and logits per map
 
         _, logits = level0_routing(init_from_config(cfg))
         assert np.abs(logits[observed]).max() < 1e-12
@@ -264,11 +264,11 @@ class TestModelSpec:
         # No RFAMoE block is built, so the ladder is neither checked nor kept.
         assert ModelSpec(**{**_SPEC, "depth": 0, "kernel_sizes": (2, 2)}).kernel_sizes == ()
 
-    @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
+    @pytest.mark.parametrize("gate_mode", blocks.GATE_MODES)
     def test_records_roundtrip(self, gate_mode):
         spec = ModelSpec(**{**_SPEC, "gate_mode": gate_mode})
         records = spec.records()
-        assert records["meta.gate_mode"] == ("unit", "raw").index(gate_mode)
+        assert records["meta.gate_mode"] == {"unit": 0}[gate_mode]
         npt.assert_array_equal(records["meta.kernel_sizes"], [1.0, 3.0])
         assert ModelSpec.from_records(records) == spec
 
@@ -340,7 +340,8 @@ class TestCheckpoint:
         _, aux = load_backbone(path)
         assert int(aux["meta.step"]) == 17
 
-    @pytest.mark.parametrize("depth, gate_mode", [(0, "unit"), (2, "raw")])
+    @pytest.mark.parametrize("gate_mode", blocks.GATE_MODES)
+    @pytest.mark.parametrize("depth", [0, 2])
     def test_stored_spec_rebuilds_model(self, tmp_path, depth, gate_mode):
         params = _build(depth=depth, kernels=(1, 3, 5), k=3, gate_mode=gate_mode)
         path = tmp_path / "model.ckp1"

@@ -154,7 +154,7 @@ def test_backward_keeps_rules_and_tape(monkeypatch):
     import moediff.backbone as backbone
     import moediff.diffusion as diffusion
 
-    counts = dict.fromkeys(("take_rows", "slice", "gather_cols"), 0)
+    counts = dict.fromkeys(("take_rows", "slice"), 0)
     for op in counts:
         def rule(*args, _op=op, _original=ad._BACKWARD[op]):
             counts[_op] += 1
@@ -171,7 +171,7 @@ def test_backward_keeps_rules_and_tape(monkeypatch):
     monkeypatch.setattr(ad, "backward", spy)
     params = backbone.init_backbone(
         np.random.default_rng(0), channels=2, width=4, depth=2,
-        kernel_sizes=(1, 3), head_experts=2, d_emb=8, gate_mode="raw",
+        kernel_sizes=(1, 3), head_experts=2, d_emb=8,
     )
     batch = np.random.default_rng(1).standard_normal((2, 2, 16))
     diffusion.train_step(params, batch, np.ones_like(batch), diffusion.make_schedule(5), np.random.default_rng(2))

@@ -78,33 +78,20 @@ def _identity_router(e):
 class TestRouteTop1:
     def test_argmax_selection(self):
         feats = np.array([[[0.1], [2.0], [-1.0]]])  # pooled -> the logits themselves
-        idx, gates, logits = route_top1(feats, _identity_router(3))
+        idx, logits = route_top1(feats, _identity_router(3))
         assert idx.tolist() == [1]
-        npt.assert_array_equal(gates, [1.0])
         npt.assert_array_equal(logits, [[0.1, 2.0, -1.0]])
 
     def test_tie_breaks_to_lowest_index(self):
         feats = np.array([[[2.0], [2.0], [0.0]]])
-        idx, _, _ = route_top1(feats, _identity_router(3))
+        idx, _ = route_top1(feats, _identity_router(3))
         assert idx.tolist() == [0]
 
     def test_zero_router_selects_expert_zero(self, rng):
         feats = rng.standard_normal((5, 4, 6))
         router = LinearParams(weight=np.zeros((4, 3)), bias=np.zeros(3))
-        idx, gates, _ = route_top1(feats, router)
+        idx, _ = route_top1(feats, router)
         assert idx.tolist() == [0] * 5
-        npt.assert_array_equal(gates, 1.0)
-
-    def test_raw_gate_is_softmax_probability(self):
-        feats = np.array([[[0.0], [math.log(2.0)]]])
-        idx, gates, _ = route_top1(feats, _identity_router(2), gate_mode="raw")
-        assert idx.tolist() == [1]
-        npt.assert_allclose(gates, [2.0 / 3.0], atol=1e-12)
-
-    def test_unknown_gate_mode_rejected(self, rng):
-        feats = rng.standard_normal((2, 3, 5))
-        with pytest.raises(ValueError, match=r"'soft' is not one of \('unit', 'raw'\)"):
-            route_top1(feats, _identity_router(3), "soft")
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 9999), shift=st.floats(-50, 50))
@@ -113,8 +100,8 @@ class TestRouteTop1:
         feats = rng.standard_normal((4, 3, 5))
         router = LinearParams(weight=rng.standard_normal((3, 4)), bias=rng.standard_normal(4))
         shifted = LinearParams(weight=router.weight, bias=router.bias + shift)
-        idx_a, _, _ = route_top1(feats, router)
-        idx_b, _, _ = route_top1(feats, shifted)
+        idx_a, _ = route_top1(feats, router)
+        idx_b, _ = route_top1(feats, shifted)
         npt.assert_array_equal(idx_a, idx_b)
 
 
@@ -127,65 +114,55 @@ class TestRFAMoE:
         for name, _ in named_params(params):
             params = replace_param(params, name, np.zeros_like(dict(named_params(params))[name]))
         x = rng.standard_normal((4, 4, 6))
-        npt.assert_array_equal(rfamoe_forward(x, params, (2, 2), "unit"), x)
+        npt.assert_array_equal(rfamoe_forward(x, params, (2, 2)), x)
 
-    @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_matches_naive_oracle(self, seed, gate_mode):
+    def test_matches_naive_oracle(self, seed):
         rng = np.random.default_rng(seed)
         params = random_affine(self._params(rng, kernels=(1, 3, 5)), rng)
         x = rng.standard_normal((4, 4, 7))
         npt.assert_allclose(
-            rfamoe_forward(x, params, (2, 2), gate_mode), naive_rfamoe(x, params, 2, 2, gate_mode), atol=1e-10
+            rfamoe_forward(x, params, (2, 2)), naive_rfamoe(x, params, 2, 2), atol=1e-10
         )
 
-    @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
-    def test_router_on_tape_only_in_raw_mode(self, rng, gate_mode):
+    def test_router_stays_off_the_tape(self, rng):
         g = ad.Graph()
         params = lift_params(g, self._params(rng))
-        rfamoe_forward(g.leaf(rng.standard_normal((4, 4, 6))), params, (2, 2), gate_mode)
+        rfamoe_forward(g.leaf(rng.standard_normal((4, 4, 6))), params, (2, 2))
         consumed = {i for node in g.nodes for i in node.inputs}
-        router_leaves = {params.router.weight.id, params.router.bias.id}
-        ops = {node.op for node in g.nodes}
-        gate_ops = {"mean", "softmax", "gather_cols"}
-        if gate_mode == "raw":
-            assert router_leaves <= consumed and gate_ops <= ops
-        else:
-            assert not router_leaves & consumed and not gate_ops & ops
+        assert not {params.router.weight.id, params.router.bias.id} & consumed
+        assert not {"mean", "softmax"} & {node.op for node in g.nodes}
 
-    @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
-    def test_one_scatter_per_call(self, gate_mode):
+    def test_one_scatter_per_call(self):
         # The active experts' outputs go back in place through a single
         # scatter; no per-expert full-size tensor is summed.
         rng = np.random.default_rng(5)
         plain = self._params(rng, c=3, kernels=(1, 3, 5))
         plain.router.weight = 3.0 * rng.standard_normal((4, 3))
         x = rng.standard_normal((12, 4, 6))
-        sel, _, _ = route_top1(x, plain.router, gate_mode)
+        sel, _ = route_top1(x, plain.router)
         active = len(np.unique(sel))
         assert active >= 2
         g = ad.Graph()
-        rfamoe_forward(g.leaf(x), lift_params(g, plain), (4, 3), gate_mode)
+        rfamoe_forward(g.leaf(x), lift_params(g, plain), (4, 3))
         ops = [node.op for node in g.nodes]
         assert ops.count("scatter_rows") == 1
         assert ops.count("take_rows") == active
         # One conv per active expert and one composed pointwise conv.
         assert ops.count("conv1d") == active + 1
-        # The composed bias, the residual, and the router's bias in raw mode.
-        assert ops.count("add") == (2 if gate_mode == "unit" else 3)
+        # The composed bias and the residual.
+        assert ops.count("add") == 2
 
-    @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
-    def test_no_source_call_records_no_transpose(self, rng, gate_mode):
+    def test_no_source_call_records_no_transpose(self, rng):
         # Maps stay [N, L, T] from block to block: a call with no lifted
         # source, as at every level after the first, changes no layout.
         g = ad.Graph()
         params = lift_params(g, self._params(rng))
-        rfamoe_forward(g.leaf(rng.standard_normal((4, 4, 6))), params, (2, 2), gate_mode)
+        rfamoe_forward(g.leaf(rng.standard_normal((4, 4, 6))), params, (2, 2))
         assert "transpose" not in {node.op for node in g.nodes}
 
-    @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
     @pytest.mark.parametrize("c", [1, 3])
-    def test_matches_two_conv_reference(self, c, gate_mode):
+    def test_matches_two_conv_reference(self, c):
         # The composed pointwise conv against gate_proj then fuse as two
         # convolutions: same output and the same gradient for every block
         # parameter. The expert biases' gradients are rounding noise (the
@@ -202,11 +179,11 @@ class TestRFAMoE:
         def run(forward):
             g = ad.Graph()
             params = lift_params(g, plain)
-            y = forward(g.leaf(x), params, 2, c, gate_mode)
+            y = forward(g.leaf(x), params, 2, c)
             grads = ad.backward(g, ad.tsum(ad.mul(y, probe)))
             return y.value, {n: grads.get(v.id, 0.0) for n, v in named_params(params)}
 
-        y, grads = run(lambda x, p, b, c, m: rfamoe_forward(x, p, (b, c), m))
+        y, grads = run(lambda x, p, b, c: rfamoe_forward(x, p, (b, c)))
         y_ref, grads_ref = run(two_conv_rfamoe)
         npt.assert_allclose(y, y_ref, rtol=1e-12, atol=1e-12 * np.abs(y_ref).max())
         scale = max(np.abs(g).max() for g in grads_ref.values())
@@ -231,25 +208,24 @@ class TestRFAMoE:
         probe = rng.standard_normal((b * c, 6, 9))
         return plain, lift, x1, b, probe
 
-    def _run_lifted(self, forward, c, gate_mode):
+    def _run_lifted(self, forward, c):
         plain, lift, x1, b, probe = self._lifted_case(c)
         g = ad.Graph()
         tree = lift_params(g, [plain, lift])
-        y = forward(g.leaf(x1), tree[1], tree[0], b, c, gate_mode)
+        y = forward(g.leaf(x1), tree[1], tree[0], b, c)
         grads = ad.backward(g, ad.tsum(ad.mul(y, probe)))
         return y.value, {n: grads.get(v.id, 0.0) for n, v in named_params(tree)}
 
     @staticmethod
-    def _with_source(x1, lift, params, b, c, gate_mode):
+    def _with_source(x1, lift, params, b, c):
         # z = [x1, 1] and m = [w, b], so the block input is m @ z.
         h0 = ad.conv1d(x1, lift.weight, lift.bias)
         z = ad.concat([x1, np.ones(ad.value_of(x1).shape)], axis=1)
         m = ad.concat([ad.reshape(lift.weight, (-1, 1)), ad.reshape(lift.bias, (-1, 1))], axis=1)
-        return rfamoe_forward(h0, params, (b, c), gate_mode, (z, m))
+        return rfamoe_forward(h0, params, (b, c), (z, m))
 
-    @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
     @pytest.mark.parametrize("c", [1, 3])
-    def test_lifted_source_matches_explicit_lift(self, c, gate_mode):
+    def test_lifted_source_matches_explicit_lift(self, c):
         # The experts on the raw signal with the lift composed into their
         # weights against the block on the lifted maps: the same output
         # and the same gradient for every block parameter and for the
@@ -257,10 +233,10 @@ class TestRFAMoE:
         # noise (the instance norm cancels them), so the tolerance scales
         # with the largest gradient.
         plain, lift, x1, _, _ = self._lifted_case(c)
-        sel, _, _ = route_top1(ad.conv1d(x1, lift.weight, lift.bias), plain.router, gate_mode)
+        sel, _ = route_top1(ad.conv1d(x1, lift.weight, lift.bias), plain.router)
         assert set(sel) == {0, 1, 2}
-        y, grads = self._run_lifted(self._with_source, c, gate_mode)
-        y_ref, grads_ref = self._run_lifted(explicit_lift_rfamoe, c, gate_mode)
+        y, grads = self._run_lifted(self._with_source, c)
+        y_ref, grads_ref = self._run_lifted(explicit_lift_rfamoe, c)
         npt.assert_allclose(y, y_ref, rtol=1e-12, atol=1e-12 * np.abs(y_ref).max())
         scale = max(np.abs(g).max() for g in grads_ref.values())
         assert set(grads) == set(grads_ref)
@@ -281,13 +257,13 @@ class TestRFAMoE:
         plain = replace(plain, experts=plain.experts[: len(kernels)])
         plain.router.weight = plain.router.weight[:, : len(kernels)]
         plain.router.bias = plain.router.bias[: len(kernels)]
-        y_ref = explicit_lift_rfamoe(x1, lift, plain, b, 3, "unit")
+        y_ref = explicit_lift_rfamoe(x1, lift, plain, b, 3)
         experts = plain.experts
         if broken == "constant_bias":
             experts = [ConvParams(e.weight, e.bias + e.weight.sum(axis=2) @ lift.bias) for e in experts]
         h0 = ad.conv1d(x1, lift.weight, lift.bias)
         source = (x1, lift.weight.reshape(-1, 1))
-        y = rfamoe_forward(h0, replace(plain, experts=experts), (b, 3), "unit", source)
+        y = rfamoe_forward(h0, replace(plain, experts=experts), (b, 3), source)
         close = np.allclose(y, y_ref, rtol=1e-12, atol=1e-12 * np.abs(y_ref).max())
         assert close == (kernels == (1,))
 
@@ -296,7 +272,7 @@ class TestRFAMoE:
         # the residual plus the fusion conv applied to the gated body alone.
         params = self._params(rng, c=1)
         x = rng.standard_normal((1, 4, 6))
-        out = rfamoe_forward(x, params, (1, 1), "unit")
+        out = rfamoe_forward(x, params, (1, 1))
 
         pooled = x.mean(axis=2)
         sel = int(np.argmax(pooled @ params.router.weight + params.router.bias))
@@ -330,29 +306,24 @@ class TestRFAMoE:
         fused0 = body0 + body1 + 0.5
         fused1 = body1
         expected = np.stack([fused0 + ch0, fused1 + ch1])[None]
-        npt.assert_allclose(rfamoe_forward(x, params, (1, 1), "unit"), expected, atol=1e-12)
+        npt.assert_allclose(rfamoe_forward(x, params, (1, 1)), expected, atol=1e-12)
 
     def test_shape_errors(self, rng):
         params = self._params(rng)
         with pytest.raises(ValueError, match="factor"):
-            rfamoe_forward(rng.standard_normal((3, 4, 4)), params, (2, 2), "unit")
+            rfamoe_forward(rng.standard_normal((3, 4, 4)), params, (2, 2))
         odd = self._params(rng)
         odd.in_gamma = np.ones(3)
         odd.in_beta = np.zeros(3)
         with pytest.raises(ValueError, match="even"):
-            rfamoe_forward(rng.standard_normal((4, 4, 4)), odd, (2, 2), "unit")
+            rfamoe_forward(rng.standard_normal((4, 4, 4)), odd, (2, 2))
         with pytest.raises(ValueError, match="input width 2 differs from the block's width 4"):
-            rfamoe_forward(rng.standard_normal((4, 2, 4)), params, (2, 2), "unit")
+            rfamoe_forward(rng.standard_normal((4, 2, 4)), params, (2, 2))
         x = rng.standard_normal((4, 4, 5))
         m = rng.standard_normal((4, 2))
         for z_shape, m in [((4, 2, 6), m), ((3, 2, 5), m), ((4, 3, 5), m), ((4, 2, 5), m[:3])]:
             with pytest.raises(ValueError, match=r"source z .* do not fit \[N, R, T\] = \[4, R, 5\]"):
-                rfamoe_forward(x, params, (2, 2), "unit", (rng.standard_normal(z_shape), m))
-
-    def test_unknown_gate_mode_rejected(self, rng):
-        x = rng.standard_normal((4, 4, 6))
-        with pytest.raises(ValueError, match=r"'soft' is not one of \('unit', 'raw'\)"):
-            rfamoe_forward(x, self._params(rng), (2, 2), "soft")
+                rfamoe_forward(x, params, (2, 2), (rng.standard_normal(z_shape), m))
 
     def test_every_parameter_gradient(self, rng):
         params = self._params(rng, kernels=(1, 3))
@@ -364,7 +335,7 @@ class TestRFAMoE:
 
             def f(v, name=name, shape=shape):
                 patched = replace_param(params, name, ad.reshape(v, shape))
-                y = rfamoe_forward(x, patched, (1, 2), "unit")
+                y = rfamoe_forward(x, patched, (1, 2))
                 return ad.tsum(ad.mul(y, y))
 
             worst = max(worst, ad.finite_diff_check(f, np.asarray(leaf).ravel()))

@@ -1,6 +1,7 @@
 """CLI surface: the synth/train/impute/eval pipeline, exit codes, and
 byte-level reproducibility of every seeded command."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 
 from moediff.cli import main
 from moediff.signals import load_signals
-from moediff.tensor import read_checkpoint, write_checkpoint
+from moediff.tensor import read_checkpoint, write_checkpoint, write_tsb1
 
 TINY_CONFIG = """
 steps = 4
@@ -206,6 +207,32 @@ class TestExitCodes:
         assert "region must contain only 0.0 and 1.0 entries" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, bad, located",
+        [("eval --truth", (1, 0, 5, np.nan), "non-finite value nan at [sample, channel, timestep] = [1, 0, 5]"),
+         ("eval --pred", (7, 1, 31, np.inf), "non-finite value inf at [sample, channel, timestep] = [7, 1, 31]"),
+         ("eval --pred", None, "empty signal stack of shape [0, 2, 32]"),
+         ("train --data", (0, 1, 0, np.nan), "non-finite value nan at [sample, channel, timestep] = [0, 1, 0]"),
+         ("train --data", None, "empty signal stack of shape [0, 2, 32]")],
+        ids=["eval_nan_truth", "eval_inf_pred", "eval_empty", "train_nan", "train_empty"],
+    )
+    def test_bad_dataset_is_2_naming_the_file(self, workspace, tmp_path, capsys, command, bad, located):
+        data = load_signals(workspace["data"])
+        if bad is None:
+            data = data[:0]
+        else:
+            data[bad[:3]] = bad[3]
+        path = str(tmp_path / "bad.tsb1")
+        write_tsb1(path, data)
+        name, flag = command.split()
+        files = {"eval": {"--truth": workspace["data"], "--pred": workspace["data"]},
+                 "train": {"--config": workspace["cfg"], "--data": workspace["data"]}}[name]
+        files[flag] = path
+        out = tmp_path / "x"
+        assert main([name, *itertools.chain.from_iterable(files.items()), "--out", str(out)]) == 2
+        assert f"{path}: {located}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_loss_is_3(self, workspace, tmp_path):
         cfg = tmp_path / "explode.cfg"
@@ -343,7 +370,12 @@ class TestExitCodes:
             pytest.param(
                 lambda r: r.update({"meta.gate_mode": np.asarray(7.0)}), "", "'meta.gate_mode'", id="bad_spec"
             ),
-            pytest.param(lambda r: None, "gate_mode = raw", "gate_mode='unit'", id="gate_mode"),
+            # 1 was the index of the removed "raw" gate mode.
+            pytest.param(
+                lambda r: r.update({"meta.gate_mode": np.asarray(1.0)}), "", "'meta.gate_mode'",
+                id="removed_gate_mode",
+            ),
+            pytest.param(lambda r: None, "gate_mode = raw", "gate_mode must be one of ('unit',)", id="gate_mode"),
         ],
     )
     def test_bad_checkpoint_is_2_with_located_message(

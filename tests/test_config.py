@@ -74,10 +74,10 @@ class TestValidation:
             RunConfig(**{key: value}).check()
 
     def test_model_keys_build_the_spec(self):
-        cfg = RunConfig(width=8, depth=2, rfa_kernels=(3, 5), head_experts=3, d_emb=16, gate_mode="raw", channels=4)
+        cfg = RunConfig(width=8, depth=2, rfa_kernels=(3, 5), head_experts=3, d_emb=16, channels=4)
         spec = cfg.model_spec()
         assert (spec.width, spec.depth, spec.kernel_sizes, spec.head_experts) == (8, 2, (3, 5), 3)
-        assert (spec.d_emb, spec.gate_mode, spec.channels) == (16, "raw", 4)
+        assert (spec.d_emb, spec.gate_mode, spec.channels) == (16, "unit", 4)
 
     @pytest.mark.parametrize(
         "key, value", [("depth", 0), ("batch", 1), ("train_steps", 0), ("momentum", 0.0)]

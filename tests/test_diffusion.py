@@ -2,6 +2,7 @@
 update, the training objective, and the ancestral sampler."""
 
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -19,6 +20,7 @@ from moediff.backbone import (
     replace_param,
     zip_map_params,
 )
+from moediff.blocks import GATE_MODES
 from moediff.diffusion import (
     NoiseSchedule,
     forward_noise,
@@ -188,7 +190,7 @@ class TestSample:
         b = sample(tiny_backbone, x_bar, sched10, np.random.default_rng(33))
         npt.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
+    @pytest.mark.parametrize("gate_mode", GATE_MODES)
     @pytest.mark.parametrize("fixed_head", [False, True])
     def test_matches_per_step_estimate(self, sched10, gate_mode, fixed_head, monkeypatch):
         # Oracle: the same sampler with an estimate that rebuilds the
@@ -257,8 +259,20 @@ def _step_graph(monkeypatch, params, sched):
     return graph_and_held
 
 
+# The toy profile's model and a train-wide-shaped one (perfbench's two
+# training workloads), each with its batch size and a short signal.
+TRAIN_SHAPES = pytest.mark.parametrize(
+    "shape",
+    [
+        dict(channels=3, width=16, kernel_sizes=(3, 5, 7, 9, 11), head_experts=4, t_len=64, batch=8),
+        dict(channels=12, width=32, kernel_sizes=tuple(range(3, 32, 2)), head_experts=16, t_len=96, batch=2),
+    ],
+    ids=["toy", "wide"],
+)
+
+
 class TestTrainStep:
-    @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
+    @pytest.mark.parametrize("gate_mode", GATE_MODES)
     @pytest.mark.parametrize("distinct", [False, True])
     def test_matches_grouped_oracle(self, sched10, gate_mode, distinct):
         b = 4
@@ -287,19 +301,12 @@ class TestTrainStep:
         for (name, g), (_, r) in zip(named_params(grads), named_params(ref_grads)):
             npt.assert_allclose(g, r, rtol=0.0, atol=1e-12 * largest, err_msg=name)
 
-    @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
-    @pytest.mark.parametrize(
-        "shape",
-        [
-            dict(channels=3, width=16, kernel_sizes=(3, 5, 7, 9, 11), head_experts=4, t_len=64, batch=8),
-            dict(channels=12, width=32, kernel_sizes=tuple(range(3, 32, 2)), head_experts=16, t_len=96, batch=2),
-        ],
-        ids=["toy", "wide"],
-    )
+    @pytest.mark.parametrize("gate_mode", GATE_MODES)
+    @TRAIN_SHAPES
     def test_bit_identical_to_dense_backward(self, sched10, monkeypatch, gate_mode, shape):
         # Sparse gather/slice gradients added in place, and gradients
         # dropped as the pass goes, change no bit of the loss or of any
-        # gradient; raw mode routes through gather_cols as well.
+        # gradient.
         shape = dict(shape)
         t_len, b = shape.pop("t_len"), shape.pop("batch")
         params = init_backbone(np.random.default_rng(0), depth=2, d_emb=16, gate_mode=gate_mode, **shape)
@@ -337,7 +344,7 @@ class TestTrainStep:
         ops = [node.op for node in graph.nodes]
         assert ops.count("take_rows") == sum(map(len, blocks))
 
-    @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
+    @pytest.mark.parametrize("gate_mode", GATE_MODES)
     def test_tape_holds_only_values_rules_read(self, sched10, monkeypatch, gate_mode):
         # When a training step's forward ends, a node keeps its forward
         # value only if it is a leaf, a softmax output, or an input that a
@@ -352,7 +359,7 @@ class TestTrainStep:
         assert held == kept
         assert len(held) < len(graph.nodes)
 
-    @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
+    @pytest.mark.parametrize("gate_mode", GATE_MODES)
     def test_backward_frees_the_nodes_it_reaches(self, sched10, monkeypatch, gate_mode):
         # Once backward returns, every non-leaf node on the loss's path has
         # dropped its value and ctx; the leaves keep theirs.
@@ -431,12 +438,11 @@ class TestTrainStep:
             losses.append(loss)
         assert np.mean(losses[-10:]) < np.mean(losses[:10])
 
-    @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
+    @pytest.mark.parametrize("gate_mode", GATE_MODES)
     def test_which_routers_learn(self, sched10, rng, gate_mode):
-        # Unit mode freezes the receptive-field routers at initialisation
-        # (the selected gate is exactly 1.0, so no loss reads the logits);
-        # raw mode trains them through the softmax gate. The fusion-head
-        # router trains in both modes.
+        # The receptive-field routers are frozen at initialisation: the
+        # routed expert's output is taken as is, so no loss reads the
+        # logits. The fusion-head router trains.
         params = init_backbone(
             np.random.default_rng(0), channels=2, width=4, depth=2,
             kernel_sizes=(1, 3), head_experts=2, d_emb=8, gate_mode=gate_mode,
@@ -447,13 +453,35 @@ class TestTrainStep:
         routers = [n for n in grads if n.startswith("levels.") and ".router." in n]
         assert len(routers) == 2 * 2 * 2  # depth x {main, cond} x {weight, bias}
         for name in routers:
-            if gate_mode == "unit":
-                npt.assert_array_equal(grads[name], 0.0, err_msg=name)
-            else:
-                assert np.any(grads[name] != 0.0), name
+            npt.assert_array_equal(grads[name], 0.0, err_msg=name)
         assert np.any(grads["head.router.weight"] != 0.0)
 
-    @pytest.mark.parametrize("gate_mode", ["unit", "raw"])
+    @TRAIN_SHAPES
+    def test_only_the_documented_parameters_are_frozen(self, sched10, shape):
+        # The receptive-field routers and expert biases are frozen (the two
+        # tests around this one); every other parameter learns. Leaves are
+        # pooled over their level and expert indices, since an expert that
+        # no map selects gets no gradient in that step.
+        shape = dict(shape)
+        t_len, b = shape.pop("t_len"), shape.pop("batch")
+        params = init_backbone(np.random.default_rng(0), depth=2, d_emb=16, **shape)
+        data_rng = np.random.default_rng(100)
+        batch = data_rng.standard_normal((b, shape["channels"], t_len))
+        mask = (data_rng.random(batch.shape) < 0.7).astype(float)
+        _, grads = train_step(params, batch, mask, sched10, np.random.default_rng(3))
+        largest = {}
+        for name, g in named_params(grads):
+            group = re.sub(r"\.\d+\.", ".*.", name)
+            largest[group] = max(largest.get(group, 0.0), float(np.abs(g).max()))
+        frozen = {g for g in largest if re.fullmatch(r"levels\.\*\.(main|cond)\.(router\..*|experts\.\*\.bias)", g)}
+        assert len(frozen) == 6  # {main, cond} x {router weight, router bias, expert bias}
+        for group, value in largest.items():
+            if group in frozen:
+                assert value < 1e-12, group
+            else:
+                assert value > 1e-8, group
+
+    @pytest.mark.parametrize("gate_mode", GATE_MODES)
     def test_expert_biases_are_cancelled(self, sched10, rng, gate_mode):
         # The instance norm after each routed expert conv subtracts every
         # map's time mean, so the receptive-field expert biases

@@ -2,6 +2,7 @@
 the pinned heap thresholds."""
 
 import os
+import re
 import resource
 import struct
 import tracemalloc
@@ -16,10 +17,16 @@ from moediff.tensor import (
     pin_heap_thresholds,
     read_checkpoint,
     read_tsb1,
-    tsb1_bytes,
     write_checkpoint,
     write_tsb1,
 )
+
+
+def _tsb1_bytes(tmp_path, arr) -> bytes:
+    """The blob :func:`write_tsb1` stores for ``arr``."""
+    path = tmp_path / "blob.tsb1"
+    write_tsb1(path, arr)
+    return path.read_bytes()
 
 
 class TestHeapThresholds:
@@ -56,8 +63,8 @@ class TestTsb1:
         write_tsb1(path, np.array([1.0, 2.0]))
         npt.assert_array_equal(read_tsb1(path), [1.0, 2.0])
 
-    def test_layout_bytes(self):
-        blob = tsb1_bytes(np.array([[1.0, 2.0]]))
+    def test_layout_bytes(self, tmp_path):
+        blob = _tsb1_bytes(tmp_path, np.array([[1.0, 2.0]]))
         assert blob[:4] == b"TSB1"
         assert blob[4:8] == (2).to_bytes(4, "little")  # rank
         assert blob[8:12] == (1).to_bytes(4, "little")
@@ -72,13 +79,13 @@ class TestTsb1:
 
     def test_truncated_payload_offsets(self, tmp_path):
         path = tmp_path / "trunc.tsb1"
-        path.write_bytes(tsb1_bytes(np.ones(4))[:-8])
+        path.write_bytes(_tsb1_bytes(tmp_path, np.ones(4))[:-8])
         with pytest.raises(TensorFormatError, match="truncated tensor payload"):
             read_tsb1(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "trail.tsb1"
-        path.write_bytes(tsb1_bytes(np.ones(2)) + b"xx")
+        path.write_bytes(_tsb1_bytes(tmp_path, np.ones(2)) + b"xx")
         with pytest.raises(TensorFormatError, match="trailing"):
             read_tsb1(path)
 
@@ -143,7 +150,7 @@ class TestCheckpointContainer:
 
     def test_non_utf8_record_name(self, tmp_path):
         path = tmp_path / "bad.ckp1"
-        path.write_bytes(b"CKP1" + struct.pack("<IH", 1, 2) + b"a\xff" + tsb1_bytes(np.ones(1)))
+        path.write_bytes(b"CKP1" + struct.pack("<IH", 1, 2) + b"a\xff" + _tsb1_bytes(tmp_path, np.ones(1)))
         with pytest.raises(TensorFormatError, match="record name at offset 10 is not UTF-8"):
             read_checkpoint(path)
 
@@ -219,3 +226,26 @@ class TestSignalsCsv:
         (d / "sample_0001.csv").write_text("channel_0\n1.0\n")
         with pytest.raises(TensorFormatError, match="disagree"):
             load_signals(d, "csv")
+
+
+class TestLoadChecks:
+    @pytest.mark.parametrize(
+        "where, value", [((0, 0, 0), np.nan), ((2, 1, 7), np.inf), ((3, 0, 15), -np.inf)]
+    )
+    @pytest.mark.parametrize("fmt", ["tsb1", "csv"])
+    def test_non_finite_entry_is_located(self, tmp_path, rng, fmt, where, value):
+        data = rng.standard_normal((4, 2, 16))
+        data[where] = value
+        path = tmp_path / ("stack.tsb1" if fmt == "tsb1" else "stack")
+        save_signals(path, data, fmt)
+        located = f"{path}: non-finite value {value} at [sample, channel, timestep] = {list(where)}"
+        with pytest.raises(TensorFormatError, match=re.escape(located)):
+            load_signals(path, fmt)
+
+    @pytest.mark.parametrize("shape", [(0, 3, 256), (2, 0, 8), (2, 3, 0), (0, 5)])
+    def test_empty_stack_names_the_shape(self, tmp_path, shape):
+        path = tmp_path / "empty.tsb1"
+        write_tsb1(path, np.zeros(shape))
+        want = list(shape) if len(shape) == 3 else [1, *shape]
+        with pytest.raises(TensorFormatError, match=re.escape(f"{path}: empty signal stack of shape {want}")):
+            load_signals(path)

@@ -109,7 +109,7 @@ class TestTrain:
     def test_update_matches_out_of_place_formula(self, tmp_path, monkeypatch, momentum):
         # The in-place update must leave the parameters, the velocity and the
         # saved checkpoint bit-identical to v' = m*v + g, p' = p - lr*v'
-        # (p' = p - lr*g without momentum), applied to copies of the
+        # (p' = p - lr*g and v' = g without momentum), applied to copies of the
         # gradients each step produced.
         cfg = _tiny_cfg(train_steps=2, momentum=momentum)
         recorded = []
@@ -130,14 +130,14 @@ class TestTrain:
                 velocity = zip_map_params(lambda v, g: cfg.momentum * v + g, velocity, grads)
                 params = zip_map_params(lambda p, v: p - cfg.lr * v, params, velocity)
             else:
+                velocity = grads
                 params = zip_map_params(lambda p, g: p - cfg.lr * g, params, grads)
         assert len(recorded) == 2
         for (name, got), (_, want) in zip(named_params(trained), named_params(params)):
             assert got.tobytes() == want.tobytes(), name
 
         extra = {"meta.step": np.asarray(2.0)}
-        if momentum:
-            extra.update({f"opt.v.{name}": v for name, v in named_params(velocity)})
+        extra.update({f"opt.v.{name}": v for name, v in named_params(velocity)})
         save_backbone(tmp_path / "want.ckp1", params, extra=extra)
         assert (tmp_path / "run" / "checkpoint.ckp1").read_bytes() == (tmp_path / "want.ckp1").read_bytes()
 
