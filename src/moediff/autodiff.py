@@ -262,15 +262,11 @@ def mean(a, axis: int):
 # ---------------------------------------------------------------------------
 
 
-def _conv1d_check(x, w, b):
+def _conv1d_check(x, w):
     if x.ndim != 3:
         raise ValueError(f"conv1d: input must be rank 3 [N,Cin,T], got shape {x.shape}")
     if w.ndim != 3:
         raise ValueError(f"conv1d: weight must be rank 3 [Cout,Cin,S], got shape {w.shape}")
-    if b.ndim != 1 or b.shape[0] != w.shape[0]:
-        raise ValueError(
-            f"conv1d: bias axis has size {b.shape}, weight output axis has size {w.shape[0]}"
-        )
     if x.shape[1] != w.shape[1]:
         raise ValueError(
             f"conv1d: input channel axis has size {x.shape[1]}, weight expects {w.shape[1]}"
@@ -298,15 +294,11 @@ def _tap_sum(x: np.ndarray, w: np.ndarray) -> np.ndarray:
       [N, Cin*S, T] and contracted with ``w.reshape(Cout, Cin*S)`` in one
       batched matmul (im2col). The columns cost Cin*S*T per map, less than
       the Cout*T output that the per-tap sum reads and writes S times.
-    - Cin = S = 1: the broadcast product ``w[:, :, 0] * x``, bit-identical
-      to the size-1 matmul it replaces.
     - Otherwise one matmul per tap, batched over the maps, accumulated into
       the output: where Cin >= Cout the columns would outweigh the output.
     """
     n, c_in, t_out = x.shape
     c_out, _, s = w.shape
-    if c_in == 1 and s == 1:
-        return w[:, :, 0] * x
     xp = _pad_time(x, (s - 1) // 2)
     if c_in < c_out and s > 1:
         cols = sliding_window_view(xp, t_out, axis=2).reshape(n, c_in * s, t_out)
@@ -317,23 +309,21 @@ def _tap_sum(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def conv1d(x, w, b):
+def conv1d(x, w):
     """Same-padded cross-correlation over the last axis: [N,Cin,T] x [Cout,Cin,S] -> [N,Cout,T],
-    for an odd kernel size S.
+    for an odd kernel size S. It adds no bias: as with :func:`matmul`, a
+    caller that needs one adds it.
 
     With ``xp`` the input zero-padded by (S-1)/2 on each side,
-    ``out = sum_j w[:, :, j] @ xp[:, :, j:j+T] + b``. :func:`_tap_sum`
-    picks the contraction from the shapes: a narrow input (Cin < Cout,
-    S > 1) is unfolded into [N, Cin*S, T] columns for one batched matmul,
-    a one-channel kernel-1 conv is a broadcast product, and every other
-    shape runs one matmul per tap. The padded input and the columns are
-    temporaries the tape does not keep.
+    ``out = sum_j w[:, :, j] @ xp[:, :, j:j+T]``. :func:`_tap_sum` picks
+    the contraction from the shapes: a narrow input (Cin < Cout, S > 1) is
+    unfolded into [N, Cin*S, T] columns for one batched matmul, and every
+    other shape runs one matmul per tap. The padded input and the columns
+    are temporaries the tape does not keep.
     """
-    xv, wv, bv = value_of(x), value_of(w), value_of(b)
-    _conv1d_check(xv, wv, bv)
-    out = _tap_sum(xv, wv)
-    out += bv[:, None]
-    return _node("conv1d", out, (x, w, b))
+    xv, wv = value_of(x), value_of(w)
+    _conv1d_check(xv, wv)
+    return _node("conv1d", _tap_sum(xv, wv), (x, w))
 
 
 def _horner(coeffs, a: np.ndarray) -> np.ndarray:
@@ -503,23 +493,22 @@ def _bwd_conv1d(node, grad, vals):
     """Per-tap transpose of :func:`conv1d`; the input is re-padded from its value.
 
     With ``p = (S-1)/2``, ``dw[:, :, j] = sum_n grad[n] @ xp[n, :, j:j+T].T``,
-    one batched matmul per tap; ``db`` sums ``grad`` over maps and time.
-    ``dx`` is the same tap sum as the forward, run over ``grad`` with the
-    kernel flipped in time and transposed (tap j becomes
-    ``w[:, :, S-1-j].T``); the symmetric padding is its own mirror image.
-    That equals accumulating ``dxp[:, :, j:j+T] += w[:, :, j].T @ grad``
-    and dropping the padding, without building ``dxp``. :func:`_tap_sum`
-    picks its contraction from the flipped kernel's shape, so the dx of a
-    narrow-input conv (Cout >= Cin) runs per tap.
+    one batched matmul per tap. ``dx`` is the same tap sum as the forward,
+    run over ``grad`` with the kernel flipped in time and transposed (tap j
+    becomes ``w[:, :, S-1-j].T``); the symmetric padding is its own mirror
+    image. That equals accumulating ``dxp[:, :, j:j+T] += w[:, :, j].T @
+    grad`` and dropping the padding, without building ``dxp``.
+    :func:`_tap_sum` picks its contraction from the flipped kernel's shape,
+    so the dx of a narrow-input conv (Cout >= Cin) runs per tap.
     """
-    x, w, _ = vals
+    x, w = vals
     s, t_out = w.shape[2], grad.shape[2]
     xp = _pad_time(x, (s - 1) // 2)
     dw = np.empty_like(w)
     for j in range(s):
         dw[:, :, j] = (grad @ xp[:, :, j : j + t_out].transpose(0, 2, 1)).sum(axis=0)
     dx = _tap_sum(grad, w[:, :, ::-1].transpose(1, 0, 2))
-    return [dx, dw, grad.sum(axis=(0, 2))]
+    return [dx, dw]
 
 
 def _bwd_gelu(node, grad, vals):

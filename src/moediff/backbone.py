@@ -165,9 +165,10 @@ def _lift(x, lift: ConvParams, n: int, t_len: int):
     same lift as the first block's source: ``z = [x, 1]`` per map and
     ``m = [weight, bias]`` (see :func:`rfamoe_forward`)."""
     x1 = ad.reshape(x, (n, 1, t_len))
-    h = ad.conv1d(x1, lift.weight, lift.bias)
+    w_col, b_col = ad.reshape(lift.weight, (-1, 1)), ad.reshape(lift.bias, (-1, 1))
+    h = ad.add(ad.mul(x1, w_col), b_col)
     z = ad.concat([x1, np.ones((n, 1, t_len))], axis=1)
-    m = ad.concat([ad.reshape(lift.weight, (-1, 1)), ad.reshape(lift.bias, (-1, 1))], axis=1)
+    m = ad.concat([w_col, b_col], axis=1)
     return h, (z, m)
 
 
@@ -247,7 +248,7 @@ def _walk(fn, tree, *others, prefix: str = ""):
     """Rebuild ``tree`` with ``fn(name, leaf, *other_leaves)`` at every
     array/Var leaf, walking ``others`` (trees of the same structure) in
     lockstep. ``name`` is the leaf's dotted path in declaration order, e.g.
-    ``levels.0.main.experts.2.weight``."""
+    ``levels.0.main.experts.2``."""
     if isinstance(tree, _LEAF_TYPES):
         return fn(prefix, tree, *others)
     dot = f"{prefix}." if prefix else ""
@@ -265,7 +266,7 @@ def _walk(fn, tree, *others, prefix: str = ""):
 
 def named_params(params) -> list:
     """(dotted name, leaf) pairs in a stable declaration order,
-    e.g. ``levels.0.main.experts.2.weight``."""
+    e.g. ``levels.0.main.experts.2``."""
     out = []
 
     def visit(name, leaf):

@@ -40,9 +40,12 @@ class LinearParams:
 @dataclass
 class RFAMoEParams:
     """Adaptive receptive field block: per-map top-1 choice among convolution
-    experts of distinct kernel sizes, gated activation, cross-channel fusion."""
+    experts of distinct kernel sizes, gated activation, cross-channel fusion.
 
-    experts: list  # ConvParams, distinct odd kernel sizes, L -> L
+    The experts carry no bias: the instance norm after them subtracts each
+    map's time mean, which would cancel any per-feature constant."""
+
+    experts: list  # [L, L, S] weights, distinct odd kernel sizes S
     router: LinearParams  # L -> E logits
     in_gamma: object  # [L] instance-norm affine
     in_beta: object  # [L]
@@ -98,31 +101,32 @@ def route_top1(features, router: LinearParams):
     return np.argmax(logits, axis=1), logits
 
 
-def _compose_pointwise(gate_proj: ConvParams, fuse: ConvParams, c: int) -> ConvParams:
+def _compose_pointwise(gate_proj: ConvParams, fuse: ConvParams, c: int) -> tuple:
     """The kernel-1 conv over [B, C*L/2, T] equal to ``gate_proj`` on each
     of the C maps followed by ``fuse`` across them; no non-linearity lies
     between the two, so they compose.
 
-    ``W[o, j*L/2 + m] = sum_l W_fuse[o, j*L + l] * W_gp[l, m]`` for channel j, and
-    ``b = W_fuse @ tile_C(b_gp) + b_fuse``, built from tape ops so the
-    gradients reach both stored parameter sets.
+    Returns its weight ``W[o, j*L/2 + m] = sum_l W_fuse[o, j*L + l] * W_gp[l, m]``
+    for channel j, and its bias ``b = W_fuse @ tile_C(b_gp) + b_fuse`` as a
+    [C*L, 1] column, built from tape ops so the gradients reach both stored
+    parameter sets.
     """
     l, half, _ = ad.value_of(gate_proj.weight).shape
     cl = c * l
     w = ad.matmul(ad.reshape(fuse.weight, (cl * c, l)), ad.reshape(gate_proj.weight, (l, half)))
     w_fuse = ad.reshape(fuse.weight, (cl, cl))
     tiled = ad.concat([ad.reshape(gate_proj.bias, (l, 1))] * c, axis=0)  # [C*L, 1]
-    b = ad.add(ad.reshape(ad.matmul(w_fuse, tiled), (cl,)), fuse.bias)
-    return ConvParams(weight=ad.reshape(w, (cl, c * half, 1)), bias=b)
+    b = ad.add(ad.matmul(w_fuse, tiled), ad.reshape(fuse.bias, (cl, 1)))
+    return ad.reshape(w, (cl, c * half, 1)), b
 
 
-def _compose_source(conv: ConvParams, m):
+def _compose_source(weight, m):
     """The expert weight ``W`` [Cout, L, S] composed with the source map
     ``m`` [L, R]: ``W'[o, r, s] = sum_l W[o, l, s] * m[l, r]``, built from
     tape ops so the gradients reach both."""
-    c_out, l, s = ad.value_of(conv.weight).shape
+    c_out, l, s = ad.value_of(weight).shape
     r = ad.value_of(m).shape[1]
-    w = ad.reshape(ad.transpose(conv.weight, (0, 2, 1)), (c_out * s, l))
+    w = ad.reshape(ad.transpose(weight, (0, 2, 1)), (c_out * s, l))
     return ad.transpose(ad.reshape(ad.matmul(w, m), (c_out, s, r)), (0, 2, 1))
 
 
@@ -168,14 +172,14 @@ def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int], source=None):
 
     # One scatter puts every active expert's output rows back in place.
     outs, rows = [], []
-    for e, conv in enumerate(params.experts):
+    for e, weight in enumerate(params.experts):
         idx = np.where(sel == e)[0]
         if idx.size:
             if source is None:
-                rows_in, weight = ad.take_rows(x, idx), conv.weight
+                rows_in = ad.take_rows(x, idx)
             else:
-                rows_in, weight = ad.take_rows(source[0], idx), _compose_source(conv, source[1])
-            outs.append(ad.conv1d(rows_in, weight, conv.bias))
+                rows_in, weight = ad.take_rows(source[0], idx), _compose_source(weight, source[1])
+            outs.append(ad.conv1d(rows_in, weight))
             rows.append(idx)
     routed = ad.scatter_rows(ad.concat(outs, axis=0), np.concatenate(rows), n)
 
@@ -183,8 +187,8 @@ def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int], source=None):
     half = l // 2
     gated = ad.mul(ad.gelu(ad.slice_axis(h, 1, 0, half)), ad.slice_axis(h, 1, half, l))
 
-    pointwise = _compose_pointwise(params.gate_proj, params.fuse, c)
-    fused = ad.conv1d(ad.reshape(gated, (b, c * half, t_len)), pointwise.weight, pointwise.bias)
+    pw_weight, pw_bias = _compose_pointwise(params.gate_proj, params.fuse, c)
+    fused = ad.add(ad.conv1d(ad.reshape(gated, (b, c * half, t_len)), pw_weight), pw_bias)
     return ad.add(ad.reshape(fused, (n, l, t_len)), x)
 
 
@@ -251,7 +255,7 @@ def init_linear(rng: np.random.Generator, d_in: int, d_out: int, std: float | No
 
 def init_rfamoe(rng: np.random.Generator, l: int, channels: int, kernel_sizes: tuple[int, ...]) -> RFAMoEParams:
     return RFAMoEParams(
-        experts=[init_conv(rng, l, l, s) for s in kernel_sizes],
+        experts=[init_conv(rng, l, l, s).weight for s in kernel_sizes],
         router=init_linear(rng, l, len(kernel_sizes)),
         in_gamma=np.ones(l),
         in_beta=np.zeros(l),

@@ -40,21 +40,16 @@ def check_primitive_layers(seed: int = 0, points: int = 100):
         worst = 0.0
         for _ in range(points):
             w = rng.standard_normal((c_out, c_in, s))
-            b = rng.standard_normal(c_out)
             x = rng.standard_normal((2, c_in, 7))
-            worst = max(worst, ad.finite_diff_check(lambda v: _sq_sum(ad.conv1d(v, w, b)), x))
+            worst = max(worst, ad.finite_diff_check(lambda v: _sq_sum(ad.conv1d(v, w)), x))
         results.append((f"{name}/input", worst, GRAD_TOL))
 
         worst = 0.0
         for _ in range(points):
             x = rng.standard_normal((2, c_in, 7))
-            b = rng.standard_normal(c_out)
             w = rng.standard_normal((c_out, c_in, s))
             worst = max(
-                worst,
-                ad.finite_diff_check(
-                    lambda v: _sq_sum(ad.conv1d(x, ad.reshape(v, w.shape), b)), w.ravel()
-                ),
+                worst, ad.finite_diff_check(lambda v: _sq_sum(ad.conv1d(x, ad.reshape(v, w.shape))), w.ravel())
             )
         results.append((f"{name}/weight", worst, GRAD_TOL))
 

@@ -10,6 +10,7 @@ Two interchangeable formats:
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -39,9 +40,15 @@ def _parse_sample_csv(path) -> np.ndarray:
                 f"{path}: line {lineno}: expected {len(header)} columns, found {len(cells)}"
             )
         try:
-            rows.append([float(c) for c in cells])
+            row = [float(c) for c in cells]
         except ValueError as exc:
             raise TensorFormatError(f"{path}: line {lineno}: {exc}") from None
+        bad = [j for j, v in enumerate(row) if not math.isfinite(v)]
+        if bad:
+            raise TensorFormatError(
+                f"{path}: line {lineno}: non-finite value {row[bad[0]]} in column channel_{bad[0]}"
+            )
+        rows.append(row)
     if not rows:
         raise TensorFormatError(f"{path}: no data rows")
     return as_tensor(rows).T  # [C, T]
@@ -61,7 +68,9 @@ def load_signals(path, fmt: str | None = None) -> np.ndarray:
     """Load a [B, C, Tlen] stack; format inferred from the path if omitted.
 
     An empty stack, or one holding a NaN or an Inf, is a
-    :class:`TensorFormatError` naming the file (and the first bad entry).
+    :class:`TensorFormatError` naming the file and the first bad entry: its
+    [sample, channel, timestep] in a TSB1 stack, its line and column in a
+    CSV sample file.
     """
     fmt = infer_format(path) if fmt is None else fmt
     if fmt == "tsb1":
@@ -70,6 +79,12 @@ def load_signals(path, fmt: str | None = None) -> np.ndarray:
             arr = arr[None]
         if arr.ndim != 3:
             raise TensorFormatError(f"{path}: expected rank 2 or 3 signals, got rank {arr.ndim}")
+        bad = np.argwhere(~np.isfinite(arr))
+        if len(bad):
+            where = tuple(int(i) for i in bad[0])
+            raise TensorFormatError(
+                f"{path}: non-finite value {arr[where]} at [sample, channel, timestep] = {list(where)}"
+            )
     elif fmt == "csv":
         if os.path.isdir(path):
             names = sorted(n for n in os.listdir(path) if n.endswith(".csv"))
@@ -86,12 +101,6 @@ def load_signals(path, fmt: str | None = None) -> np.ndarray:
         raise ValueError(f"format must be 'csv' or 'tsb1', got {fmt!r}")
     if arr.size == 0:
         raise TensorFormatError(f"{path}: empty signal stack of shape {list(arr.shape)}")
-    bad = np.argwhere(~np.isfinite(arr))
-    if len(bad):
-        where = tuple(int(i) for i in bad[0])
-        raise TensorFormatError(
-            f"{path}: non-finite value {arr[where]} at [sample, channel, timestep] = {list(where)}"
-        )
     return arr
 
 

@@ -10,7 +10,7 @@ with the package: :func:`dense_backward` pins how ``backward`` accumulates
 earlier formulas; :func:`two_conv_rfamoe` is the block built from tape ops
 with its two pointwise convolutions left uncomposed; :func:`explicit_lift_rfamoe`
 is a first-level block run on its lifted input maps rather than on the
-lifted signal.
+lifted signal; both apply their convolutions with :func:`conv_with_bias`.
 """
 
 import math
@@ -110,7 +110,7 @@ def naive_rfamoe(x, params, b, c):
     routed = np.zeros((n, l, t_len))
     for ni in range(n):
         e = int(np.argmax(logits[ni]))
-        routed[ni] = naive_conv1d(x[ni : ni + 1], params.experts[e].weight, params.experts[e].bias)[0]
+        routed[ni] = naive_conv1d(x[ni : ni + 1], params.experts[e], np.zeros(l))[0]
 
     h = naive_instance_norm(routed, params.in_gamma, params.in_beta)
     gated = naive_gelu(h[:, : l // 2]) * h[:, l // 2 :]
@@ -121,22 +121,28 @@ def naive_rfamoe(x, params, b, c):
     return fused + x
 
 
+def conv_with_bias(x, conv):
+    """``conv`` (weight and bias) applied on the tape as a bias-free conv1d
+    followed by the per-output-channel bias."""
+    return ad.add(ad.conv1d(x, conv.weight), ad.reshape(conv.bias, (-1, 1)))
+
+
 def two_conv_rfamoe(x, params, b, c):
     """The block from tape ops with ``gate_proj`` and ``fuse`` applied as
     two convolutions, as the stored parameters describe them."""
     n, l, t_len = ad.value_of(x).shape
     sel, _ = route_top1(x, params.router)
     outs, rows = [], []
-    for e, conv in enumerate(params.experts):
+    for e, weight in enumerate(params.experts):
         idx = np.where(sel == e)[0]
         if idx.size:
-            outs.append(ad.conv1d(ad.take_rows(x, idx), conv.weight, conv.bias))
+            outs.append(ad.conv1d(ad.take_rows(x, idx), weight))
             rows.append(idx)
     routed = ad.scatter_rows(ad.concat(outs, axis=0), np.concatenate(rows), n)
     h = ad.instance_norm(routed, params.in_gamma, params.in_beta)
     gated = ad.mul(ad.gelu(ad.slice_axis(h, 1, 0, l // 2)), ad.slice_axis(h, 1, l // 2, l))
-    body = ad.conv1d(gated, params.gate_proj.weight, params.gate_proj.bias)
-    fused = ad.conv1d(ad.reshape(body, (b, c * l, t_len)), params.fuse.weight, params.fuse.bias)
+    body = conv_with_bias(gated, params.gate_proj)
+    fused = conv_with_bias(ad.reshape(body, (b, c * l, t_len)), params.fuse)
     return ad.add(ad.reshape(fused, (n, l, t_len)), x)
 
 
@@ -144,8 +150,7 @@ def explicit_lift_rfamoe(x1, lift, params, b, c):
     """The block on the maps ``h0 = lift(x1)`` of [N, 1, T] signals, the
     pointwise lift applied as its own convolution and handed over as the
     block's input with no lifted source."""
-    h0 = ad.conv1d(x1, lift.weight, lift.bias)
-    return rfamoe_forward(h0, params, (b, c))
+    return rfamoe_forward(conv_with_bias(x1, lift), params, (b, c))
 
 
 def naive_bridge(h, t, params):

@@ -25,10 +25,11 @@ def _sq_sum(y):
 
 
 def _conv(x, w, b, padding):
-    """conv1d; with ``padding="valid"`` only its output columns whose kernel
-    window lies inside the signal, which is the unpadded cross-correlation
-    that ``naive_conv1d(..., "valid")`` computes."""
-    out = ad.conv1d(x, w, b)
+    """conv1d plus a per-output-channel bias, added as the model adds it;
+    with ``padding="valid"`` only its output columns whose kernel window
+    lies inside the signal, which is the unpadded cross-correlation that
+    ``naive_conv1d(..., "valid")`` computes."""
+    out = ad.add(ad.conv1d(x, w), ad.reshape(b, (-1, 1)))
     if padding == "same":
         return out
     p, t = (ad.value_of(w).shape[2] - 1) // 2, ad.value_of(x).shape[2]
@@ -41,8 +42,8 @@ def _conv(x, w, b, padding):
 
 
 # conv1d picks its contraction from the operand shapes (autodiff._tap_sum):
-# 3->4 at S > 1 runs the unfolded GEMM, 4->3 and 3->3 the per-tap sum, and
-# 1->4 at S = 1 the broadcast product; a 4->3 conv's dx is a 3->4 tap sum.
+# 3->4 at S > 1 runs the unfolded GEMM, 4->3, 3->3 and 1->4 at S = 1 the
+# per-tap sum; a 4->3 conv's dx is a 3->4 tap sum.
 CHANNEL_PAIRS = ((3, 4), (4, 3), (3, 3), (1, 4))
 
 
@@ -64,11 +65,11 @@ def _over_channel_pairs(cases, s_at):
 class TestConv1d:
     def test_identity_kernel(self):
         x = np.array([[[1.0, 2.0, 3.0]]])
-        out = ad.conv1d(x, np.array([[[1.0]]]), np.array([0.0]))
+        out = ad.conv1d(x, np.array([[[1.0]]]))
         npt.assert_array_equal(out, x)
 
     def test_scaling_kernel(self):
-        out = ad.conv1d(np.array([[[1.0, 2.0, 3.0]]]), np.array([[[2.0]]]), np.array([0.0]))
+        out = ad.conv1d(np.array([[[1.0, 2.0, 3.0]]]), np.array([[[2.0]]]))
         npt.assert_array_equal(out, [[[2.0, 4.0, 6.0]]])
 
     def test_box_kernel_same_padding(self):
@@ -77,7 +78,7 @@ class TestConv1d:
         w = np.array([[[1.0, 1.0, 1.0]]])
         b = np.array([0.0])
         npt.assert_array_equal(naive_conv1d(x, w, b), [[[3.0, 6.0, 5.0]]])
-        npt.assert_allclose(ad.conv1d(x, w, b), [[[3.0, 6.0, 5.0]]], rtol=0, atol=0)
+        npt.assert_allclose(ad.conv1d(x, w), [[[3.0, 6.0, 5.0]]], rtol=0, atol=0)
 
     @pytest.mark.parametrize(
         "c_in, c_out, s, padding",
@@ -103,13 +104,12 @@ class TestConv1d:
     def test_unfolded_and_per_tap_sums_agree(self, rng, c_in, s, t):
         # The same conv widened with zero input channels to Cin = Cout takes
         # the per-tap sum; the narrow one takes the unfolded GEMM at S > 1
-        # and the broadcast product at Cin = S = 1, which adds no rounding.
+        # and at Cin = S = 1 a one-term matmul, which adds no rounding.
         x = rng.standard_normal((3, c_in, t))
         w = rng.standard_normal((6, c_in, s))
-        b = rng.standard_normal(6)
         wide_x = np.concatenate([x, np.zeros((3, 6 - c_in, t))], axis=1)
         wide_w = np.concatenate([w, np.zeros((6, 6 - c_in, s))], axis=1)
-        narrow, wide = ad.conv1d(x, w, b), ad.conv1d(wide_x, wide_w, b)
+        narrow, wide = ad.conv1d(x, w), ad.conv1d(wide_x, wide_w)
         if s == 1:
             npt.assert_array_equal(narrow, wide)
         npt.assert_allclose(narrow, wide, rtol=0, atol=1e-12)
@@ -142,7 +142,7 @@ class TestConv1d:
         for c_in, c_out in CHANNEL_PAIRS:
             g = ad.Graph()
             x = g.leaf(rng.standard_normal((2, c_in, 8)))
-            out = ad.conv1d(x, rng.standard_normal((c_out, c_in, 5 if c_in > 1 else 1)), np.zeros(c_out))
+            out = ad.conv1d(x, rng.standard_normal((c_out, c_in, 5 if c_in > 1 else 1)))
             node = g.nodes[out.id]
             assert node.op == "conv1d"
             assert not any(isinstance(v, np.ndarray) for v in node.ctx.values()), node.ctx.keys()
@@ -151,13 +151,11 @@ class TestConv1d:
     def test_even_kernel_rejected(self, s):
         # Same padding is symmetric, (S-1)/2 zeros on each side, so S must be odd.
         with pytest.raises(ValueError, match=f"kernel size must be odd for same padding, got {s}"):
-            ad.conv1d(np.zeros((1, 1, 3)), np.zeros((1, 1, s)), np.zeros(1))
+            ad.conv1d(np.zeros((1, 1, 3)), np.zeros((1, 1, s)))
 
     def test_shape_mismatch_names_axis(self):
         with pytest.raises(ValueError, match="channel axis"):
-            ad.conv1d(np.zeros((1, 2, 5)), np.zeros((1, 3, 1)), np.zeros(1))
-        with pytest.raises(ValueError, match="bias"):
-            ad.conv1d(np.zeros((1, 2, 5)), np.zeros((1, 2, 1)), np.zeros(3))
+            ad.conv1d(np.zeros((1, 2, 5)), np.zeros((1, 3, 1)))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -168,18 +166,16 @@ class TestConv1d:
     )
     def test_linear_in_input(self, x, y, a, b):
         w = np.array([[[0.5, -1.0, 2.0]]])
-        zero = np.array([0.0])
-        lhs = ad.conv1d(a * x + b * y, w, zero)
-        rhs = a * ad.conv1d(x, w, zero) + b * ad.conv1d(y, w, zero)
+        lhs = ad.conv1d(a * x + b * y, w)
+        rhs = a * ad.conv1d(x, w) + b * ad.conv1d(y, w)
         npt.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_linear_in_weight(self, rng):
         x = rng.standard_normal((2, 2, 8))
         w1 = rng.standard_normal((3, 2, 3))
         w2 = rng.standard_normal((3, 2, 3))
-        zero = np.zeros(3)
-        lhs = ad.conv1d(x, 2.0 * w1 - 0.5 * w2, zero)
-        rhs = 2.0 * ad.conv1d(x, w1, zero) - 0.5 * ad.conv1d(x, w2, zero)
+        lhs = ad.conv1d(x, 2.0 * w1 - 0.5 * w2)
+        rhs = 2.0 * ad.conv1d(x, w1) - 0.5 * ad.conv1d(x, w2)
         npt.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -437,12 +433,11 @@ class TestBackward:
 
     def test_conv_mse_matches_finite_differences(self, rng):
         w = rng.standard_normal((2, 1, 3))
-        b = rng.standard_normal(2)
         target = rng.standard_normal((1, 2, 6))
         x = rng.standard_normal((1, 1, 6))
 
         def f(v):
-            diff = ad.sub(ad.conv1d(v, w, b), target)
+            diff = ad.sub(ad.conv1d(v, w), target)
             return ad.scale(ad.tsum(ad.mul(diff, diff)), 1.0 / target.size)
 
         assert ad.finite_diff_check(f, x) <= 1e-4
@@ -468,7 +463,7 @@ READ_CASES = {
     "scatter_rows": ([(2, 3)], lambda a: ad.scatter_rows(a, [4, 1], 5)),
     "sum": ([(3, 4)], ad.tsum),
     "mean": ([(3, 4)], lambda a: ad.mean(a, axis=1)),
-    "conv1d": ([(2, 3, 7), (4, 3, 3), (4,)], ad.conv1d),
+    "conv1d": ([(2, 3, 7), (4, 3, 3)], ad.conv1d),
     "gelu": ([(3, 4)], ad.gelu),
     "softmax": ([(3, 4)], ad.softmax),
     "instance_norm": ([(2, 3, 5), (3,), (3,)], ad.instance_norm),
@@ -587,7 +582,7 @@ def _op_cases(rng):
         ("gelu", (3, 4), ad.gelu),
         ("softmax", (3, 4), ad.softmax),
         ("instance_norm", (2, 3, 6), lambda x: ad.instance_norm(x, c[0][:3], c[1][:3])),
-        ("conv1d", (2, 2, 7), lambda x: ad.conv1d(x, batch[:, :2, :], c[0][:2])),
+        ("conv1d", (2, 2, 7), lambda x: ad.conv1d(x, batch[:, :2, :])),
     ]
 
 

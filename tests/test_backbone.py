@@ -2,6 +2,7 @@
 parameter counting, and checkpoint round-trips."""
 
 import itertools
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -297,6 +298,17 @@ class TestParamCount:
         big = _build(depth=0, width=l, k=2 * k)
         assert param_count(big) - param_count(small) == 2 * k * (l + 1)
 
+    @pytest.mark.parametrize("channels, width, kernels, d_emb", [(2, 4, (1, 3), 8), (3, 6, (1, 3, 5, 7), 16)])
+    def test_one_rfamoe_level_delta(self, channels, width, kernels, d_emb):
+        # A level is a main and a condition block plus a FiLM bridge. Each
+        # block holds bias-free experts, the router, the norm's gain and
+        # shift, gate_proj and fuse; the bridge is a d_emb -> 2L linear map.
+        c, l, e = channels, width, len(kernels)
+        block = l * l * sum(kernels) + (l + 1) * e + 2 * l + l * l // 2 + l + (c * l) ** 2 + c * l
+        level = 2 * block + 2 * l * (d_emb + 1)
+        args = dict(channels=c, width=l, kernels=kernels, d_emb=d_emb)
+        assert param_count(_build(depth=1, **args)) - param_count(_build(depth=0, **args)) == level
+
     def test_against_checkpoint_walk(self, tmp_path, tiny_backbone):
         # Independent oracle: total scalars stored in the checkpoint file.
         path = tmp_path / "model.ckp1"
@@ -329,7 +341,9 @@ class TestCheckpoint:
 
     def test_dotted_name_scheme(self, tiny_backbone):
         names = {name for name, _ in named_params(tiny_backbone)}
-        assert "levels.0.main.experts.1.weight" in names
+        assert "levels.0.main.experts.1" in names
+        experts = [n for n in names if n.startswith("levels.") and ".experts." in n]
+        assert all(re.fullmatch(r"levels\.\d+\.(main|cond)\.experts\.\d+", n) for n in experts), experts
         assert "levels.0.bridge.film.bias" in names
         assert "head.router.weight" in names
         assert "lift_cond.bias" in names

@@ -39,6 +39,14 @@ def test_measured_ops_have_backward_rules():
     assert set(measures.OPS) <= set(ad._BACKWARD)
 
 
+def test_conv1d_flop_reads_the_two_argument_call():
+    # The per-layer GFLOP figure reads the weight from conv1d's second
+    # argument; conv1d takes (x, w) and no bias.
+    x, w = np.zeros((3, 4, 10)), np.zeros((5, 4, 7))
+    result = ad.conv1d(x, w)
+    assert spans._conv1d_flop((x, w), {}, result) == 2 * 3 * 5 * 10 * 4 * 7
+
+
 def _spy(monkeypatch, *targets):
     """Record (name, positional args) of every call to each (module, name)."""
     calls = []

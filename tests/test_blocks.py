@@ -27,6 +27,7 @@ from moediff.blocks import (
     step_embedding,
 )
 from oracles import (
+    conv_with_bias,
     explicit_lift_rfamoe,
     naive_bridge,
     naive_conv1d,
@@ -150,8 +151,8 @@ class TestRFAMoE:
         assert ops.count("take_rows") == active
         # One conv per active expert and one composed pointwise conv.
         assert ops.count("conv1d") == active + 1
-        # The composed bias and the residual.
-        assert ops.count("add") == 2
+        # The composed bias, its add to the pointwise conv, and the residual.
+        assert ops.count("add") == 3
 
     def test_no_source_call_records_no_transpose(self, rng):
         # Maps stay [N, L, T] from block to block: a call with no lifted
@@ -161,17 +162,33 @@ class TestRFAMoE:
         rfamoe_forward(g.leaf(rng.standard_normal((4, 4, 6))), params, (2, 2))
         assert "transpose" not in {node.op for node in g.nodes}
 
+    def test_norm_cancels_a_constant_on_the_routed_output(self, rng, monkeypatch):
+        # Why the routed experts carry no bias: the instance norm after them
+        # subtracts each map's time mean, so a per-feature constant [L]
+        # added to the routed output cannot move the block's output.
+        params = random_affine(self._params(rng, kernels=(1, 3, 5)), rng)
+        x = rng.standard_normal((4, 4, 7))
+        y = rfamoe_forward(x, params, (2, 2))
+        shift = 10.0 * rng.standard_normal((4, 1))
+        scatter, calls = ad.scatter_rows, []
+
+        def shifted_scatter(a, idx, n):
+            calls.append(n)
+            return ad.add(scatter(a, idx, n), shift)
+
+        monkeypatch.setattr(ad, "scatter_rows", shifted_scatter)
+        npt.assert_allclose(rfamoe_forward(x, params, (2, 2)), y, rtol=0, atol=1e-12)
+        assert calls == [4]
+
     @pytest.mark.parametrize("c", [1, 3])
     def test_matches_two_conv_reference(self, c):
         # The composed pointwise conv against gate_proj then fuse as two
         # convolutions: same output and the same gradient for every block
-        # parameter. The expert biases' gradients are rounding noise (the
-        # instance norm cancels them), so the tolerance scales with the
-        # largest gradient.
+        # parameter, within 1e-12 of the largest gradient.
         rng = np.random.default_rng(10 + c)
         plain = self._params(rng, l=6, c=c, kernels=(1, 3, 5))
         plain.router.weight = 3.0 * rng.standard_normal((6, 3))
-        for conv in [plain.gate_proj, plain.fuse] + plain.experts:
+        for conv in [plain.gate_proj, plain.fuse]:
             conv.bias = rng.standard_normal(conv.bias.shape)
         x = rng.standard_normal((2 * c, 6, 9))
         probe = rng.standard_normal(x.shape)
@@ -196,12 +213,12 @@ class TestRFAMoE:
         # Kernels 1, 3 and 7 over T = 9: the widest reaches past the middle
         # from either edge. The signal means are spread so that the seeds
         # below route maps to every expert.
-        rng = np.random.default_rng({1: 4, 3: 10}[c])
+        rng = np.random.default_rng({1: 9, 3: 10}[c])
         plain = self._params(rng, l=6, c=c, kernels=(1, 3, 7))
         plain.router.weight = 3.0 * rng.standard_normal((6, 3))
         lift = init_conv(rng, 6, 1, 1)
         lift.bias = rng.standard_normal(6)
-        for conv in [plain.gate_proj, plain.fuse] + plain.experts:
+        for conv in [plain.gate_proj, plain.fuse]:
             conv.bias = rng.standard_normal(conv.bias.shape)
         b = 4 // c + 1
         x1 = rng.standard_normal((b * c, 1, 9)) + np.linspace(-3.0, 3.0, b * c)[:, None, None]
@@ -219,7 +236,7 @@ class TestRFAMoE:
     @staticmethod
     def _with_source(x1, lift, params, b, c):
         # z = [x1, 1] and m = [w, b], so the block input is m @ z.
-        h0 = ad.conv1d(x1, lift.weight, lift.bias)
+        h0 = conv_with_bias(x1, lift)
         z = ad.concat([x1, np.ones(ad.value_of(x1).shape)], axis=1)
         m = ad.concat([ad.reshape(lift.weight, (-1, 1)), ad.reshape(lift.bias, (-1, 1))], axis=1)
         return rfamoe_forward(h0, params, (b, c), (z, m))
@@ -229,11 +246,9 @@ class TestRFAMoE:
         # The experts on the raw signal with the lift composed into their
         # weights against the block on the lifted maps: the same output
         # and the same gradient for every block parameter and for the
-        # lift's weight and bias. The expert biases' gradients are rounding
-        # noise (the instance norm cancels them), so the tolerance scales
-        # with the largest gradient.
+        # lift's weight and bias, within 1e-12 of the largest gradient.
         plain, lift, x1, _, _ = self._lifted_case(c)
-        sel, _ = route_top1(ad.conv1d(x1, lift.weight, lift.bias), plain.router)
+        sel, _ = route_top1(conv_with_bias(x1, lift), plain.router)
         assert set(sel) == {0, 1, 2}
         y, grads = self._run_lifted(self._with_source, c)
         y_ref, grads_ref = self._run_lifted(explicit_lift_rfamoe, c)
@@ -244,26 +259,24 @@ class TestRFAMoE:
             npt.assert_allclose(grads[name], g_ref, rtol=1e-12, atol=1e-12 * scale, err_msg=name)
         assert np.all(grads["1.weight"] != 0.0) and np.all(grads["1.bias"] != 0.0)
 
-    @pytest.mark.parametrize("broken", ["constant_bias", "no_bias"])
+    # A lift bias added to each expert as a constant (as if the lifted maps
+    # were padded with it) was the other wrong source; the experts have no
+    # bias to carry it, and the norm would cancel it as it cancels no_bias's.
+    @pytest.mark.parametrize("broken", ["no_bias"])
     @pytest.mark.parametrize("kernels", [(1,), (1, 3, 7)])
     def test_explicit_lift_reference_catches_edge_errors(self, broken, kernels):
-        # Two wrong sources: the lift bias added to each expert as a
-        # constant (as if the lifted maps were padded with it, not with
-        # zeros), and the bias dropped. Away from the edges both differ
-        # from the block on the lifted maps by a per-map constant, which
-        # the instance norm cancels; so they pass with kernel 1 and fail
-        # once a kernel reaches past an edge.
+        # A wrong source: the lift bias dropped. Away from the edges it
+        # differs from the block on the lifted maps by a per-map constant,
+        # which the instance norm cancels; so it passes with kernel 1 and
+        # fails once a kernel reaches past an edge.
         plain, lift, x1, b, _ = self._lifted_case(3)
         plain = replace(plain, experts=plain.experts[: len(kernels)])
         plain.router.weight = plain.router.weight[:, : len(kernels)]
         plain.router.bias = plain.router.bias[: len(kernels)]
         y_ref = explicit_lift_rfamoe(x1, lift, plain, b, 3)
-        experts = plain.experts
-        if broken == "constant_bias":
-            experts = [ConvParams(e.weight, e.bias + e.weight.sum(axis=2) @ lift.bias) for e in experts]
-        h0 = ad.conv1d(x1, lift.weight, lift.bias)
+        h0 = conv_with_bias(x1, lift)
         source = (x1, lift.weight.reshape(-1, 1))
-        y = rfamoe_forward(h0, replace(plain, experts=experts), (b, 3), source)
+        y = rfamoe_forward(h0, plain, (b, 3), source)
         close = np.allclose(y, y_ref, rtol=1e-12, atol=1e-12 * np.abs(y_ref).max())
         assert close == (kernels == (1,))
 
@@ -276,7 +289,7 @@ class TestRFAMoE:
 
         pooled = x.mean(axis=2)
         sel = int(np.argmax(pooled @ params.router.weight + params.router.bias))
-        routed = naive_conv1d(x, params.experts[sel].weight, params.experts[sel].bias)
+        routed = naive_conv1d(x, params.experts[sel], np.zeros(4))
         h = ad.instance_norm(routed, params.in_gamma, params.in_beta)
         gated = ad.gelu(h[:, :2]) * h[:, 2:]
         body = naive_conv1d(gated, params.gate_proj.weight, params.gate_proj.bias)
@@ -288,7 +301,7 @@ class TestRFAMoE:
         # projection; every stage is small enough to write out by hand.
         l, t_len = 2, 3
         params = RFAMoEParams(
-            experts=[ConvParams(weight=np.eye(l)[:, :, None], bias=np.zeros(l))],
+            experts=[np.eye(l)[:, :, None]],
             router=LinearParams(weight=np.zeros((l, 1)), bias=np.zeros(1)),
             in_gamma=np.ones(l),
             in_beta=np.zeros(l),

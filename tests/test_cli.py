@@ -153,6 +153,15 @@ class TestPipeline:
         assert "nothing to train" in capsys.readouterr().out
 
 
+def _with_expert_biases(records):
+    """Rename each routed expert record ``levels.i.{main,cond}.experts.j`` to
+    ``...experts.j.weight`` and add a zero ``...experts.j.bias``, the records
+    of a checkpoint written when the routed experts had a bias."""
+    for name in [n for n in records if n.startswith("levels.") and ".experts." in n]:
+        weight = records.pop(name)
+        records[f"{name}.weight"], records[f"{name}.bias"] = weight, np.zeros(len(weight))
+
+
 class TestExitCodes:
     def test_usage_error_is_1(self):
         with pytest.raises(SystemExit) as exc:
@@ -361,10 +370,22 @@ class TestExitCodes:
                 id="wrong_shape",
             ),
             pytest.param(
-                lambda r: r.update({"levels.0.main.experts.9.weight": np.zeros((4, 4, 1))}),
+                lambda r: r.update({"levels.0.main.experts.9": np.zeros((4, 4, 1))}),
                 "",
-                "'levels.0.main.experts.9.weight'",
+                "'levels.0.main.experts.9'",
                 id="unexpected",
+            ),
+            # Routed experts store a weight only; a bias record left in a
+            # checkpoint is rejected, not dropped.
+            pytest.param(
+                lambda r: r.update({"levels.0.main.experts.0.bias": np.zeros(4)}),
+                "",
+                "'levels.0.main.experts.0.bias' is not a parameter of the model",
+                id="expert_bias",
+            ),
+            pytest.param(
+                _with_expert_biases, "", "checkpoint has no record 'levels.0.main.experts.0'",
+                id="expert_weight_and_bias",
             ),
             pytest.param(lambda r: r.pop("meta.width"), "", "'meta.width'", id="no_stored_spec"),
             pytest.param(

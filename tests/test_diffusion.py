@@ -17,7 +17,6 @@ from moediff.backbone import (
     lift_params,
     named_params,
     noise_estimate,
-    replace_param,
     zip_map_params,
 )
 from moediff.blocks import GATE_MODES
@@ -458,10 +457,10 @@ class TestTrainStep:
 
     @TRAIN_SHAPES
     def test_only_the_documented_parameters_are_frozen(self, sched10, shape):
-        # The receptive-field routers and expert biases are frozen (the two
-        # tests around this one); every other parameter learns. Leaves are
-        # pooled over their level and expert indices, since an expert that
-        # no map selects gets no gradient in that step.
+        # The receptive-field routers are frozen (test_which_routers_learn);
+        # every other parameter learns. Leaves are pooled over their level
+        # and expert indices, since an expert that no map selects gets no
+        # gradient in that step.
         shape = dict(shape)
         t_len, b = shape.pop("t_len"), shape.pop("batch")
         params = init_backbone(np.random.default_rng(0), depth=2, d_emb=16, **shape)
@@ -471,43 +470,15 @@ class TestTrainStep:
         _, grads = train_step(params, batch, mask, sched10, np.random.default_rng(3))
         largest = {}
         for name, g in named_params(grads):
-            group = re.sub(r"\.\d+\.", ".*.", name)
+            group = re.sub(r"\.\d+(?=\.|$)", ".*", name)
             largest[group] = max(largest.get(group, 0.0), float(np.abs(g).max()))
-        frozen = {g for g in largest if re.fullmatch(r"levels\.\*\.(main|cond)\.(router\..*|experts\.\*\.bias)", g)}
-        assert len(frozen) == 6  # {main, cond} x {router weight, router bias, expert bias}
+        frozen = {g for g in largest if re.fullmatch(r"levels\.\*\.(main|cond)\.router\..*", g)}
+        assert len(frozen) == 4  # {main, cond} x {router weight, router bias}
         for group, value in largest.items():
             if group in frozen:
                 assert value < 1e-12, group
             else:
                 assert value > 1e-8, group
-
-    @pytest.mark.parametrize("gate_mode", GATE_MODES)
-    def test_expert_biases_are_cancelled(self, sched10, rng, gate_mode):
-        # The instance norm after each routed expert conv subtracts every
-        # map's time mean, so the receptive-field expert biases
-        # (levels.*.{main,cond}.experts.*.bias) cannot move the output:
-        # their gradients are rounding noise and they stay frozen.
-        params = init_backbone(
-            np.random.default_rng(0), channels=2, width=4, depth=2,
-            kernel_sizes=(1, 3), head_experts=2, d_emb=8, gate_mode=gate_mode,
-        )
-        batch = rng.standard_normal((4, 2, 16))
-        _, grads = train_step(params, batch, np.ones_like(batch), sched10, rng)
-        grads = dict(named_params(grads))
-        biases = [n for n in grads if ".experts." in n and n.endswith(".bias") and n.startswith("levels.")]
-        assert len(biases) == 2 * 2 * 2  # depth x {main, cond} x experts
-        weight_scale = max(np.abs(grads[n[: -len("bias")] + "weight"]).max() for n in biases)
-        assert weight_scale > 0.1
-        for name in biases:
-            assert np.abs(grads[name]).max() <= 1e-12 * weight_scale, name
-
-        shifted = params
-        for name in biases:
-            shifted = replace_param(shifted, name, dict(named_params(shifted))[name] + 1.0)
-        x_t = rng.standard_normal((4, 2, 16))
-        npt.assert_allclose(
-            noise_estimate(x_t, batch, 3, shifted), noise_estimate(x_t, batch, 3, params), rtol=0, atol=1e-12
-        )
 
     def test_gradient_tree_matches_parameters(self, tiny_backbone, sched10, rng):
         batch = rng.standard_normal((2, 2, 8))

@@ -238,7 +238,13 @@ class TestLoadChecks:
         data[where] = value
         path = tmp_path / ("stack.tsb1" if fmt == "tsb1" else "stack")
         save_signals(path, data, fmt)
-        located = f"{path}: non-finite value {value} at [sample, channel, timestep] = {list(where)}"
+        if fmt == "tsb1":
+            located = f"{path}: non-finite value {value} at [sample, channel, timestep] = {list(where)}"
+        else:
+            # A CSV sample names its file, its line (after the header) and its column.
+            sample, channel, step = where
+            csv = path / f"sample_{sample:04d}.csv"
+            located = f"{csv}: line {step + 2}: non-finite value {value} in column channel_{channel}"
         with pytest.raises(TensorFormatError, match=re.escape(located)):
             load_signals(path, fmt)
 
