@@ -14,6 +14,7 @@ have smaller ids.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -215,13 +216,15 @@ def concat(parts, axis: int = 0):
     return _node("concat", out, parts, {"axis": axis})
 
 
+def _axis_index(ndim: int, axis: int, start: int, stop: int) -> tuple:
+    """The basic index taking ``start:stop`` along ``axis`` of an ``ndim`` array."""
+    return (slice(None),) * (axis % ndim) + (slice(start, stop),)
+
+
 def slice_axis(a, axis: int, start: int, stop: int):
+    """A view of ``start:stop`` along ``axis``, on and off the tape."""
     av = value_of(a)
-    index = [slice(None)] * av.ndim
-    index[axis] = slice(start, stop)
-    out = av[tuple(index)]
-    if not isinstance(a, Var):
-        return np.ascontiguousarray(out)
+    out = av[_axis_index(av.ndim, axis, start, stop)]
     return _node("slice", out, (a,), {"axis": axis, "start": start, "stop": stop})
 
 
@@ -445,8 +448,8 @@ def _bwd_transpose(node, grad, vals):
 
 def _bwd_concat(node, grad, vals):
     axis = node.ctx["axis"]
-    splits = np.cumsum([v.shape[axis] for v in vals[:-1]])
-    return list(np.split(grad, splits, axis=axis))
+    stops = itertools.accumulate(v.shape[axis] for v in vals)
+    return [grad[_axis_index(grad.ndim, axis, stop - v.shape[axis], stop)] for v, stop in zip(vals, stops)]
 
 
 class Region(NamedTuple):
@@ -460,10 +463,8 @@ class Region(NamedTuple):
 
 
 def _bwd_slice(node, grad, vals):
-    shape = vals[0].shape
-    index = [slice(None)] * len(shape)
-    index[node.ctx["axis"]] = slice(node.ctx["start"], node.ctx["stop"])
-    return [Region(shape, tuple(index), grad)]
+    shape, ctx = vals[0].shape, node.ctx
+    return [Region(shape, _axis_index(len(shape), ctx["axis"], ctx["start"], ctx["stop"]), grad)]
 
 
 def _bwd_take_rows(node, grad, vals):

@@ -18,15 +18,14 @@ from . import autodiff as ad
 from .autodiff import Graph, Var
 from .blocks import (
     GATE_MODES,
-    BridgeParams,
-    ConvParams,
+    Affine,
     FusionMoEParams,
     RFAMoEParams,
     bridge_forward,
     fusion_moe_forward,
     init_bridge,
-    init_conv,
     init_fusion,
+    init_pointwise,
     init_rfamoe,
     rfamoe_forward,
 )
@@ -37,7 +36,7 @@ from .tensor import read_checkpoint, write_checkpoint
 class LevelParams:
     main: RFAMoEParams
     cond: RFAMoEParams
-    bridge: BridgeParams
+    bridge: Affine  # FiLM: emb @ W, W [d_emb, 2L] (see bridge_forward)
 
 
 class SpecError(ValueError):
@@ -114,8 +113,8 @@ class ModelSpec:
 
 @dataclass
 class BackboneParams:
-    lift_xt: ConvParams  # pointwise 1 -> L
-    lift_cond: ConvParams
+    lift_xt: Affine  # W @ x, W [L, 1]: pointwise lift
+    lift_cond: Affine  # W @ x, W [L, 1]
     levels: list  # LevelParams
     head: FusionMoEParams
     spec: ModelSpec  # holds no parameters
@@ -141,8 +140,8 @@ def init_backbone(
         for _ in range(depth)
     ]
     return BackboneParams(
-        lift_xt=init_conv(rng, width, 1, 1),
-        lift_cond=init_conv(rng, width, 1, 1),
+        lift_xt=init_pointwise(rng, width, 1),
+        lift_cond=init_pointwise(rng, width, 1),
         levels=levels,
         head=init_fusion(rng, width, head_experts),
         spec=spec,
@@ -160,15 +159,15 @@ def _check_inputs(where: str, x, params: BackboneParams) -> tuple[int, int, int]
     return x.shape
 
 
-def _lift(x, lift: ConvParams, n: int, t_len: int):
+def _lift(x, lift: Affine, n: int, t_len: int):
     """The pointwise lift of [B, C, Tlen] ``x`` to [N, L, T] maps, and the
     same lift as the first block's source: ``z = [x, 1]`` per map and
     ``m = [weight, bias]`` (see :func:`rfamoe_forward`)."""
     x1 = ad.reshape(x, (n, 1, t_len))
-    w_col, b_col = ad.reshape(lift.weight, (-1, 1)), ad.reshape(lift.bias, (-1, 1))
-    h = ad.add(ad.mul(x1, w_col), b_col)
+    b_col = ad.reshape(lift.bias, (-1, 1))
+    h = ad.add(ad.mul(x1, lift.weight), b_col)
     z = ad.concat([x1, np.ones((n, 1, t_len))], axis=1)
-    m = ad.concat([w_col, b_col], axis=1)
+    m = ad.concat([lift.weight, b_col], axis=1)
     return h, (z, m)
 
 

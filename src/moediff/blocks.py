@@ -26,14 +26,10 @@ GATE_MODES = ("unit",)
 
 
 @dataclass
-class ConvParams:
-    weight: object  # [Cout, Cin, S]
-    bias: object  # [Cout]
+class Affine:
+    """An affine map; each field holding one states W's shape and use, ``x @ W`` or ``W @ x``."""
 
-
-@dataclass
-class LinearParams:
-    weight: object  # [In, Out]
+    weight: object
     bias: object  # [Out]
 
 
@@ -46,20 +42,13 @@ class RFAMoEParams:
     map's time mean, which would cancel any per-feature constant."""
 
     experts: list  # [L, L, S] weights, distinct odd kernel sizes S
-    router: LinearParams  # L -> E logits
+    router: Affine  # x @ W, W [L, E]: logits
     in_gamma: object  # [L] instance-norm affine
     in_beta: object  # [L]
     # gate_proj and fuse are stored apart but applied as one composed
     # pointwise conv, C*L/2 -> C*L (see _compose_pointwise).
-    gate_proj: ConvParams  # pointwise, L/2 -> L per map
-    fuse: ConvParams  # pointwise, C*L -> C*L across the channels
-
-
-@dataclass
-class BridgeParams:
-    """Feature-wise affine modulation conditioned on the diffusion step."""
-
-    film: LinearParams  # d_emb -> 2L, read as (gamma, beta)
+    gate_proj: Affine  # W @ x, W [L, L/2]: per map
+    fuse: Affine  # W @ x, W [C*L, C*L]: across the channels
 
 
 @dataclass
@@ -67,8 +56,8 @@ class FusionMoEParams:
     """Head that merges K pointwise experts by gate-weighting their weights
     before a single convolution."""
 
-    experts: list  # ConvParams, each [1, L, 1]
-    router: LinearParams  # L -> K logits
+    experts: list  # Affine, each W @ x with W [1, L]
+    router: Affine  # x @ W, W [L, K]: logits
 
 
 def step_embedding(t, d_emb: int) -> np.ndarray:
@@ -85,7 +74,7 @@ def step_embedding(t, d_emb: int) -> np.ndarray:
     return np.stack([np.sin(angles), np.cos(angles)], axis=-1).reshape(*t.shape, d_emb)
 
 
-def route_top1(features, router: LinearParams):
+def route_top1(features, router: Affine):
     """Select one expert per feature map; the one place routing logits are
     computed.
 
@@ -101,7 +90,7 @@ def route_top1(features, router: LinearParams):
     return np.argmax(logits, axis=1), logits
 
 
-def _compose_pointwise(gate_proj: ConvParams, fuse: ConvParams, c: int) -> tuple:
+def _compose_pointwise(gate_proj: Affine, fuse: Affine, c: int) -> tuple:
     """The kernel-1 conv over [B, C*L/2, T] equal to ``gate_proj`` on each
     of the C maps followed by ``fuse`` across them; no non-linearity lies
     between the two, so they compose.
@@ -111,12 +100,11 @@ def _compose_pointwise(gate_proj: ConvParams, fuse: ConvParams, c: int) -> tuple
     [C*L, 1] column, built from tape ops so the gradients reach both stored
     parameter sets.
     """
-    l, half, _ = ad.value_of(gate_proj.weight).shape
+    l, half = ad.value_of(gate_proj.weight).shape
     cl = c * l
-    w = ad.matmul(ad.reshape(fuse.weight, (cl * c, l)), ad.reshape(gate_proj.weight, (l, half)))
-    w_fuse = ad.reshape(fuse.weight, (cl, cl))
+    w = ad.matmul(ad.reshape(fuse.weight, (cl * c, l)), gate_proj.weight)
     tiled = ad.concat([ad.reshape(gate_proj.bias, (l, 1))] * c, axis=0)  # [C*L, 1]
-    b = ad.add(ad.matmul(w_fuse, tiled), ad.reshape(fuse.bias, (cl, 1)))
+    b = ad.add(ad.matmul(fuse.weight, tiled), ad.reshape(fuse.bias, (cl, 1)))
     return ad.reshape(w, (cl, c * half, 1)), b
 
 
@@ -192,14 +180,15 @@ def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int], source=None):
     return ad.add(ad.reshape(fused, (n, l, t_len)), x)
 
 
-def bridge_forward(h, t, params: BridgeParams):
+def bridge_forward(h, t, film: Affine):
     """FiLM the [N, L, T] feature map: gamma(t) * h + beta(t) per channel,
-    with ``t`` one step for every map or an array of N steps, one per map."""
-    w = params.film.weight
-    d_emb, two_l = ad.value_of(w).shape
+    with ``t`` one step for every map or an array of N steps, one per map.
+    ``film`` maps the step embedding to (gamma, beta): ``emb @ W``, W
+    [d_emb, 2L]."""
+    d_emb, two_l = ad.value_of(film.weight).shape
     l = two_l // 2
     emb = step_embedding(t, d_emb).reshape(-1, d_emb)  # [1 or N, d_emb]
-    gb = ad.add(ad.matmul(emb, w), params.film.bias)  # [1 or N, 2L]
+    gb = ad.add(ad.matmul(emb, film.weight), film.bias)  # [1 or N, 2L]
     gamma = ad.reshape(ad.slice_axis(gb, 1, 0, l), (-1, l, 1))
     beta = ad.reshape(ad.slice_axis(gb, 1, l, two_l), (-1, l, 1))
     return ad.add(ad.mul(h, gamma), beta)
@@ -230,8 +219,8 @@ def fusion_moe_forward(x, params: FusionMoEParams, gates_override=None):
         if gates.shape != (n, k):
             raise ValueError(f"fusion head: gates must be [K] or [N, K], got {gates.shape}")
 
-    w_stack = ad.concat([ad.reshape(e.weight, (1, l)) for e in params.experts], axis=0)  # [K, L]
-    b_stack = ad.concat([ad.reshape(e.bias, (1, 1)) for e in params.experts], axis=0)  # [K, 1]
+    w_stack = ad.concat([e.weight for e in params.experts], axis=0)  # [K, L]
+    b_stack = ad.reshape(ad.concat([e.bias for e in params.experts], axis=0), (k, 1))  # [K, 1]
     merged_w = ad.matmul(gates, w_stack)  # [N, L]
     merged_b = ad.matmul(gates, b_stack)  # [N, 1]
     out = ad.bmm(ad.reshape(merged_w, (n, 1, l)), x)  # [N, 1, T]
@@ -243,36 +232,34 @@ def fusion_moe_forward(x, params: FusionMoEParams, gates_override=None):
 # ---------------------------------------------------------------------------
 
 
-def init_conv(rng: np.random.Generator, c_out: int, c_in: int, s: int) -> ConvParams:
-    std = 1.0 / math.sqrt(c_in * s)
-    return ConvParams(weight=rng.normal(0.0, std, (c_out, c_in, s)), bias=np.zeros(c_out))
+def init_pointwise(rng: np.random.Generator, c_out: int, c_in: int) -> Affine:
+    """A ``W @ x`` map, W [c_out, c_in]."""
+    return Affine(weight=rng.normal(0.0, 1.0 / math.sqrt(c_in), (c_out, c_in)), bias=np.zeros(c_out))
 
 
-def init_linear(rng: np.random.Generator, d_in: int, d_out: int, std: float | None = None) -> LinearParams:
-    std = 1.0 / math.sqrt(d_in) if std is None else std
-    return LinearParams(weight=rng.normal(0.0, std, (d_in, d_out)), bias=np.zeros(d_out))
+def init_linear(rng: np.random.Generator, d_in: int, d_out: int) -> Affine:
+    """An ``x @ W`` map, W [d_in, d_out]."""
+    return Affine(weight=rng.normal(0.0, 1.0 / math.sqrt(d_in), (d_in, d_out)), bias=np.zeros(d_out))
 
 
 def init_rfamoe(rng: np.random.Generator, l: int, channels: int, kernel_sizes: tuple[int, ...]) -> RFAMoEParams:
     return RFAMoEParams(
-        experts=[init_conv(rng, l, l, s).weight for s in kernel_sizes],
+        experts=[rng.normal(0.0, 1.0 / math.sqrt(l * s), (l, l, s)) for s in kernel_sizes],
         router=init_linear(rng, l, len(kernel_sizes)),
         in_gamma=np.ones(l),
         in_beta=np.zeros(l),
-        gate_proj=init_conv(rng, l, l // 2, 1),
-        fuse=init_conv(rng, channels * l, channels * l, 1),
+        gate_proj=init_pointwise(rng, l, l // 2),
+        fuse=init_pointwise(rng, channels * l, channels * l),
     )
 
 
-def init_bridge(rng: np.random.Generator, d_emb: int, l: int) -> BridgeParams:
+def init_bridge(rng: np.random.Generator, d_emb: int, l: int) -> Affine:
     # Bias starts at (gamma=1, beta=0) so the bridge is near-identity at init.
-    film = init_linear(rng, d_emb, 2 * l, std=0.01)
-    film.bias = np.concatenate([np.ones(l), np.zeros(l)])
-    return BridgeParams(film=film)
+    return Affine(weight=rng.normal(0.0, 0.01, (d_emb, 2 * l)), bias=np.concatenate([np.ones(l), np.zeros(l)]))
 
 
 def init_fusion(rng: np.random.Generator, l: int, k: int) -> FusionMoEParams:
     return FusionMoEParams(
-        experts=[init_conv(rng, 1, l, 1) for _ in range(k)],
+        experts=[init_pointwise(rng, 1, l) for _ in range(k)],
         router=init_linear(rng, l, k),
     )

@@ -53,6 +53,15 @@ class RunConfig:
         """The model structure the backbone keys describe."""
         return ModelSpec(**{field: getattr(self, key) for field, key in _SPEC_KEYS.items()})
 
+    def check_spec(self, spec: ModelSpec, source) -> None:
+        """Raise ValueError naming the first backbone key whose value in the
+        model ``spec`` (read from ``source``) differs from this config's."""
+        want = self.model_spec()
+        for field, key in _SPEC_KEYS.items():
+            have, need = getattr(spec, field), getattr(want, field)
+            if have != need:
+                raise ValueError(f"{source} holds a model with {key} = {have!r}, the config sets {key} = {need!r}")
+
     def check(self) -> "RunConfig":
         try:
             self.model_spec()

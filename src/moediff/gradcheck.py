@@ -125,8 +125,8 @@ def check_blocks(seed: int = 0, points: int = 100):
     worst = 0.0
     for _ in range(points):
         params = init_bridge(rng, 8, l)
-        params.film.weight = rng.standard_normal((8, 2 * l))
-        params.film.bias = rng.standard_normal(2 * l)
+        params.weight = rng.standard_normal((8, 2 * l))
+        params.bias = rng.standard_normal(2 * l)
         x = rng.standard_normal((n, l, t_len))
         t = int(rng.integers(1, 11))
         worst = max(

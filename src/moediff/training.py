@@ -77,7 +77,8 @@ def train(cfg: RunConfig, data: np.ndarray, out_dir, resume_from=None):
     if resume_from is None:
         params, aux = init_from_config(cfg), {}
     else:
-        params, aux = load_backbone(resume_from, gate_mode=cfg.gate_mode)
+        params, aux = load_backbone(resume_from)
+        cfg.check_spec(params.spec, f"checkpoint {resume_from}")
         start_step = int(aux.get("meta.step", np.asarray(0.0)))
         if start_step > cfg.train_steps:
             raise ValueError(

@@ -114,17 +114,19 @@ def naive_rfamoe(x, params, b, c):
 
     h = naive_instance_norm(routed, params.in_gamma, params.in_beta)
     gated = naive_gelu(h[:, : l // 2]) * h[:, l // 2 :]
-    body = naive_conv1d(gated, params.gate_proj.weight, params.gate_proj.bias)
+    body = naive_conv1d(gated, params.gate_proj.weight[:, :, None], params.gate_proj.bias)
     fused = naive_conv1d(
-        body.reshape(b, c * l, t_len), params.fuse.weight, params.fuse.bias
+        body.reshape(b, c * l, t_len), params.fuse.weight[:, :, None], params.fuse.bias
     ).reshape(n, l, t_len)
     return fused + x
 
 
 def conv_with_bias(x, conv):
-    """``conv`` (weight and bias) applied on the tape as a bias-free conv1d
-    followed by the per-output-channel bias."""
-    return ad.add(ad.conv1d(x, conv.weight), ad.reshape(conv.bias, (-1, 1)))
+    """The pointwise map ``conv`` (weight [Cout, Cin] and bias) applied on
+    the tape as a bias-free kernel-1 conv1d followed by the per-output-channel
+    bias."""
+    kernel = ad.reshape(conv.weight, ad.value_of(conv.weight).shape + (1,))
+    return ad.add(ad.conv1d(x, kernel), ad.reshape(conv.bias, (-1, 1)))
 
 
 def two_conv_rfamoe(x, params, b, c):
@@ -155,14 +157,14 @@ def explicit_lift_rfamoe(x1, lift, params, b, c):
 
 def naive_bridge(h, t, params):
     """FiLM of [N, L, T] maps, one affine map per feature channel."""
-    d_emb = params.film.weight.shape[0]
-    l = params.film.weight.shape[1] // 2
+    d_emb = params.weight.shape[0]
+    l = params.weight.shape[1] // 2
     emb = np.zeros(d_emb)
     for i in range(d_emb // 2):
         ang = t / 10000.0 ** (2.0 * i / d_emb)
         emb[2 * i] = math.sin(ang)
         emb[2 * i + 1] = math.cos(ang)
-    gb = emb @ params.film.weight + params.film.bias
+    gb = emb @ params.weight + params.bias
     gamma, beta = gb[:l], gb[l:]
     out = np.zeros_like(h)
     for ni in range(h.shape[0]):
@@ -182,7 +184,7 @@ def naive_fusion_moe(x, params, gates=None):
         gates = np.stack([naive_softmax_row(row) for row in logits])
     out = np.zeros((n, 1, t_len))
     for ni in range(n):
-        mw = sum(gates[ni, ki] * params.experts[ki].weight[0, :, 0] for ki in range(k))
+        mw = sum(gates[ni, ki] * params.experts[ki].weight[0] for ki in range(k))
         mb = sum(gates[ni, ki] * params.experts[ki].bias[0] for ki in range(k))
         for ti in range(t_len):
             out[ni, 0, ti] = mb + sum(mw[li] * x[ni, li, ti] for li in range(l))
@@ -192,8 +194,8 @@ def naive_fusion_moe(x, params, gates=None):
 def naive_backbone(x_t, x_bar, t, params):
     b, c, t_len = x_t.shape
     n = b * c
-    h = naive_conv1d(x_t.reshape(n, 1, t_len), params.lift_xt.weight, params.lift_xt.bias)
-    cond = naive_conv1d(x_bar.reshape(n, 1, t_len), params.lift_cond.weight, params.lift_cond.bias)
+    h = naive_conv1d(x_t.reshape(n, 1, t_len), params.lift_xt.weight[:, :, None], params.lift_xt.bias)
+    cond = naive_conv1d(x_bar.reshape(n, 1, t_len), params.lift_cond.weight[:, :, None], params.lift_cond.bias)
     for level in params.levels:
         cond = naive_rfamoe(cond, level.cond, b, c)
         h = naive_rfamoe(h, level.main, b, c) + naive_bridge(cond, t, level.bridge)

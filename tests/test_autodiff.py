@@ -313,6 +313,18 @@ class TestSoftmax:
 # ---------------------------------------------------------------------------
 
 
+class TestSliceAxis:
+    def test_plain_and_tape_slices_are_views(self, rng):
+        # On and off the tape a slice is a view of its input, so the ops
+        # after it (gelu, mul, reshape) read the same layout either way.
+        a = rng.standard_normal((3, 6, 5))
+        plain = ad.slice_axis(a, 1, 3, 6)
+        taped = ad.slice_axis(ad.Graph().leaf(a), 1, 3, 6).value
+        npt.assert_array_equal(plain, taped)
+        npt.assert_array_equal(plain, a[:, 3:])
+        assert np.shares_memory(plain, a) and np.shares_memory(taped, a)
+
+
 class TestBackward:
     def test_sum_gradient_is_ones(self):
         g = ad.Graph()
@@ -575,6 +587,7 @@ def _op_cases(rng):
         ("reshape", (3, 4), lambda x: ad.reshape(x, (2, 6))),
         ("transpose", (2, 3, 4), lambda x: ad.transpose(x, (2, 0, 1))),
         ("concat", (2, 4), lambda x: ad.concat([x, c[:2]], axis=0)),
+        ("concat/axis1-three-parts", (3, 2), lambda x: ad.concat([x, c[:, :1], x], axis=1)),
         ("slice", (3, 4), lambda x: ad.slice_axis(x, 1, 1, 3)),
         ("take_rows", (3, 4), lambda x: ad.take_rows(x, idx)),
         ("scatter_rows", (3, 4), lambda x: ad.scatter_rows(x, np.array([4, 0, 2]), 6)),

@@ -344,9 +344,24 @@ class TestCheckpoint:
         assert "levels.0.main.experts.1" in names
         experts = [n for n in names if n.startswith("levels.") and ".experts." in n]
         assert all(re.fullmatch(r"levels\.\d+\.(main|cond)\.experts\.\d+", n) for n in experts), experts
-        assert "levels.0.bridge.film.bias" in names
+        # The bridge holds its FiLM map directly, with no wrapper record.
+        assert sorted(n for n in names if ".bridge." in n) == ["levels.0.bridge.bias", "levels.0.bridge.weight"]
         assert "head.router.weight" in names
         assert "lift_cond.bias" in names
+
+    def test_pointwise_weights_are_stored_as_matrices(self, tiny_backbone):
+        # Every affine map is stored as the matrix it is applied as; only
+        # the routed experts keep a kernel axis.
+        shapes = {name: np.shape(v) for name, v in named_params(tiny_backbone)}
+        routed = {n for n in shapes if re.fullmatch(r"levels\.\d+\.(main|cond)\.experts\.\d+", n)}
+        assert routed and all(len(shapes[n]) == 3 for n in routed)
+        assert all(len(shape) == 2 for n, shape in shapes.items() if n.endswith(".weight"))
+        # width 4, 2 channels, d_emb 8
+        assert shapes["lift_xt.weight"] == shapes["lift_cond.weight"] == (4, 1)
+        assert shapes["levels.0.main.gate_proj.weight"] == (4, 2)
+        assert shapes["levels.0.cond.fuse.weight"] == (8, 8)
+        assert shapes["levels.0.bridge.weight"] == (8, 8)
+        assert shapes["head.experts.1.weight"] == (1, 4)
 
     def test_extra_records_survive(self, tmp_path, tiny_backbone):
         path = tmp_path / "model.ckp1"
@@ -383,7 +398,7 @@ class TestCheckpoint:
     def test_load_rejects_inconsistent_widths(self, tmp_path, tiny_backbone):
         save_backbone(tmp_path / "model.ckp1", tiny_backbone)
         named = read_checkpoint(tmp_path / "model.ckp1")
-        named["lift_xt.weight"] = np.zeros((3, 1, 1))  # width 3 vs stored width 4
+        named["lift_xt.weight"] = np.zeros((3, 1))  # width 3 vs stored width 4
         write_checkpoint(tmp_path / "bad.ckp1", named)
         with pytest.raises(ValueError, match="'lift_xt.weight' has shape"):
             load_backbone(tmp_path / "bad.ckp1")

@@ -13,14 +13,13 @@ from hypothesis import strategies as st
 import moediff.autodiff as ad
 from moediff.backbone import lift_params, named_params, replace_param
 from moediff.blocks import (
-    ConvParams,
-    LinearParams,
+    Affine,
     RFAMoEParams,
     bridge_forward,
     fusion_moe_forward,
     init_bridge,
-    init_conv,
     init_fusion,
+    init_pointwise,
     init_rfamoe,
     rfamoe_forward,
     route_top1,
@@ -73,7 +72,7 @@ class TestStepEmbedding:
 
 
 def _identity_router(e):
-    return LinearParams(weight=np.eye(e), bias=np.zeros(e))
+    return Affine(weight=np.eye(e), bias=np.zeros(e))
 
 
 class TestRouteTop1:
@@ -90,7 +89,7 @@ class TestRouteTop1:
 
     def test_zero_router_selects_expert_zero(self, rng):
         feats = rng.standard_normal((5, 4, 6))
-        router = LinearParams(weight=np.zeros((4, 3)), bias=np.zeros(3))
+        router = Affine(weight=np.zeros((4, 3)), bias=np.zeros(3))
         idx, _ = route_top1(feats, router)
         assert idx.tolist() == [0] * 5
 
@@ -99,8 +98,8 @@ class TestRouteTop1:
     def test_logit_shift_invariance(self, seed, shift):
         rng = np.random.default_rng(seed)
         feats = rng.standard_normal((4, 3, 5))
-        router = LinearParams(weight=rng.standard_normal((3, 4)), bias=rng.standard_normal(4))
-        shifted = LinearParams(weight=router.weight, bias=router.bias + shift)
+        router = Affine(weight=rng.standard_normal((3, 4)), bias=rng.standard_normal(4))
+        shifted = Affine(weight=router.weight, bias=router.bias + shift)
         idx_a, _ = route_top1(feats, router)
         idx_b, _ = route_top1(feats, shifted)
         npt.assert_array_equal(idx_a, idx_b)
@@ -216,7 +215,7 @@ class TestRFAMoE:
         rng = np.random.default_rng({1: 9, 3: 10}[c])
         plain = self._params(rng, l=6, c=c, kernels=(1, 3, 7))
         plain.router.weight = 3.0 * rng.standard_normal((6, 3))
-        lift = init_conv(rng, 6, 1, 1)
+        lift = init_pointwise(rng, 6, 1)
         lift.bias = rng.standard_normal(6)
         for conv in [plain.gate_proj, plain.fuse]:
             conv.bias = rng.standard_normal(conv.bias.shape)
@@ -238,7 +237,7 @@ class TestRFAMoE:
         # z = [x1, 1] and m = [w, b], so the block input is m @ z.
         h0 = conv_with_bias(x1, lift)
         z = ad.concat([x1, np.ones(ad.value_of(x1).shape)], axis=1)
-        m = ad.concat([ad.reshape(lift.weight, (-1, 1)), ad.reshape(lift.bias, (-1, 1))], axis=1)
+        m = ad.concat([lift.weight, ad.reshape(lift.bias, (-1, 1))], axis=1)
         return rfamoe_forward(h0, params, (b, c), (z, m))
 
     @pytest.mark.parametrize("c", [1, 3])
@@ -275,7 +274,7 @@ class TestRFAMoE:
         plain.router.bias = plain.router.bias[: len(kernels)]
         y_ref = explicit_lift_rfamoe(x1, lift, plain, b, 3)
         h0 = conv_with_bias(x1, lift)
-        source = (x1, lift.weight.reshape(-1, 1))
+        source = (x1, lift.weight)
         y = rfamoe_forward(h0, plain, (b, 3), source)
         close = np.allclose(y, y_ref, rtol=1e-12, atol=1e-12 * np.abs(y_ref).max())
         assert close == (kernels == (1,))
@@ -292,8 +291,8 @@ class TestRFAMoE:
         routed = naive_conv1d(x, params.experts[sel], np.zeros(4))
         h = ad.instance_norm(routed, params.in_gamma, params.in_beta)
         gated = ad.gelu(h[:, :2]) * h[:, 2:]
-        body = naive_conv1d(gated, params.gate_proj.weight, params.gate_proj.bias)
-        expected = naive_conv1d(body, params.fuse.weight, params.fuse.bias) + x
+        body = naive_conv1d(gated, params.gate_proj.weight[:, :, None], params.gate_proj.bias)
+        expected = naive_conv1d(body, params.fuse.weight[:, :, None], params.fuse.bias) + x
         npt.assert_allclose(out, expected, atol=1e-11)
 
     def test_hand_traced_identity_configuration(self):
@@ -302,11 +301,11 @@ class TestRFAMoE:
         l, t_len = 2, 3
         params = RFAMoEParams(
             experts=[np.eye(l)[:, :, None]],
-            router=LinearParams(weight=np.zeros((l, 1)), bias=np.zeros(1)),
+            router=Affine(weight=np.zeros((l, 1)), bias=np.zeros(1)),
             in_gamma=np.ones(l),
             in_beta=np.zeros(l),
-            gate_proj=ConvParams(weight=np.array([[[2.0]], [[-1.0]]]), bias=np.zeros(l)),
-            fuse=ConvParams(weight=np.array([[[1.0], [1.0]], [[0.0], [1.0]]]), bias=np.array([0.5, 0.0])),
+            gate_proj=Affine(weight=np.array([[2.0], [-1.0]]), bias=np.zeros(l)),
+            fuse=Affine(weight=np.array([[1.0, 1.0], [0.0, 1.0]]), bias=np.array([0.5, 0.0])),
         )
         x = np.array([[[1.0, 2.0, 3.0], [0.0, 1.0, -1.0]]])  # [1, L=2, T=3]
 
@@ -361,12 +360,7 @@ def naive_gelu_vec(v):
 
 class TestBridge:
     def _identity_params(self, l=3, d_emb=4):
-        film = LinearParams(
-            weight=np.zeros((d_emb, 2 * l)), bias=np.concatenate([np.ones(l), np.zeros(l)])
-        )
-        from moediff.blocks import BridgeParams
-
-        return BridgeParams(film=film)
+        return Affine(weight=np.zeros((d_emb, 2 * l)), bias=np.concatenate([np.ones(l), np.zeros(l)]))
 
     def test_identity_modulation(self, rng):
         h = rng.standard_normal((2, 3, 5))
@@ -374,23 +368,19 @@ class TestBridge:
 
     def test_constant_collapse(self, rng):
         params = self._identity_params()
-        params.film.bias = np.concatenate([np.zeros(3), np.full(3, 2.5)])
+        params.bias = np.concatenate([np.zeros(3), np.full(3, 2.5)])
         out = bridge_forward(rng.standard_normal((2, 3, 5)), 1, params)
         npt.assert_allclose(out, 2.5, atol=1e-15)
 
     def test_direct_affine_arithmetic(self):
-        from moediff.blocks import BridgeParams
-
-        params = BridgeParams(
-            film=LinearParams(weight=np.zeros((2, 2)), bias=np.array([2.0, -1.0]))
-        )
+        params = Affine(weight=np.zeros((2, 2)), bias=np.array([2.0, -1.0]))
         out = bridge_forward(np.array([[[3.0]]]), 1, params)
         npt.assert_allclose(out, [[[5.0]]], atol=1e-15)
 
     def test_matches_naive_oracle(self, rng):
         params = init_bridge(rng, 8, 4)
-        params.film.weight = rng.standard_normal((8, 8))
-        params.film.bias = rng.standard_normal(8)
+        params.weight = rng.standard_normal((8, 8))
+        params.bias = rng.standard_normal(8)
         h = rng.standard_normal((3, 4, 6))
         for t in (1, 7, 40):
             npt.assert_allclose(bridge_forward(h, t, params), naive_bridge(h, t, params), atol=1e-12)
@@ -403,8 +393,8 @@ class TestBridge:
 
     def test_affine_in_features(self, rng):
         params = init_bridge(rng, 6, 4)
-        params.film.weight = rng.standard_normal((6, 8))
-        params.film.bias = rng.standard_normal(8)
+        params.weight = rng.standard_normal((6, 8))
+        params.bias = rng.standard_normal(8)
         h1, h2 = rng.standard_normal((2, 2, 4, 5))
         a, b = 0.7, -0.4
         beta_term = bridge_forward(np.zeros((2, 4, 5)), 3, params)
@@ -437,9 +427,19 @@ class TestFusionMoE:
             one_hot = np.zeros(3)
             one_hot[k] = 1.0
             out = fusion_moe_forward(x, params, gates_override=one_hot)
-            w = params.experts[k].weight[0, :, 0]
+            w = params.experts[k].weight[0]
             expected = w[None, :] @ x + params.experts[k].bias[0]
             npt.assert_allclose(out, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_records_no_per_expert_reshape(self, rng, k):
+        # The experts' [1, L] weights and [1] biases are joined as they are
+        # stored, so the head records three reshapes whatever K is: the
+        # joined biases, the merged weight and the merged bias.
+        g = ad.Graph()
+        params = lift_params(g, init_fusion(rng, 4, k))
+        fusion_moe_forward(g.leaf(rng.standard_normal((3, 4, 5))), params)
+        assert [node.op for node in g.nodes].count("reshape") == 3
 
     def test_single_expert_ignores_router(self, rng):
         params = init_fusion(rng, 4, 1)

@@ -162,6 +162,14 @@ def _with_expert_biases(records):
         records[f"{name}.weight"], records[f"{name}.bias"] = weight, np.zeros(len(weight))
 
 
+def _with_film_records(records):
+    """Rename each bridge record ``levels.i.bridge.{weight,bias}`` to
+    ``levels.i.bridge.film.*``, the records of a checkpoint written when the
+    bridge wrapped its FiLM map in a record of its own."""
+    for name in [n for n in records if ".bridge." in n]:
+        records[name.replace(".bridge.", ".bridge.film.")] = records.pop(name)
+
+
 class TestExitCodes:
     def test_usage_error_is_1(self):
         with pytest.raises(SystemExit) as exc:
@@ -320,6 +328,25 @@ class TestExitCodes:
         assert ckpt.read_bytes() == open(workspace["ckpt"], "rb").read()
         assert sorted(os.listdir(out)) == ["checkpoint.ckp1"]
 
+    @pytest.mark.parametrize(
+        "config_line, located",
+        [("width = 8\ndepth = 2", "width = 4, the config sets width = 8"),
+         ("rfa_kernels = 1,5", "rfa_kernels = (1, 3), the config sets rfa_kernels = (1, 5)"),
+         ("head_experts = 3", "head_experts = 2, the config sets head_experts = 3")],
+        ids=["width", "rfa_kernels", "head_experts"],
+    )
+    def test_resume_with_other_model_keys_is_2(self, workspace, tmp_path, capsys, config_line, located):
+        # The checkpoint's model is not the configured one: say which key
+        # differs rather than train the checkpoint's model.
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text(TINY_CONFIG + config_line + "\ntrain_steps = 20\n")
+        out = tmp_path / "run"
+        rc = main(["train", "--config", str(cfg), "--data", workspace["data"], "--out", str(out),
+                   "--resume", workspace["ckpt"]])
+        assert rc == 2
+        assert located in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("ks", ["1,x", "2,-1", "", "0", "1,,2"])
     def test_bad_shot_counts_are_1(self, workspace, tmp_path, capsys, ks):
         # A malformed --ks is a usage error before the checkpoint is read.
@@ -386,6 +413,18 @@ class TestExitCodes:
             pytest.param(
                 _with_expert_biases, "", "checkpoint has no record 'levels.0.main.experts.0'",
                 id="expert_weight_and_bias",
+            ),
+            # Pointwise weights are stored as the matrices they are applied
+            # as, and the bridge holds its FiLM map directly; a checkpoint in
+            # the older layout is rejected, not reshaped.
+            pytest.param(
+                lambda r: r.update({"lift_xt.weight": r["lift_xt.weight"][:, :, None]}),
+                "",
+                "'lift_xt.weight' has shape (4, 1, 1), the model needs (4, 1)",
+                id="pointwise_kernel_axis",
+            ),
+            pytest.param(
+                _with_film_records, "", "checkpoint has no record 'levels.0.bridge.weight'", id="bridge_film"
             ),
             pytest.param(lambda r: r.pop("meta.width"), "", "'meta.width'", id="no_stored_spec"),
             pytest.param(

@@ -78,6 +78,18 @@ class TestTrain:
         for k in full_ck:
             npt.assert_array_equal(full_ck[k], res_ck[k])
 
+    def test_resume_checks_model_keys_only(self, tmp_path):
+        data = _tiny_data()
+        train(_tiny_cfg(train_steps=2), data, tmp_path / "a")
+        ckpt = tmp_path / "a" / "checkpoint.ckp1"
+        # The seed, lr and masking keys are not the model's: a resume may
+        # change them.
+        _, losses = train(_tiny_cfg(train_steps=3, seed=5, lr=1e-3), data, tmp_path / "b", resume_from=ckpt)
+        assert [step for step, _ in losses] == [2]
+        # A model key is named as the config spells it.
+        with pytest.raises(ValueError, match=r"rfa_kernels = \(1, 3\), the config sets rfa_kernels = \(1, 5\)"):
+            train(_tiny_cfg(train_steps=3, rfa_kernels=(1, 5)), data, tmp_path / "c", resume_from=ckpt)
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_nan_abort_reports_step(self, tmp_path):
