@@ -169,17 +169,8 @@ def add(a, b):
     return _node("add", value_of(a) + value_of(b), (a, b))
 
 
-def sub(a, b):
-    return _node("sub", value_of(a) - value_of(b), (a, b))
-
-
 def mul(a, b):
     return _node("mul", value_of(a) * value_of(b), (a, b))
-
-
-def scale(a, s: float):
-    """Multiply by a python scalar without creating a constant leaf."""
-    return _node("scale", value_of(a) * s, (a,), {"s": float(s)})
 
 
 def matmul(a, b):
@@ -205,10 +196,6 @@ def bmm(a, b):
 
 def reshape(a, shape):
     return _node("reshape", value_of(a).reshape(shape), (a,))
-
-
-def transpose(a, axes):
-    return _node("transpose", np.transpose(value_of(a), axes), (a,), {"axes": tuple(axes)})
 
 
 def concat(parts, axis: int = 0):
@@ -414,18 +401,9 @@ def _bwd_add(node, grad, vals):
     return [_unbroadcast(grad, a.shape), _unbroadcast(grad, b.shape)]
 
 
-def _bwd_sub(node, grad, vals):
-    a, b = vals
-    return [_unbroadcast(grad, a.shape), _unbroadcast(-grad, b.shape)]
-
-
 def _bwd_mul(node, grad, vals):
     a, b = vals
     return [_unbroadcast(grad * b, a.shape), _unbroadcast(grad * a, b.shape)]
-
-
-def _bwd_scale(node, grad, vals):
-    return [grad * node.ctx["s"]]
 
 
 def _bwd_matmul(node, grad, vals):
@@ -440,10 +418,6 @@ def _bwd_bmm(node, grad, vals):
 
 def _bwd_reshape(node, grad, vals):
     return [grad.reshape(vals[0].shape)]
-
-
-def _bwd_transpose(node, grad, vals):
-    return [np.transpose(grad, np.argsort(node.ctx["axes"]))]
 
 
 def _bwd_concat(node, grad, vals):
@@ -539,13 +513,10 @@ def _bwd_instance_norm(node, grad, vals):
 
 _BACKWARD: dict[str, Callable] = {
     "add": _bwd_add,
-    "sub": _bwd_sub,
     "mul": _bwd_mul,
-    "scale": _bwd_scale,
     "matmul": _bwd_matmul,
     "bmm": _bwd_bmm,
     "reshape": _bwd_reshape,
-    "transpose": _bwd_transpose,
     "concat": _bwd_concat,
     "slice": _bwd_slice,
     "take_rows": _bwd_take_rows,

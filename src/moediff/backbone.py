@@ -161,13 +161,13 @@ def _check_inputs(where: str, x, params: BackboneParams) -> tuple[int, int, int]
 
 def _lift(x, lift: Affine, n: int, t_len: int):
     """The pointwise lift of [B, C, Tlen] ``x`` to [N, L, T] maps, and the
-    same lift as the first block's source: ``z = [x, 1]`` per map and
-    ``m = [weight, bias]`` (see :func:`rfamoe_forward`)."""
+    same lift as the first block's source: ``z = [x, 1]`` per map and the
+    [2, L, 1] map ``m`` whose rows are the lift's weight and bias, which
+    a kernel-1 conv composes into each expert (see :func:`rfamoe_forward`)."""
     x1 = ad.reshape(x, (n, 1, t_len))
-    b_col = ad.reshape(lift.bias, (-1, 1))
-    h = ad.add(ad.mul(x1, lift.weight), b_col)
+    h = ad.add(ad.mul(x1, lift.weight), ad.reshape(lift.bias, (-1, 1)))
     z = ad.concat([x1, np.ones((n, 1, t_len))], axis=1)
-    m = ad.concat([lift.weight, b_col], axis=1)
+    m = ad.concat([ad.reshape(p, (1, -1, 1)) for p in (lift.weight, lift.bias)], axis=0)
     return h, (z, m)
 
 

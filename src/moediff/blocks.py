@@ -108,16 +108,6 @@ def _compose_pointwise(gate_proj: Affine, fuse: Affine, c: int) -> tuple:
     return ad.reshape(w, (cl, c * half, 1)), b
 
 
-def _compose_source(weight, m):
-    """The expert weight ``W`` [Cout, L, S] composed with the source map
-    ``m`` [L, R]: ``W'[o, r, s] = sum_l W[o, l, s] * m[l, r]``, built from
-    tape ops so the gradients reach both."""
-    c_out, l, s = ad.value_of(weight).shape
-    r = ad.value_of(m).shape[1]
-    w = ad.reshape(ad.transpose(weight, (0, 2, 1)), (c_out * s, l))
-    return ad.transpose(ad.reshape(ad.matmul(w, m), (c_out, s, r)), (0, 2, 1))
-
-
 def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int], source=None):
     """Apply the block to [N, L, T] feature maps, N = B * C.
 
@@ -127,14 +117,14 @@ def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int], source=None):
     the cross-channel fusion (``fuse``), residual from input.
 
     ``source`` optionally gives the input as a linear map of fewer
-    channels: ``(z, m)`` with ``z`` [N, R, T] and ``m`` [L, R] such that
-    ``x`` is ``m @ z`` for every map. The experts then run on
-    ``z`` with ``m`` composed into their weights, an L/R-fold cut in their
-    work; routing, the norm and the residual still read ``x``. A pointwise
-    lift ``w * x + b`` is the source ``z = [x, 1]``, ``m = [w, b]``: same
-    padding zero-pads the ones channel too, so the lifted bias vanishes
-    outside the signal exactly as the zero-padded ``x`` does, and the
-    edges match.
+    channels: ``(z, m)`` with ``z`` [N, R, T] and ``m`` [R, L, 1] such
+    that ``x[n, l] = sum_r m[r, l, 0] * z[n, r]`` for every map. The
+    experts then run on ``z`` with ``m`` composed into their weights by one
+    kernel-1 conv each, an L/R-fold cut in their work; routing, the norm
+    and the residual still read ``x``. A pointwise lift ``w * x + b`` is
+    the source ``z = [x, 1]``, ``m = [w, b]``: same padding zero-pads the
+    ones channel too, so the lifted bias vanishes outside the signal
+    exactly as the zero-padded ``x`` does, and the edges match.
     """
     b, c = dims
     xv = ad.value_of(x)
@@ -150,10 +140,10 @@ def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int], source=None):
         raise ValueError(f"rfamoe: input width {l_in} differs from the block's width {l}")
     if source is not None:
         z_shape, m_shape = (ad.value_of(a).shape for a in source)
-        if len(m_shape) != 2 or m_shape[0] != l or z_shape != (n, m_shape[1], t_len):
+        if len(m_shape) != 3 or m_shape[1:] != (l, 1) or z_shape != (n, m_shape[0], t_len):
             raise ValueError(
                 f"rfamoe: source z {z_shape} and m {m_shape} do not fit [N, R, T] = [{n}, R, {t_len}] "
-                f"and [L, R] = [{l}, R]"
+                f"and [R, L, 1] = [R, {l}, 1]"
             )
 
     sel, _ = route_top1(x, params.router)
@@ -166,7 +156,9 @@ def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int], source=None):
             if source is None:
                 rows_in = ad.take_rows(x, idx)
             else:
-                rows_in, weight = ad.take_rows(source[0], idx), _compose_source(weight, source[1])
+                # W [Cout, L, S] read as Cout maps of L channels over S taps:
+                # conv1d(W, m)[o, r, s] = sum_l m[r, l, 0] * W[o, l, s].
+                rows_in, weight = ad.take_rows(source[0], idx), ad.conv1d(weight, source[1])
             outs.append(ad.conv1d(rows_in, weight))
             rows.append(idx)
     routed = ad.scatter_rows(ad.concat(outs, axis=0), np.concatenate(rows), n)

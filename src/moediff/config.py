@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .backbone import ModelSpec, SpecError
+from .tensor import read_text
 
 # ModelSpec field -> the config key that sets it
 _SPEC_KEYS = {f.name: f.name for f in dataclasses.fields(ModelSpec)} | {"kernel_sizes": "rfa_kernels"}
@@ -106,9 +107,10 @@ def _parse_value(field: dataclasses.Field, raw: str):
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse key=value lines; unknown keys and malformed lines are errors."""
+    """Parse key=value lines; unknown or repeated keys and malformed lines
+    are errors."""
     by_name = {f.name: f for f in dataclasses.fields(RunConfig)}
-    values = {}
+    values, first_line = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -118,6 +120,9 @@ def parse_config(text: str) -> RunConfig:
         key, raw = (s.strip() for s in stripped.split("=", 1))
         if key not in by_name:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ValueError(f"config line {lineno}: key {key!r} was already set on line {first_line[key]}")
+        first_line[key] = lineno
         try:
             values[key] = _parse_value(by_name[key], raw)
         except ValueError as exc:
@@ -126,5 +131,4 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    return parse_config(read_text(path))

@@ -159,7 +159,7 @@ def train_step(
 
     graph = ad.Graph()
     pvars = lift_params(graph, params)
-    diff = ad.sub(noise_estimate(graph.leaf(x_t), graph.leaf(x_bar), ts, pvars), eps)
-    loss = ad.scale(ad.tsum(ad.mul(diff, diff)), 1.0 / batch.size)
+    diff = ad.add(noise_estimate(graph.leaf(x_t), graph.leaf(x_bar), ts, pvars), -eps)
+    loss = ad.mul(ad.tsum(ad.mul(diff, diff)), 1.0 / batch.size)
     grad_map = ad.backward(graph, loss)
     return float(loss.value), grads_like(pvars, grad_map)

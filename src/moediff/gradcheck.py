@@ -157,8 +157,8 @@ def check_backbone_params(seed: int = 0):
     eps = rng.standard_normal((1, 2, 16))
 
     def loss_fn(patched):
-        diff = ad.sub(noise_estimate(x_t, x_bar, 3, patched), eps)
-        return ad.scale(ad.tsum(ad.mul(diff, diff)), 1.0 / eps.size)
+        diff = ad.add(noise_estimate(x_t, x_bar, 3, patched), -eps)
+        return ad.mul(ad.tsum(ad.mul(diff, diff)), 1.0 / eps.size)
 
     worst = 0.0
     for name, leaf in named_params(params):

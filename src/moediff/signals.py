@@ -15,13 +15,12 @@ import os
 
 import numpy as np
 
-from .tensor import TensorFormatError, as_tensor, read_tsb1, write_csv, write_tsb1
+from .tensor import TensorFormatError, as_tensor, read_text, read_tsb1, write_csv, write_tsb1
 
 
 def _parse_sample_csv(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or not lines[0].strip():
+    lines = read_text(path).split("\n")
+    if not lines[0].strip():
         raise TensorFormatError(f"{path}: missing header row")
     header = [h.strip() for h in lines[0].split(",")]
     expected = [f"channel_{i}" for i in range(len(header))]

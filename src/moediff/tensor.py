@@ -39,7 +39,8 @@ CKP1_MAGIC = b"CKP1"
 
 
 class TensorFormatError(ValueError):
-    """A TSB1/CKP1 payload does not match its declared format."""
+    """A TSB1/CKP1 payload does not match its declared format, or a text
+    file is not UTF-8."""
 
 
 def as_tensor(values) -> np.ndarray:
@@ -172,6 +173,23 @@ def read_tsb1(path) -> np.ndarray:
     if end != size:
         raise TensorFormatError(f"{size - end} trailing bytes after tensor payload")
     return arr
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of the file ``path``, its line ends read as text-mode
+    ``open`` reads them. Bytes that are not UTF-8 raise
+    :class:`TensorFormatError` naming the file, the line and the offset of
+    the first bad byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise TensorFormatError(
+            f"{path}: line {line}: byte 0x{data[exc.start]:02x} at offset {exc.start} is not UTF-8"
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _csv_cell(v) -> str:

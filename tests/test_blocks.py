@@ -153,13 +153,28 @@ class TestRFAMoE:
         # The composed bias, its add to the pointwise conv, and the residual.
         assert ops.count("add") == 3
 
-    def test_no_source_call_records_no_transpose(self, rng):
-        # Maps stay [N, L, T] from block to block: a call with no lifted
-        # source, as at every level after the first, changes no layout.
+    @pytest.mark.parametrize("with_source", [True, False], ids=["source", "no_source"])
+    def test_source_is_composed_by_one_conv_per_active_expert(self, with_source):
+        # Given a lifted source (z, m), each active expert's kernel W
+        # [L, L, S] is composed with m [R, L, 1] by one conv1d(W, m), which
+        # is sum_l m[r, l] * W[o, l, s]. A call with no source, as at every
+        # level after the first, composes no kernel.
+        plain, lift, x1, b, _ = self._lifted_case(3)
         g = ad.Graph()
-        params = lift_params(g, self._params(rng))
-        rfamoe_forward(g.leaf(rng.standard_normal((4, 4, 6))), params, (2, 2))
-        assert "transpose" not in {node.op for node in g.nodes}
+        params, lift = lift_params(g, [plain, lift])
+        x1 = g.leaf(x1)
+        source = self._source(x1, lift)
+        h0 = conv_with_bias(x1, lift)
+        rfamoe_forward(h0, params, (b, 3), source if with_source else None)
+        experts = {w.id: ad.value_of(w) for w in params.experts}
+        composing = [node for node in g.nodes if node.op == "conv1d" and node.inputs[0] in experts]
+        sel, _ = route_top1(h0, plain.router)
+        assert len(composing) == (len(np.unique(sel)) if with_source else 0)
+        m = ad.value_of(source[1])
+        for node in composing:
+            assert node.inputs[1] == source[1].id
+            want = np.einsum("rl,ols->ors", m[:, :, 0], experts[node.inputs[0]])
+            npt.assert_allclose(node.value, want, rtol=0, atol=1e-13)
 
     def test_norm_cancels_a_constant_on_the_routed_output(self, rng, monkeypatch):
         # Why the routed experts carry no bias: the instance norm after them
@@ -233,12 +248,15 @@ class TestRFAMoE:
         return y.value, {n: grads.get(v.id, 0.0) for n, v in named_params(tree)}
 
     @staticmethod
-    def _with_source(x1, lift, params, b, c):
-        # z = [x1, 1] and m = [w, b], so the block input is m @ z.
-        h0 = conv_with_bias(x1, lift)
+    def _source(x1, lift):
+        # z = [x1, 1] and m [2, L, 1] with rows w and b, so the block
+        # input is sum_r m[r, :, 0] * z[:, r].
         z = ad.concat([x1, np.ones(ad.value_of(x1).shape)], axis=1)
-        m = ad.concat([lift.weight, ad.reshape(lift.bias, (-1, 1))], axis=1)
-        return rfamoe_forward(h0, params, (b, c), (z, m))
+        m = ad.concat([ad.reshape(p, (1, -1, 1)) for p in (lift.weight, lift.bias)], axis=0)
+        return z, m
+
+    def _with_source(self, x1, lift, params, b, c):
+        return rfamoe_forward(conv_with_bias(x1, lift), params, (b, c), self._source(x1, lift))
 
     @pytest.mark.parametrize("c", [1, 3])
     def test_lifted_source_matches_explicit_lift(self, c):
@@ -274,7 +292,7 @@ class TestRFAMoE:
         plain.router.bias = plain.router.bias[: len(kernels)]
         y_ref = explicit_lift_rfamoe(x1, lift, plain, b, 3)
         h0 = conv_with_bias(x1, lift)
-        source = (x1, lift.weight)
+        source = (x1, lift.weight.reshape(1, -1, 1))
         y = rfamoe_forward(h0, plain, (b, 3), source)
         close = np.allclose(y, y_ref, rtol=1e-12, atol=1e-12 * np.abs(y_ref).max())
         assert close == (kernels == (1,))
@@ -332,9 +350,13 @@ class TestRFAMoE:
         with pytest.raises(ValueError, match="input width 2 differs from the block's width 4"):
             rfamoe_forward(rng.standard_normal((4, 2, 4)), params, (2, 2))
         x = rng.standard_normal((4, 4, 5))
-        m = rng.standard_normal((4, 2))
-        for z_shape, m in [((4, 2, 6), m), ((3, 2, 5), m), ((4, 3, 5), m), ((4, 2, 5), m[:3])]:
-            with pytest.raises(ValueError, match=r"source z .* do not fit \[N, R, T\] = \[4, R, 5\]"):
+        m = rng.standard_normal((2, 4, 1))
+        fit = r"do not fit \[N, R, T\] = \[4, R, 5\] and \[R, L, 1\] = \[R, 4, 1\]"
+        for z_shape, m in [
+            ((4, 2, 6), m), ((3, 2, 5), m), ((4, 3, 5), m), ((4, 2, 5), m[:, :3]), ((4, 2, 5), m[:, :, 0]),
+            ((4, 2, 5), np.repeat(m, 3, axis=2)),
+        ]:
+            with pytest.raises(ValueError, match=fit):
                 rfamoe_forward(x, params, (2, 2), (rng.standard_normal(z_shape), m))
 
     def test_every_parameter_gradient(self, rng):

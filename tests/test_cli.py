@@ -36,6 +36,14 @@ seed = 3
 """
 
 
+def _tiny_config(lines: str) -> str:
+    """TINY_CONFIG with each ``key = value`` line of ``lines`` in place of
+    that key's line, or added when it has none: a config sets a key once."""
+    keys = {ln.split("=")[0].strip() for ln in lines.splitlines()}
+    kept = [ln for ln in TINY_CONFIG.splitlines() if ln.split("=")[0].strip() not in keys]
+    return "\n".join(kept + lines.splitlines()) + "\n"
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cliws")
@@ -250,6 +258,14 @@ class TestExitCodes:
         assert f"{path}: {located}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_config_key_is_2(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(TINY_CONFIG + "width = 16\n")
+        out = tmp_path / "d"
+        assert main(["synth", "--config", str(cfg), "--out", str(out), "--n-samples", "2"]) == 2
+        assert "key 'width' was already set on line" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_loss_is_3(self, workspace, tmp_path):
         cfg = tmp_path / "explode.cfg"
@@ -281,7 +297,7 @@ class TestExitCodes:
     )
     def test_out_of_range_config_is_2(self, workspace, tmp_path, capsys, line, key):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(TINY_CONFIG + line + "\n")
+        cfg.write_text(_tiny_config(line))
         rc = main(["train", "--config", str(cfg), "--data", workspace["data"], "--out", str(tmp_path / "x")])
         assert rc == 2
         assert key in capsys.readouterr().err
@@ -320,7 +336,7 @@ class TestExitCodes:
         ckpt = out / "checkpoint.ckp1"
         ckpt.write_bytes(open(workspace["ckpt"], "rb").read())
         cfg = tmp_path / "short.cfg"
-        cfg.write_text(TINY_CONFIG + "train_steps = 6\n")
+        cfg.write_text(_tiny_config("train_steps = 6"))
         rc = main(["train", "--config", str(cfg), "--data", workspace["data"], "--out", str(out),
                    "--resume", str(ckpt)])
         assert rc == 2
@@ -339,7 +355,7 @@ class TestExitCodes:
         # The checkpoint's model is not the configured one: say which key
         # differs rather than train the checkpoint's model.
         cfg = tmp_path / "other.cfg"
-        cfg.write_text(TINY_CONFIG + config_line + "\ntrain_steps = 20\n")
+        cfg.write_text(_tiny_config(config_line + "\ntrain_steps = 20"))
         out = tmp_path / "run"
         rc = main(["train", "--config", str(cfg), "--data", workspace["data"], "--out", str(out),
                    "--resume", workspace["ckpt"]])
@@ -446,7 +462,7 @@ class TestExitCodes:
         ckpt = tmp_path / "bad.ckp1"
         write_checkpoint(ckpt, records)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(TINY_CONFIG + config_line + "\n")
+        cfg.write_text(_tiny_config(config_line))
         rc = main(["impute", "--config", str(cfg), "--checkpoint", str(ckpt),
                    "--input", workspace["data"], "--out", str(tmp_path / "imp")])
         assert rc == 2

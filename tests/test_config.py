@@ -1,5 +1,6 @@
 """Flat key=value configuration: parsing, the shipped profiles, validation."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,17 @@ class TestConfigRoundtrip:
     def test_bad_bool_rejected(self):
         with pytest.raises(ValueError, match="boolean"):
             parse_config("shared_window = maybe\n")
+
+    def test_repeated_key_rejected(self):
+        # A second value must not silently replace the first.
+        with pytest.raises(ValueError, match=r"^config line 4: key 'width' was already set on line 2$"):
+            parse_config("steps = 5\nwidth = 8\n# width = 12\nwidth = 16\n")
+
+    def test_non_utf8_byte_is_located(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"steps = 5\nwidth = \xff8\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: byte 0xff at offset 18 is not UTF-8")):
+            load_config(path)
 
 
 class TestValidation:

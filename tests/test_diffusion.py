@@ -222,7 +222,11 @@ class TestSample:
 def grouped_train_step(params, batch, mask, sched, rng):
     """Reference training step: one forward per distinct diffusion step in
     the batch, the squared errors summed across groups. Draws from ``rng``
-    exactly as :func:`train_step` does; also returns the drawn steps."""
+    exactly as :func:`train_step` does; also returns the drawn steps.
+
+    The loss is plain NumPy. Its gradients come from the tape through
+    ``sum(est * dL/dest)`` over the groups, with ``dL/dest = 2 (est - eps) / size``
+    held constant, so no tape op computes the loss."""
     ts = rng.integers(1, sched.t_steps + 1, size=batch.shape[0])
     eps = rng.standard_normal(batch.shape)
     abar = sched.alpha_bar[ts - 1][:, None, None]
@@ -230,14 +234,15 @@ def grouped_train_step(params, batch, mask, sched, rng):
     x_bar = batch * mask
     graph = ad.Graph()
     pvars = lift_params(graph, params)
-    total_sse = None
+    sse, surrogate = 0.0, None
     for t in np.unique(ts):
         rows = np.where(ts == t)[0]
-        diff = ad.sub(noise_estimate(x_t[rows], x_bar[rows], int(t), pvars), eps[rows])
-        sse = ad.tsum(ad.mul(diff, diff))
-        total_sse = sse if total_sse is None else ad.add(total_sse, sse)
-    loss = ad.scale(total_sse, 1.0 / batch.size)
-    return float(loss.value), grads_like(pvars, ad.backward(graph, loss)), ts
+        est = noise_estimate(x_t[rows], x_bar[rows], int(t), pvars)
+        diff = est.value - eps[rows]
+        sse += np.sum(diff * diff)
+        term = ad.tsum(ad.mul(est, 2.0 * diff / batch.size))
+        surrogate = term if surrogate is None else ad.add(surrogate, term)
+    return sse / batch.size, grads_like(pvars, ad.backward(graph, surrogate)), ts
 
 
 def _step_graph(monkeypatch, params, sched):

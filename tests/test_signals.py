@@ -219,6 +219,19 @@ class TestSignalsCsv:
         with pytest.raises(TensorFormatError, match="line 3"):
             load_signals(path, "csv")
 
+    @pytest.mark.parametrize("as_dir", [False, True], ids=["file", "directory"])
+    def test_non_utf8_byte_is_located(self, tmp_path, as_dir):
+        # Alone or in a directory, the bad sample file is named.
+        d = tmp_path / "stack"
+        d.mkdir()
+        path = d / "sample_0001.csv"
+        path.write_bytes(b"channel_0\n1.0\n2.\xe90\n")
+        if as_dir:
+            (d / "sample_0000.csv").write_text("channel_0\n1.0\n2.0\n")
+        located = f"{path}: line 3: byte 0xe9 at offset 16 is not UTF-8"
+        with pytest.raises(TensorFormatError, match=re.escape(located)):
+            load_signals(d if as_dir else path, "csv")
+
     def test_mismatched_directory_shapes(self, tmp_path):
         d = tmp_path / "stack"
         d.mkdir()
