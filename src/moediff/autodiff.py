@@ -215,18 +215,26 @@ def slice_axis(a, axis: int, start: int, stop: int):
     return _node("slice", out, (a,), {"axis": axis, "start": start, "stop": stop})
 
 
-def take_rows(a, idx):
+def _distinct_rows(op: str, idx, n: int) -> np.ndarray:
+    """``idx`` as a 1-d index of distinct rows in 0..n-1, the only kind the
+    routed gather and scatter move; anything else raises naming ``op``."""
     idx = np.asarray(idx, dtype=np.intp)
-    out = value_of(a)[idx]
-    if not isinstance(a, Var):
-        return out
-    s = np.sort(idx, axis=None)  # not np.unique, which imports numpy.ma
-    return _node("take_rows", out, (a,), {"idx": idx, "repeats": bool((s[1:] == s[:-1]).any())})
+    s = np.sort(idx, axis=None)
+    if idx.ndim != 1 or (s.size and (s[0] < 0 or s[-1] >= n)) or (s[1:] == s[:-1]).any():
+        raise ValueError(f"{op}: rows must be a 1-d index of distinct rows in 0..{n - 1}, got {idx.tolist()}")
+    return idx
+
+
+def take_rows(a, idx):
+    """Rows ``idx`` of ``a``, distinct and in range."""
+    av = value_of(a)
+    idx = _distinct_rows("take_rows", idx, av.shape[0])
+    return _node("take_rows", av[idx], (a,), {"idx": idx})
 
 
 def scatter_rows(a, idx, n: int):
-    """Rows of ``a`` placed at positions ``idx`` of a zero tensor with ``n`` rows."""
-    idx = np.asarray(idx, dtype=np.intp)
+    """Rows of ``a`` placed at distinct positions ``idx`` of a zero tensor with ``n`` rows."""
+    idx = _distinct_rows("scatter_rows", idx, n)
     av = value_of(a)
     out = np.zeros((n,) + av.shape[1:])
     out[idx] = av
@@ -442,13 +450,7 @@ def _bwd_slice(node, grad, vals):
 
 
 def _bwd_take_rows(node, grad, vals):
-    shape, idx = vals[0].shape, node.ctx["idx"]
-    if not node.ctx["repeats"]:
-        return [Region(shape, idx, grad)]
-    rows, where = np.unique(idx, return_inverse=True)
-    piece = np.zeros((len(rows),) + grad.shape[1:])
-    np.add.at(piece, where, grad)
-    return [Region(shape, rows, piece)]
+    return [Region(vals[0].shape, node.ctx["idx"], grad)]
 
 
 def _bwd_scatter_rows(node, grad, vals):

@@ -42,7 +42,7 @@ class RFAMoEParams:
     map's time mean, which would cancel any per-feature constant."""
 
     experts: list  # [L, L, S] weights, distinct odd kernel sizes S
-    router: Affine  # x @ W, W [L, E]: logits
+    router: object  # x @ W, W [L, E]: logits; no bias, as the router never trains
     in_gamma: object  # [L] instance-norm affine
     in_beta: object  # [L]
     # gate_proj and fuse are stored apart but applied as one composed
@@ -74,19 +74,19 @@ def step_embedding(t, d_emb: int) -> np.ndarray:
     return np.stack([np.sin(angles), np.cos(angles)], axis=-1).reshape(*t.shape, d_emb)
 
 
-def route_top1(features, router: Affine):
+def route_top1(features, router):
     """Select one expert per feature map; the one place routing logits are
     computed.
 
-    ``features`` is [N, L, T]; maps are mean-pooled over time, routed
-    through the linear layer, and the argmax expert wins (ties break to
-    the lowest index). Returns (expert index [N], logits [N, E]), computed
-    from values only, so no gradient reaches the router.
+    ``features`` is [N, L, T]; maps are mean-pooled over time and scored
+    by the [L, E] ``router`` matrix, and the argmax expert wins (ties
+    break to the lowest index). Returns (expert index [N], logits [N, E]),
+    computed from values only, so no gradient reaches the router.
     """
     feats = ad.value_of(features)
     if feats.ndim != 3:
         raise ValueError(f"route_top1: features must be [N, L, T], got shape {feats.shape}")
-    logits = feats.mean(axis=2) @ ad.value_of(router.weight) + ad.value_of(router.bias)
+    logits = feats.mean(axis=2) @ ad.value_of(router)
     return np.argmax(logits, axis=1), logits
 
 
@@ -237,7 +237,7 @@ def init_linear(rng: np.random.Generator, d_in: int, d_out: int) -> Affine:
 def init_rfamoe(rng: np.random.Generator, l: int, channels: int, kernel_sizes: tuple[int, ...]) -> RFAMoEParams:
     return RFAMoEParams(
         experts=[rng.normal(0.0, 1.0 / math.sqrt(l * s), (l, l, s)) for s in kernel_sizes],
-        router=init_linear(rng, l, len(kernel_sizes)),
+        router=rng.normal(0.0, 1.0 / math.sqrt(l), (l, len(kernel_sizes))),
         in_gamma=np.ones(l),
         in_beta=np.zeros(l),
         gate_proj=init_pointwise(rng, l, l // 2),

@@ -29,68 +29,58 @@ def _sq_sum(y):
     return ad.tsum(ad.mul(y, y))
 
 
+def _worst(name: str, points: int, draw):
+    """(name, largest finite-difference error over ``points`` draws,
+    GRAD_TOL); each ``draw()`` returns one (loss function, point) pair."""
+    worst = 0.0
+    for _ in range(points):
+        worst = max(worst, ad.finite_diff_check(*draw()))
+    return name, worst, GRAD_TOL
+
+
 def check_primitive_layers(seed: int = 0, points: int = 100):
     """Max relative gradient error per primitive layer over random points."""
     rng = np.random.default_rng(seed)
-    results = []
 
-    # A 2->2 kernel-3 conv runs conv1d's per-tap sum, a narrow 2->4 kernel-5
-    # conv its unfolded GEMM (see autodiff._tap_sum).
-    for name, (c_out, c_in, s) in (("conv1d", (2, 2, 3)), ("conv1d-narrow", (4, 2, 5))):
-        worst = 0.0
-        for _ in range(points):
-            w = rng.standard_normal((c_out, c_in, s))
-            x = rng.standard_normal((2, c_in, 7))
-            worst = max(worst, ad.finite_diff_check(lambda v: _sq_sum(ad.conv1d(v, w)), x))
-        results.append((f"{name}/input", worst, GRAD_TOL))
+    def conv_input(c_out, c_in, s):
+        w = rng.standard_normal((c_out, c_in, s))
+        return (lambda v: _sq_sum(ad.conv1d(v, w))), rng.standard_normal((2, c_in, 7))
 
-        worst = 0.0
-        for _ in range(points):
-            x = rng.standard_normal((2, c_in, 7))
-            w = rng.standard_normal((c_out, c_in, s))
-            worst = max(
-                worst, ad.finite_diff_check(lambda v: _sq_sum(ad.conv1d(x, ad.reshape(v, w.shape))), w.ravel())
-            )
-        results.append((f"{name}/weight", worst, GRAD_TOL))
+    def conv_weight(c_out, c_in, s):
+        x = rng.standard_normal((2, c_in, 7))
+        w = rng.standard_normal((c_out, c_in, s))
+        return (lambda v: _sq_sum(ad.conv1d(x, ad.reshape(v, w.shape)))), w.ravel()
 
-    worst = 0.0
-    for _ in range(points):
+    def norm_input():
         x = rng.standard_normal((2, 3, 6))
-        gamma = rng.standard_normal(3)
-        beta = rng.standard_normal(3)
-        worst = max(
-            worst, ad.finite_diff_check(lambda v: _sq_sum(ad.instance_norm(v, gamma, beta)), x)
-        )
-    results.append(("instance_norm/input", worst, GRAD_TOL))
+        gamma, beta = rng.standard_normal(3), rng.standard_normal(3)
+        return (lambda v: _sq_sum(ad.instance_norm(v, gamma, beta))), x
 
-    worst = 0.0
-    for _ in range(points):
+    def norm_affine():
         x = rng.standard_normal((2, 3, 6))
-        ab = rng.standard_normal(6)
-        worst = max(
-            worst,
-            ad.finite_diff_check(
-                lambda v: _sq_sum(
-                    ad.instance_norm(x, ad.slice_axis(v, 0, 0, 3), ad.slice_axis(v, 0, 3, 6))
-                ),
-                ab,
-            ),
-        )
-    results.append(("instance_norm/affine", worst, GRAD_TOL))
 
-    worst = 0.0
-    for _ in range(points):
-        x = 3.0 * rng.standard_normal(12)
-        worst = max(worst, ad.finite_diff_check(lambda v: _sq_sum(ad.gelu(v)), x))
-    results.append(("gelu", worst, GRAD_TOL))
+        def f(v):
+            return _sq_sum(ad.instance_norm(x, ad.slice_axis(v, 0, 0, 3), ad.slice_axis(v, 0, 3, 6)))
 
-    worst = 0.0
-    for _ in range(points):
+        return f, rng.standard_normal(6)
+
+    def softmax():
         x = rng.standard_normal((3, 5))
         c = rng.standard_normal((3, 5))
-        worst = max(worst, ad.finite_diff_check(lambda v: ad.tsum(ad.mul(ad.softmax(v), c)), x))
-    results.append(("softmax", worst, GRAD_TOL))
-    return results
+        return (lambda v: ad.tsum(ad.mul(ad.softmax(v), c))), x
+
+    results = []
+    # A 2->2 kernel-3 conv runs conv1d's per-tap sum, a narrow 2->4 kernel-5
+    # conv its unfolded GEMM (see autodiff._tap_sum).
+    for name, shape in (("conv1d", (2, 2, 3)), ("conv1d-narrow", (4, 2, 5))):
+        results.append(_worst(f"{name}/input", points, lambda: conv_input(*shape)))
+        results.append(_worst(f"{name}/weight", points, lambda: conv_weight(*shape)))
+    return results + [
+        _worst("instance_norm/input", points, norm_input),
+        _worst("instance_norm/affine", points, norm_affine),
+        _worst("gelu", points, lambda: ((lambda v: _sq_sum(ad.gelu(v))), 3.0 * rng.standard_normal(12))),
+        _worst("softmax", points, softmax),
+    ]
 
 
 def _routing_margin(x, params) -> float:
@@ -105,44 +95,33 @@ def _routing_margin(x, params) -> float:
 def check_blocks(seed: int = 0, points: int = 100):
     """Gradient-through-input checks for the composite blocks."""
     rng = np.random.default_rng(seed)
-    results = []
     b, c, t_len, l = 1, 2, 8, 4
     n = b * c
 
-    worst = 0.0
-    for _ in range(points):
+    def rfamoe():
         while True:
             params = init_rfamoe(rng, l, c, (1, 3))
             x = rng.standard_normal((n, l, t_len))
             if _routing_margin(x, params) > 0.05:
-                break
-        worst = max(
-            worst,
-            ad.finite_diff_check(lambda v: _sq_sum(rfamoe_forward(v, params, (b, c))), x),
-        )
-    results.append(("rfamoe/input", worst, GRAD_TOL))
+                return (lambda v: _sq_sum(rfamoe_forward(v, params, (b, c)))), x
 
-    worst = 0.0
-    for _ in range(points):
+    def bridge():
         params = init_bridge(rng, 8, l)
         params.weight = rng.standard_normal((8, 2 * l))
         params.bias = rng.standard_normal(2 * l)
         x = rng.standard_normal((n, l, t_len))
         t = int(rng.integers(1, 11))
-        worst = max(
-            worst, ad.finite_diff_check(lambda v: _sq_sum(bridge_forward(v, t, params)), x)
-        )
-    results.append(("bridge/input", worst, GRAD_TOL))
+        return (lambda v: _sq_sum(bridge_forward(v, t, params))), x
 
-    worst = 0.0
-    for _ in range(points):
+    def fusion():
         params = init_fusion(rng, l, 3)
-        x = rng.standard_normal((n, l, t_len))
-        worst = max(
-            worst, ad.finite_diff_check(lambda v: _sq_sum(fusion_moe_forward(v, params)), x)
-        )
-    results.append(("fusion_moe/input", worst, GRAD_TOL))
-    return results
+        return (lambda v: _sq_sum(fusion_moe_forward(v, params))), rng.standard_normal((n, l, t_len))
+
+    return [
+        _worst("rfamoe/input", points, rfamoe),
+        _worst("bridge/input", points, bridge),
+        _worst("fusion_moe/input", points, fusion),
+    ]
 
 
 def check_backbone_params(seed: int = 0):
@@ -160,15 +139,14 @@ def check_backbone_params(seed: int = 0):
         diff = ad.add(noise_estimate(x_t, x_bar, 3, patched), -eps)
         return ad.mul(ad.tsum(ad.mul(diff, diff)), 1.0 / eps.size)
 
-    worst = 0.0
-    for name, leaf in named_params(params):
-        shape = leaf.shape
+    leaves = named_params(params)
+    each = iter(leaves)
 
-        def f(v, name=name, shape=shape):
-            return loss_fn(replace_param(params, name, ad.reshape(v, shape)))
+    def leaf():
+        name, value = next(each)
+        return (lambda v: loss_fn(replace_param(params, name, ad.reshape(v, value.shape)))), value.ravel()
 
-        worst = max(worst, ad.finite_diff_check(f, np.asarray(leaf).ravel()))
-    return [("backbone/all-parameters", worst, GRAD_TOL)]
+    return [_worst("backbone/all-parameters", len(leaves), leaf)]
 
 
 def run_gradcheck(seed: int = 0, points: int = 100):

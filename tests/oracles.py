@@ -106,7 +106,7 @@ def naive_rfamoe(x, params, b, c):
     n, l, t_len = x.shape
 
     pooled = x.mean(axis=2)
-    logits = pooled @ params.router.weight + params.router.bias
+    logits = pooled @ params.router
     routed = np.zeros((n, l, t_len))
     for ni in range(n):
         e = int(np.argmax(logits[ni]))

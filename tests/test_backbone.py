@@ -236,7 +236,7 @@ class TestConditionRouting:
         sel, logits = level0_routing(trained)
         router, lift_bias = trained.levels[0].cond.router, trained.lift_cond.bias
         assert np.abs(lift_bias).max() > 1e-6
-        from_bias = lift_bias @ router.weight + router.bias
+        from_bias = lift_bias @ router
         npt.assert_allclose(logits[observed], np.tile(from_bias, (16, 1)), rtol=0, atol=1e-12)
         assert len(set(sel[observed].tolist())) == 1
 
@@ -301,10 +301,11 @@ class TestParamCount:
     @pytest.mark.parametrize("channels, width, kernels, d_emb", [(2, 4, (1, 3), 8), (3, 6, (1, 3, 5, 7), 16)])
     def test_one_rfamoe_level_delta(self, channels, width, kernels, d_emb):
         # A level is a main and a condition block plus a FiLM bridge. Each
-        # block holds bias-free experts, the router, the norm's gain and
-        # shift, gate_proj and fuse; the bridge is a d_emb -> 2L linear map.
+        # block holds bias-free experts, the bias-free [L, E] router, the
+        # norm's gain and shift, gate_proj and fuse; the bridge is a
+        # d_emb -> 2L linear map.
         c, l, e = channels, width, len(kernels)
-        block = l * l * sum(kernels) + (l + 1) * e + 2 * l + l * l // 2 + l + (c * l) ** 2 + c * l
+        block = l * l * sum(kernels) + l * e + 2 * l + l * l // 2 + l + (c * l) ** 2 + c * l
         level = 2 * block + 2 * l * (d_emb + 1)
         args = dict(channels=c, width=l, kernels=kernels, d_emb=d_emb)
         assert param_count(_build(depth=1, **args)) - param_count(_build(depth=0, **args)) == level
@@ -347,6 +348,8 @@ class TestCheckpoint:
         # The bridge holds its FiLM map directly, with no wrapper record.
         assert sorted(n for n in names if ".bridge." in n) == ["levels.0.bridge.bias", "levels.0.bridge.weight"]
         assert "head.router.weight" in names
+        # The receptive-field routers are bare [L, E] matrices.
+        assert "levels.0.main.router" in names and not any(n.startswith("levels.0.main.router.") for n in names)
         assert "lift_cond.bias" in names
 
     def test_pointwise_weights_are_stored_as_matrices(self, tiny_backbone):

@@ -71,38 +71,22 @@ class TestStepEmbedding:
             step_embedding(t, 4)
 
 
-def _identity_router(e):
-    return Affine(weight=np.eye(e), bias=np.zeros(e))
-
-
 class TestRouteTop1:
     def test_argmax_selection(self):
         feats = np.array([[[0.1], [2.0], [-1.0]]])  # pooled -> the logits themselves
-        idx, logits = route_top1(feats, _identity_router(3))
+        idx, logits = route_top1(feats, np.eye(3))
         assert idx.tolist() == [1]
         npt.assert_array_equal(logits, [[0.1, 2.0, -1.0]])
 
     def test_tie_breaks_to_lowest_index(self):
         feats = np.array([[[2.0], [2.0], [0.0]]])
-        idx, _ = route_top1(feats, _identity_router(3))
+        idx, _ = route_top1(feats, np.eye(3))
         assert idx.tolist() == [0]
 
     def test_zero_router_selects_expert_zero(self, rng):
         feats = rng.standard_normal((5, 4, 6))
-        router = Affine(weight=np.zeros((4, 3)), bias=np.zeros(3))
-        idx, _ = route_top1(feats, router)
+        idx, _ = route_top1(feats, np.zeros((4, 3)))
         assert idx.tolist() == [0] * 5
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 9999), shift=st.floats(-50, 50))
-    def test_logit_shift_invariance(self, seed, shift):
-        rng = np.random.default_rng(seed)
-        feats = rng.standard_normal((4, 3, 5))
-        router = Affine(weight=rng.standard_normal((3, 4)), bias=rng.standard_normal(4))
-        shifted = Affine(weight=router.weight, bias=router.bias + shift)
-        idx_a, _ = route_top1(feats, router)
-        idx_b, _ = route_top1(feats, shifted)
-        npt.assert_array_equal(idx_a, idx_b)
 
 
 class TestRFAMoE:
@@ -130,7 +114,7 @@ class TestRFAMoE:
         params = lift_params(g, self._params(rng))
         rfamoe_forward(g.leaf(rng.standard_normal((4, 4, 6))), params, (2, 2))
         consumed = {i for node in g.nodes for i in node.inputs}
-        assert not {params.router.weight.id, params.router.bias.id} & consumed
+        assert params.router.id not in consumed
         assert not {"mean", "softmax"} & {node.op for node in g.nodes}
 
     def test_one_scatter_per_call(self):
@@ -138,7 +122,7 @@ class TestRFAMoE:
         # scatter; no per-expert full-size tensor is summed.
         rng = np.random.default_rng(5)
         plain = self._params(rng, c=3, kernels=(1, 3, 5))
-        plain.router.weight = 3.0 * rng.standard_normal((4, 3))
+        plain.router = 3.0 * rng.standard_normal((4, 3))
         x = rng.standard_normal((12, 4, 6))
         sel, _ = route_top1(x, plain.router)
         active = len(np.unique(sel))
@@ -201,7 +185,7 @@ class TestRFAMoE:
         # parameter, within 1e-12 of the largest gradient.
         rng = np.random.default_rng(10 + c)
         plain = self._params(rng, l=6, c=c, kernels=(1, 3, 5))
-        plain.router.weight = 3.0 * rng.standard_normal((6, 3))
+        plain.router = 3.0 * rng.standard_normal((6, 3))
         for conv in [plain.gate_proj, plain.fuse]:
             conv.bias = rng.standard_normal(conv.bias.shape)
         x = rng.standard_normal((2 * c, 6, 9))
@@ -229,7 +213,7 @@ class TestRFAMoE:
         # below route maps to every expert.
         rng = np.random.default_rng({1: 9, 3: 10}[c])
         plain = self._params(rng, l=6, c=c, kernels=(1, 3, 7))
-        plain.router.weight = 3.0 * rng.standard_normal((6, 3))
+        plain.router = 3.0 * rng.standard_normal((6, 3))
         lift = init_pointwise(rng, 6, 1)
         lift.bias = rng.standard_normal(6)
         for conv in [plain.gate_proj, plain.fuse]:
@@ -288,8 +272,7 @@ class TestRFAMoE:
         # fails once a kernel reaches past an edge.
         plain, lift, x1, b, _ = self._lifted_case(3)
         plain = replace(plain, experts=plain.experts[: len(kernels)])
-        plain.router.weight = plain.router.weight[:, : len(kernels)]
-        plain.router.bias = plain.router.bias[: len(kernels)]
+        plain.router = plain.router[:, : len(kernels)]
         y_ref = explicit_lift_rfamoe(x1, lift, plain, b, 3)
         h0 = conv_with_bias(x1, lift)
         source = (x1, lift.weight.reshape(1, -1, 1))
@@ -305,7 +288,7 @@ class TestRFAMoE:
         out = rfamoe_forward(x, params, (1, 1))
 
         pooled = x.mean(axis=2)
-        sel = int(np.argmax(pooled @ params.router.weight + params.router.bias))
+        sel = int(np.argmax(pooled @ params.router))
         routed = naive_conv1d(x, params.experts[sel], np.zeros(4))
         h = ad.instance_norm(routed, params.in_gamma, params.in_beta)
         gated = ad.gelu(h[:, :2]) * h[:, 2:]
@@ -319,7 +302,7 @@ class TestRFAMoE:
         l, t_len = 2, 3
         params = RFAMoEParams(
             experts=[np.eye(l)[:, :, None]],
-            router=Affine(weight=np.zeros((l, 1)), bias=np.zeros(1)),
+            router=np.zeros((l, 1)),
             in_gamma=np.ones(l),
             in_beta=np.zeros(l),
             gate_proj=Affine(weight=np.array([[2.0], [-1.0]]), bias=np.zeros(l)),

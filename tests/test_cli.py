@@ -170,6 +170,16 @@ def _with_expert_biases(records):
         records[f"{name}.weight"], records[f"{name}.bias"] = weight, np.zeros(len(weight))
 
 
+def _with_router_biases(records):
+    """Rename each receptive-field router record ``levels.i.{main,cond}.router``,
+    and its ``opt.v.`` velocity, to ``...router.weight`` and add a zero
+    ``...router.bias``: the records of a checkpoint written when those
+    routers had a bias."""
+    for name in [n for n in records if n.endswith(".router")]:
+        weight = records.pop(name)
+        records[f"{name}.weight"], records[f"{name}.bias"] = weight, np.zeros(weight.shape[1])
+
+
 def _with_film_records(records):
     """Rename each bridge record ``levels.i.bridge.{weight,bias}`` to
     ``levels.i.bridge.film.*``, the records of a checkpoint written when the
@@ -407,9 +417,9 @@ class TestExitCodes:
         [
             pytest.param(lambda r: r.pop("head.router.bias"), "", "'head.router.bias'", id="missing"),
             pytest.param(
-                lambda r: r.update({"levels.0.main.router.weight": np.zeros((16, 7))}),
+                lambda r: r.update({"levels.0.main.router": np.zeros((16, 7))}),
                 "",
-                "'levels.0.main.router.weight' has shape (16, 7)",
+                "'levels.0.main.router' has shape (16, 7)",
                 id="wrong_shape",
             ),
             pytest.param(
@@ -442,6 +452,12 @@ class TestExitCodes:
             pytest.param(
                 _with_film_records, "", "checkpoint has no record 'levels.0.bridge.weight'", id="bridge_film"
             ),
+            # The receptive-field routers are bare [L, E] matrices; a
+            # checkpoint holding each as a weight and a bias is rejected,
+            # not converted.
+            pytest.param(
+                _with_router_biases, "", "checkpoint has no record 'levels.0.main.router'", id="router_biases"
+            ),
             pytest.param(lambda r: r.pop("meta.width"), "", "'meta.width'", id="no_stored_spec"),
             pytest.param(
                 lambda r: r.update({"meta.gate_mode": np.asarray(7.0)}), "", "'meta.gate_mode'", id="bad_spec"
@@ -467,6 +483,21 @@ class TestExitCodes:
                    "--input", workspace["data"], "--out", str(tmp_path / "imp")])
         assert rc == 2
         assert located in capsys.readouterr().err
+
+    def test_resume_from_checkpoint_with_router_biases_is_2(self, workspace, tmp_path, capsys):
+        # train --resume rejects the older router records as impute does
+        # (the router_biases case above).
+        records = read_checkpoint(workspace["ckpt"])
+        _with_router_biases(records)
+        assert {"levels.0.main.router.bias", "opt.v.levels.0.main.router.bias"} <= records.keys()
+        ckpt = tmp_path / "old.ckp1"
+        write_checkpoint(ckpt, records)
+        out = tmp_path / "run"
+        rc = main(["train", "--config", workspace["cfg"], "--data", workspace["data"], "--out", str(out),
+                   "--resume", str(ckpt)])
+        assert rc == 2
+        assert "checkpoint has no record 'levels.0.main.router'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDeterminism:
@@ -543,8 +574,8 @@ def test_import_loads_no_scipy():
 
 
 def test_training_and_kshot_load_no_numpy_ma():
-    # np.unique imports numpy.ma on first use (~15 ms); the taped gather
-    # checks its indices for repeats without it.
+    # np.unique imports numpy.ma on first use (~15 ms); the routed gather
+    # and scatter check that their rows are distinct without it.
     src = Path(__file__).resolve().parents[1] / "src"
     code = """if True:
         import sys
