@@ -3,7 +3,9 @@ series, with mixture-of-experts noise estimation and an executable
 verification that gate-fused estimates are no worse than averaged runs."""
 
 from .autodiff import Graph, Var, backward, conv1d, finite_diff_check, gelu, instance_norm, softmax
-from .backbone import BackboneParams, init_backbone, load_backbone, noise_estimate, param_count, save_backbone
+from .backbone import (
+    BackboneParams, ModelSpec, init_backbone, load_backbone, noise_estimate, param_count, save_backbone
+)
 from .blocks import (
     Affine,
     FusionMoEParams,

@@ -50,8 +50,8 @@ class SpecError(ValueError):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """The structure of a noise estimator: the :func:`init_backbone`
-    arguments, checked on construction (a bad value raises
+    """The structure of a noise estimator, which :func:`init_backbone`
+    builds: checked on construction (a bad value raises
     :class:`SpecError`) and stored in checkpoints as ``meta.<field>``
     records. At depth 0 no RFAMoE block is built and the kernel ladder is
     stored empty."""
@@ -61,8 +61,8 @@ class ModelSpec:
     depth: int  # RFAMoE levels
     kernel_sizes: tuple  # one RFAMoE expert per size
     head_experts: int
-    d_emb: int  # step-embedding size
-    gate_mode: str  # one of GATE_MODES
+    d_emb: int = 64  # step-embedding size
+    gate_mode: str = "unit"  # one of GATE_MODES
 
     def __post_init__(self):
         k = tuple(self.kernel_sizes) if self.depth else ()
@@ -120,30 +120,20 @@ class BackboneParams:
     spec: ModelSpec  # holds no parameters
 
 
-def init_backbone(
-    rng: np.random.Generator,
-    channels: int,
-    width: int,
-    depth: int,
-    kernel_sizes: tuple[int, ...],
-    head_experts: int,
-    d_emb: int = 64,
-    gate_mode: str = "unit",
-) -> BackboneParams:
-    spec = ModelSpec(channels, width, depth, kernel_sizes, head_experts, d_emb, gate_mode)
+def init_backbone(rng: np.random.Generator, spec: ModelSpec) -> BackboneParams:
     levels = [
         LevelParams(
-            main=init_rfamoe(rng, width, channels, spec.kernel_sizes),
-            cond=init_rfamoe(rng, width, channels, spec.kernel_sizes),
-            bridge=init_bridge(rng, d_emb, width),
+            main=init_rfamoe(rng, spec.width, spec.channels, spec.kernel_sizes),
+            cond=init_rfamoe(rng, spec.width, spec.channels, spec.kernel_sizes),
+            bridge=init_bridge(rng, spec.d_emb, spec.width),
         )
-        for _ in range(depth)
+        for _ in range(spec.depth)
     ]
     return BackboneParams(
-        lift_xt=init_pointwise(rng, width, 1),
-        lift_cond=init_pointwise(rng, width, 1),
+        lift_xt=init_pointwise(rng, spec.width, 1),
+        lift_cond=init_pointwise(rng, spec.width, 1),
         levels=levels,
-        head=init_fusion(rng, width, head_experts),
+        head=init_fusion(rng, spec.width, spec.head_experts),
         spec=spec,
     )
 
@@ -159,14 +149,15 @@ def _check_inputs(where: str, x, params: BackboneParams) -> tuple[int, int, int]
     return x.shape
 
 
-def _lift(x, lift: Affine, n: int, t_len: int):
+def _lift(x, lift: Affine):
     """The pointwise lift of [B, C, Tlen] ``x`` to [N, L, T] maps, and the
     same lift as the first block's source: ``z = [x, 1]`` per map and the
     [2, L, 1] map ``m`` whose rows are the lift's weight and bias, which
     a kernel-1 conv composes into each expert (see :func:`rfamoe_forward`)."""
-    x1 = ad.reshape(x, (n, 1, t_len))
+    b, c, t_len = ad.value_of(x).shape
+    x1 = ad.reshape(x, (b * c, 1, t_len))
     h = ad.add(ad.mul(x1, lift.weight), ad.reshape(lift.bias, (-1, 1)))
-    z = ad.concat([x1, np.ones((n, 1, t_len))], axis=1)
+    z = ad.concat([x1, np.ones((b * c, 1, t_len))], axis=1)
     m = ad.concat([ad.reshape(p, (1, -1, 1)) for p in (lift.weight, lift.bias)], axis=0)
     return h, (z, m)
 
@@ -179,11 +170,11 @@ def condition_features(x_bar, params: BackboneParams) -> list:
     never on the noisy signal or the step, so a sampler computes them once
     and hands them to every :func:`noise_estimate` call as ``cond``.
     """
-    b, c, t_len = _check_inputs("condition_features", ad.value_of(x_bar), params)
-    h, source = _lift(x_bar, params.lift_cond, b * c, t_len)
+    _check_inputs("condition_features", ad.value_of(x_bar), params)
+    h, source = _lift(x_bar, params.lift_cond)
     maps = []
     for level in params.levels:
-        h = rfamoe_forward(h, level.cond, (b, c), source)
+        h = rfamoe_forward(h, level.cond, source)
         maps.append(h)
         source = None  # only the first level reads the lifted signal
     return maps
@@ -223,9 +214,9 @@ def noise_estimate(x_t, x_bar, t, params: BackboneParams, head_gates=None, *, co
             f"noise_estimate: condition maps have shapes {shapes}, inputs {xv.shape} "
             f"need {params.spec.depth} of {want}"
         )
-    h, source = _lift(x_t, params.lift_xt, n, t_len)
+    h, source = _lift(x_t, params.lift_xt)
     for level, cond_map in zip(params.levels, cond):
-        main = rfamoe_forward(h, level.main, (b, c), source)
+        main = rfamoe_forward(h, level.main, source)
         h = ad.add(main, bridge_forward(cond_map, steps, level.bridge))
         source = None
     out = fusion_moe_forward(h, params.head, gates_override=head_gates)  # [N, 1, T]
@@ -373,7 +364,7 @@ def load_backbone(path, gate_mode: str = "unit") -> tuple[BackboneParams, dict[s
             f"checkpoint was trained with gate_mode={spec.gate_mode!r}, "
             f"cannot load it with gate_mode={gate_mode!r}"
         )
-    params = fill_params(init_backbone(_ShapesOnly(), **asdict(spec)), named)
+    params = fill_params(init_backbone(_ShapesOnly(), spec), named)
     aux = {k: v for k, v in named.items() if k.startswith(("meta.", "opt."))}
     unexpected = sorted(named.keys() - aux.keys() - {name for name, _ in named_params(params)})
     if unexpected:

@@ -90,10 +90,11 @@ def route_top1(features, router):
     return np.argmax(logits, axis=1), logits
 
 
-def _compose_pointwise(gate_proj: Affine, fuse: Affine, c: int) -> tuple:
+def _compose_pointwise(gate_proj: Affine, fuse: Affine) -> tuple:
     """The kernel-1 conv over [B, C*L/2, T] equal to ``gate_proj`` on each
     of the C maps followed by ``fuse`` across them; no non-linearity lies
-    between the two, so they compose.
+    between the two, so they compose. L is read from ``gate_proj`` and C
+    from ``fuse``.
 
     Returns its weight ``W[o, j*L/2 + m] = sum_l W_fuse[o, j*L + l] * W_gp[l, m]``
     for channel j, and its bias ``b = W_fuse @ tile_C(b_gp) + b_fuse`` as a
@@ -101,15 +102,17 @@ def _compose_pointwise(gate_proj: Affine, fuse: Affine, c: int) -> tuple:
     parameter sets.
     """
     l, half = ad.value_of(gate_proj.weight).shape
-    cl = c * l
+    cl = ad.value_of(fuse.weight).shape[0]
+    c = cl // l
     w = ad.matmul(ad.reshape(fuse.weight, (cl * c, l)), gate_proj.weight)
     tiled = ad.concat([ad.reshape(gate_proj.bias, (l, 1))] * c, axis=0)  # [C*L, 1]
     b = ad.add(ad.matmul(fuse.weight, tiled), ad.reshape(fuse.bias, (cl, 1)))
     return ad.reshape(w, (cl, c * half, 1)), b
 
 
-def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int], source=None):
-    """Apply the block to [N, L, T] feature maps, N = B * C.
+def rfamoe_forward(x, params: RFAMoEParams, source=None):
+    """Apply the block to [N, L, T] feature maps, N = B * C. The block's
+    weights fix L (``in_gamma``) and C (``fuse`` is [C*L, C*L]); B is N / C.
 
     Stages: routed expert convolution, instance norm, gated split (gelu
     half times linear half), then one kernel-1 convolution over the C*L/2
@@ -126,18 +129,18 @@ def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int], source=None):
     ones channel too, so the lifted bias vanishes outside the signal
     exactly as the zero-padded ``x`` does, and the edges match.
     """
-    b, c = dims
     xv = ad.value_of(x)
     if xv.ndim != 3:
         raise ValueError(f"rfamoe: input must be [N, L, T], got shape {xv.shape}")
     n, l_in, t_len = xv.shape
-    if b * c != n:
-        raise ValueError(f"rfamoe: N={n} does not factor as B*C = {b}*{c}")
     l = ad.value_of(params.in_gamma).shape[0]
     if l % 2 != 0:
         raise ValueError(f"rfamoe: feature width must be even for the gated split, got {l}")
     if l_in != l:
         raise ValueError(f"rfamoe: input width {l_in} differs from the block's width {l}")
+    c = ad.value_of(params.fuse.weight).shape[0] // l
+    if n % c:
+        raise ValueError(f"rfamoe: N={n} maps is not a multiple of the block's C={c} channels")
     if source is not None:
         z_shape, m_shape = (ad.value_of(a).shape for a in source)
         if len(m_shape) != 3 or m_shape[1:] != (l, 1) or z_shape != (n, m_shape[0], t_len):
@@ -167,8 +170,8 @@ def rfamoe_forward(x, params: RFAMoEParams, dims: tuple[int, int], source=None):
     half = l // 2
     gated = ad.mul(ad.gelu(ad.slice_axis(h, 1, 0, half)), ad.slice_axis(h, 1, half, l))
 
-    pw_weight, pw_bias = _compose_pointwise(params.gate_proj, params.fuse, c)
-    fused = ad.add(ad.conv1d(ad.reshape(gated, (b, c * half, t_len)), pw_weight), pw_bias)
+    pw_weight, pw_bias = _compose_pointwise(params.gate_proj, params.fuse)
+    fused = ad.add(ad.conv1d(ad.reshape(gated, (n // c, c * half, t_len)), pw_weight), pw_bias)
     return ad.add(ad.reshape(fused, (n, l, t_len)), x)
 
 

@@ -2,8 +2,9 @@
 
 Subcommands: synth, train, impute, eval, compare-kshot, gradcheck,
 theorem-check, error-dist. Shared flags on every subcommand: --config,
---seed, --out. Exit codes: 0 success, 1 usage error, 2 data error,
-3 numeric failure.
+--seed, --out. Exit codes: 0 success, 1 usage error, 2 data error
+(a bad value, or an OS error on an input or output path), 3 numeric
+failure.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .masking import MaskSpec, apply_mask
 from .metrics import evaluate, write_report
 from .signals import load_signals, save_signals
 from .synth import SyntheticConfig, synth_generate
-from .tensor import TensorFormatError, write_csv, write_tsb1
+from .tensor import write_csv, write_tsb1
 from .training import train, training_mask_spec
 
 EXIT_OK = 0
@@ -149,13 +150,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_cfg(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    return cfg.check()
-
-
 # MaskSpec field -> the flag that overrides it
 _MASK_FLAGS = dict(kind="mask_kind", ratio="mask_ratio", drop_length="drop_length", drop_channels="drop_channels")
 
@@ -166,25 +160,23 @@ def _mask_spec(cfg: RunConfig, args) -> MaskSpec:
     return dataclasses.replace(training_mask_spec(cfg), **{k: v for k, v in updates.items() if v is not None})
 
 
-def _masked_task(args, data_path):
+def _masked_task(cfg: RunConfig, args, data_path):
     """The shared start of the commands that mask a dataset and reconstruct
-    it with a checkpoint: (cfg, params, signals, mask, x_bar, schedule).
-    A dataset whose channel count differs from the checkpoint's raises
+    it with a checkpoint: (params, signals, mask, x_bar, schedule). A
+    dataset whose channel count differs from the checkpoint's raises
     ValueError naming it."""
-    cfg = _load_cfg(args)
     params, _ = load_backbone(args.checkpoint, gate_mode=cfg.gate_mode)
     signals = load_signals(data_path)
     if signals.shape[1] != params.spec.channels:
         raise ValueError(
             f"checkpoint expects {params.spec.channels} channels, {data_path} has {signals.shape[1]}"
         )
-    mask = _mask_spec(cfg, args).build(*signals.shape)
+    mask = _mask_spec(cfg, args).build(*signals.shape, np.random.default_rng(cfg.seed))
     sched = make_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
-    return cfg, params, signals, mask, apply_mask(signals, mask), sched
+    return params, signals, mask, apply_mask(signals, mask), sched
 
 
-def _cmd_synth(args) -> int:
-    cfg = _load_cfg(args)
+def _cmd_synth(cfg: RunConfig, args) -> int:
     scfg = SyntheticConfig(
         n_samples=args.n_samples,
         channels=cfg.channels,
@@ -200,8 +192,7 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _cmd_train(args) -> int:
-    cfg = _load_cfg(args)
+def _cmd_train(cfg: RunConfig, args) -> int:
     data = load_signals(args.data)
     params, losses = train(cfg, data, args.out, resume_from=args.resume)
     print(
@@ -212,8 +203,8 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _cmd_impute(args) -> int:
-    cfg, params, signals, mask, x_bar, sched = _masked_task(args, args.input)
+def _cmd_impute(cfg: RunConfig, args) -> int:
+    params, signals, mask, x_bar, sched = _masked_task(cfg, args, args.input)
     recon = sample(params, x_bar, sched, np.random.default_rng(cfg.seed))
     os.makedirs(args.out, exist_ok=True)
     write_tsb1(os.path.join(args.out, "reconstruction.tsb1"), recon)
@@ -229,8 +220,7 @@ def _cmd_impute(args) -> int:
     return EXIT_OK
 
 
-def _cmd_eval(args) -> int:
-    _load_cfg(args)
+def _cmd_eval(cfg: RunConfig, args) -> int:
     truth = load_signals(args.truth)
     pred = load_signals(args.pred)
     region = load_signals(args.region) if args.region else None
@@ -242,8 +232,8 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _cmd_compare_kshot(args) -> int:
-    cfg, params, truth, mask, x_bar, sched = _masked_task(args, args.data)
+def _cmd_compare_kshot(cfg: RunConfig, args) -> int:
+    params, truth, mask, x_bar, sched = _masked_task(cfg, args, args.data)
     rows = compare_kshot(
         params,
         truth,
@@ -263,8 +253,7 @@ def _cmd_compare_kshot(args) -> int:
     return EXIT_OK
 
 
-def _cmd_gradcheck(args) -> int:
-    cfg = _load_cfg(args)
+def _cmd_gradcheck(cfg: RunConfig, args) -> int:
     from .gradcheck import run_gradcheck
 
     results = run_gradcheck(seed=cfg.seed, points=args.points)
@@ -276,8 +265,7 @@ def _cmd_gradcheck(args) -> int:
     return EXIT_NUMERIC if failed else EXIT_OK
 
 
-def _cmd_theorem_check(args) -> int:
-    cfg = _load_cfg(args)
+def _cmd_theorem_check(cfg: RunConfig, args) -> int:
     rng = np.random.default_rng(cfg.seed)
     sched = make_schedule(max(cfg.steps, 2), cfg.beta_start, cfg.beta_end)
     shape = (2, 3, 32)
@@ -331,8 +319,8 @@ def _cmd_theorem_check(args) -> int:
     return EXIT_NUMERIC if failed else EXIT_OK
 
 
-def _cmd_error_dist(args) -> int:
-    cfg, params, truth, mask, x_bar, sched = _masked_task(args, args.data)
+def _cmd_error_dist(cfg: RunConfig, args) -> int:
+    params, truth, mask, x_bar, sched = _masked_task(cfg, args, args.data)
     if not 0 <= args.sample < truth.shape[0]:
         raise ValueError(
             f"--sample {args.sample} outside 0..{truth.shape[0] - 1}: "
@@ -371,11 +359,14 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        cfg = load_config(args.config) if args.config else RunConfig()
+        if args.seed is not None:
+            cfg.seed = args.seed
+        return _COMMANDS[args.command](cfg.check(), args)
     except ArithmeticError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (TensorFormatError, FileNotFoundError, IsADirectoryError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .backbone import ModelSpec, SpecError
+from .diffusion import make_schedule
 from .tensor import read_text
 
 # ModelSpec field -> the config key that sets it
@@ -70,6 +71,7 @@ class RunConfig:
             raise ValueError(f"{_SPEC_KEYS[exc.field]} {exc.reason}") from None
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
+        make_schedule(self.steps, self.beta_start, self.beta_end)
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
         if self.train_steps < 0:

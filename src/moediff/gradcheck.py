@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .backbone import init_backbone, named_params, noise_estimate, replace_param
+from .backbone import ModelSpec, init_backbone, named_params, noise_estimate, replace_param
 from .blocks import (
     bridge_forward, fusion_moe_forward, init_bridge, init_fusion, init_rfamoe, rfamoe_forward, route_top1
 )
@@ -103,7 +103,7 @@ def check_blocks(seed: int = 0, points: int = 100):
             params = init_rfamoe(rng, l, c, (1, 3))
             x = rng.standard_normal((n, l, t_len))
             if _routing_margin(x, params) > 0.05:
-                return (lambda v: _sq_sum(rfamoe_forward(v, params, (b, c)))), x
+                return (lambda v: _sq_sum(rfamoe_forward(v, params))), x
 
     def bridge():
         params = init_bridge(rng, 8, l)
@@ -128,9 +128,8 @@ def check_backbone_params(seed: int = 0):
     """Finite-difference check of the training loss against every parameter
     of the tiny backbone (width 4, depth 1, 2 head experts, 16 timesteps)."""
     rng = np.random.default_rng(seed)
-    params = init_backbone(
-        rng, channels=2, width=4, depth=1, kernel_sizes=(1, 3), head_experts=2, d_emb=8
-    )
+    spec = ModelSpec(channels=2, width=4, depth=1, kernel_sizes=(1, 3), head_experts=2, d_emb=8)
+    params = init_backbone(rng, spec)
     x_t = rng.standard_normal((1, 2, 16))
     x_bar = rng.standard_normal((1, 2, 16))
     eps = rng.standard_normal((1, 2, 16))

@@ -16,19 +16,17 @@ from .tensor import as_tensor, require_binary
 
 @dataclass(frozen=True)
 class MaskSpec:
-    """Declarative description of a missingness pattern, reproducible from
-    its seed."""
+    """Declarative description of a missingness pattern; :meth:`build`
+    draws it from the caller's generator."""
 
     kind: str  # "random" | "continuous"
     ratio: float = 0.0
     drop_length: int = 0
     drop_channels: int = 1
-    seed: int = 0
     shared_window: bool = False
 
-    def build(self, b: int, c: int, t_len: int, rng: np.random.Generator | None = None) -> np.ndarray:
-        """A [b, c, t_len] mask drawn from ``rng``, or from the spec's seed when None."""
-        rng = np.random.default_rng(self.seed) if rng is None else rng
+    def build(self, b: int, c: int, t_len: int, rng: np.random.Generator) -> np.ndarray:
+        """A [b, c, t_len] mask drawn from ``rng``."""
         if self.kind == "random":
             return random_mask(b, c, t_len, self.ratio, rng)
         if self.kind == "continuous":

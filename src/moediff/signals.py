@@ -63,16 +63,15 @@ def infer_format(path) -> str:
     return "tsb1"
 
 
-def load_signals(path, fmt: str | None = None) -> np.ndarray:
-    """Load a [B, C, Tlen] stack; format inferred from the path if omitted.
+def load_signals(path) -> np.ndarray:
+    """Load a [B, C, Tlen] stack in the format :func:`infer_format` reads from the path.
 
     An empty stack, or one holding a NaN or an Inf, is a
     :class:`TensorFormatError` naming the file and the first bad entry: its
     [sample, channel, timestep] in a TSB1 stack, its line and column in a
     CSV sample file.
     """
-    fmt = infer_format(path) if fmt is None else fmt
-    if fmt == "tsb1":
+    if infer_format(path) == "tsb1":
         arr = read_tsb1(path)
         if arr.ndim == 2:
             arr = arr[None]
@@ -84,20 +83,17 @@ def load_signals(path, fmt: str | None = None) -> np.ndarray:
             raise TensorFormatError(
                 f"{path}: non-finite value {arr[where]} at [sample, channel, timestep] = {list(where)}"
             )
-    elif fmt == "csv":
-        if os.path.isdir(path):
-            names = sorted(n for n in os.listdir(path) if n.endswith(".csv"))
-            if not names:
-                raise TensorFormatError(f"{path}: directory holds no .csv sample files")
-            samples = [_parse_sample_csv(os.path.join(path, n)) for n in names]
-            shapes = {s.shape for s in samples}
-            if len(shapes) != 1:
-                raise TensorFormatError(f"{path}: samples disagree in shape: {sorted(shapes)}")
-            arr = np.stack(samples)
-        else:
-            arr = _parse_sample_csv(path)[None]
+    elif os.path.isdir(path):
+        names = sorted(n for n in os.listdir(path) if n.endswith(".csv"))
+        if not names:
+            raise TensorFormatError(f"{path}: directory holds no .csv sample files")
+        samples = [_parse_sample_csv(os.path.join(path, n)) for n in names]
+        shapes = {s.shape for s in samples}
+        if len(shapes) != 1:
+            raise TensorFormatError(f"{path}: samples disagree in shape: {sorted(shapes)}")
+        arr = np.stack(samples)
     else:
-        raise ValueError(f"format must be 'csv' or 'tsb1', got {fmt!r}")
+        arr = _parse_sample_csv(path)[None]
     if arr.size == 0:
         raise TensorFormatError(f"{path}: empty signal stack of shape {list(arr.shape)}")
     return arr

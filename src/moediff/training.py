@@ -8,7 +8,6 @@ parameters.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import os
 
@@ -57,7 +56,7 @@ def _sub_scaled(lr: float, p: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def init_from_config(cfg: RunConfig) -> BackboneParams:
-    return init_backbone(np.random.default_rng(cfg.seed), **dataclasses.asdict(cfg.model_spec()))
+    return init_backbone(np.random.default_rng(cfg.seed), cfg.model_spec())
 
 
 def train(cfg: RunConfig, data: np.ndarray, out_dir, resume_from=None):
@@ -90,6 +89,7 @@ def train(cfg: RunConfig, data: np.ndarray, out_dir, resume_from=None):
     else:  # a fresh run, or a checkpoint that was not written by train
         velocity = zip_map_params(lambda p, _: np.zeros_like(p), params, params)
 
+    os.makedirs(out_dir, exist_ok=True)
     mask_spec = training_mask_spec(cfg)
     losses = []
     for step in range(start_step, cfg.train_steps):
@@ -105,7 +105,6 @@ def train(cfg: RunConfig, data: np.ndarray, out_dir, resume_from=None):
         del grads  # else this step's gradients stay alive through the next step
         losses.append((step, loss))
 
-    os.makedirs(out_dir, exist_ok=True)
     extra = {"meta.step": np.asarray(float(cfg.train_steps))}
     extra.update({f"opt.v.{name}": v for name, v in named_params(velocity)})
     save_backbone(os.path.join(out_dir, "checkpoint.ckp1"), params, extra=extra)
@@ -119,6 +118,5 @@ def training_mask_spec(cfg: RunConfig) -> MaskSpec:
         ratio=cfg.mask_ratio,
         drop_length=cfg.drop_length,
         drop_channels=cfg.drop_channels,
-        seed=cfg.seed,
         shared_window=cfg.shared_window,
     )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from moediff.backbone import init_backbone
+from moediff.backbone import ModelSpec, init_backbone
 from moediff.diffusion import make_schedule
 
 
@@ -16,12 +16,7 @@ def tiny_backbone():
     finite-difference sweeps and hand traces."""
     return init_backbone(
         np.random.default_rng(7),
-        channels=2,
-        width=4,
-        depth=1,
-        kernel_sizes=(1, 3),
-        head_experts=2,
-        d_emb=8,
+        ModelSpec(channels=2, width=4, depth=1, kernel_sizes=(1, 3), head_experts=2, d_emb=8),
     )
 
 

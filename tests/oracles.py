@@ -152,7 +152,7 @@ def explicit_lift_rfamoe(x1, lift, params, b, c):
     """The block on the maps ``h0 = lift(x1)`` of [N, 1, T] signals, the
     pointwise lift applied as its own convolution and handed over as the
     block's input with no lifted source."""
-    return rfamoe_forward(conv_with_bias(x1, lift), params, (b, c))
+    return rfamoe_forward(conv_with_bias(x1, lift), params)
 
 
 def naive_bridge(h, t, params):

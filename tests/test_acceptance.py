@@ -245,15 +245,7 @@ def test_criterion_08_toy_end_to_end(toy_run):
 
         cfg, sched = toy_run["cfg"], toy_run["sched"]
         held, mask, x_bar = toy_run["held"], toy_run["mask"], toy_run["x_bar"]
-        untrained = init_backbone(
-            np.random.default_rng(777),
-            channels=cfg.channels,
-            width=cfg.width,
-            depth=cfg.depth,
-            kernel_sizes=tuple(cfg.rfa_kernels),
-            head_experts=cfg.head_experts,
-            d_emb=cfg.d_emb,
-        )
+        untrained = init_backbone(np.random.default_rng(777), cfg.model_spec())
         rec_trained = sample(toy_run["params"], x_bar, sched, np.random.default_rng(42))
         rec_untrained = sample(untrained, x_bar, sched, np.random.default_rng(42))
         ssd_trained = _region_ssd(held, rec_trained, mask)

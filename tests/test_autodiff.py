@@ -3,7 +3,7 @@ against central finite differences, and the structural graph contracts."""
 
 import math
 import tracemalloc
-from dataclasses import asdict
+import zlib
 
 import numpy as np
 import numpy.testing as npt
@@ -534,7 +534,7 @@ class TestTapeHolds:
 
         monkeypatch.setattr(ad, "backward", spy)
         cfg = RunConfig()
-        params = init_backbone(np.random.default_rng(0), **asdict(cfg.model_spec()))
+        params = init_backbone(np.random.default_rng(0), cfg.model_spec())
         batch = np.random.default_rng(1).standard_normal((2, cfg.channels, 32))
         train_step(params, batch, np.ones_like(batch), make_schedule(cfg.steps), np.random.default_rng(2))
         assert set(recorded) - {"leaf"} == set(ad._BACKWARD)
@@ -645,7 +645,7 @@ def _op_cases(rng):
 @pytest.mark.parametrize("case", _op_cases(np.random.default_rng(0)), ids=lambda c: c[0])
 def test_operation_gradients_100_points(case):
     name, shape, build = case
-    rng = np.random.default_rng(abs(hash(name)) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))  # str hash() differs per process
     worst = 0.0
     for _ in range(100):
         point = rng.standard_normal(shape)

@@ -36,13 +36,10 @@ from oracles import naive_backbone, random_affine
 def _build(seed=0, channels=2, width=4, depth=1, kernels=(1, 3), k=2, d_emb=8, gate_mode="unit"):
     return init_backbone(
         np.random.default_rng(seed),
-        channels=channels,
-        width=width,
-        depth=depth,
-        kernel_sizes=kernels,
-        head_experts=k,
-        d_emb=d_emb,
-        gate_mode=gate_mode,
+        ModelSpec(
+            channels=channels, width=width, depth=depth, kernel_sizes=kernels, head_experts=k, d_emb=d_emb,
+            gate_mode=gate_mode,
+        ),
     )
 
 
@@ -215,7 +212,7 @@ class TestConditionRouting:
         cfg = RunConfig(channels=3, t_len=64, width=4, depth=1, rfa_kernels=(1, 3, 5), head_experts=2, d_emb=8,
                         batch=4, train_steps=5, drop_length=10)
         data = synth_generate(SyntheticConfig(8, 3, 64, seed=1))
-        mask = training_mask_spec(cfg).build(*data.shape)
+        mask = training_mask_spec(cfg).build(*data.shape, np.random.default_rng(cfg.seed))
         x_bar = apply_mask(data, mask)
         observed = mask.reshape(-1, cfg.t_len).all(axis=1)  # one flag per [N, L, T] map
         assert observed.sum() == 16

@@ -75,8 +75,8 @@ def _model():
     import moediff.diffusion as diffusion
 
     params = backbone.init_backbone(
-        np.random.default_rng(0), channels=2, width=4, depth=2,
-        kernel_sizes=(1, 3), head_experts=2, d_emb=8,
+        np.random.default_rng(0),
+        backbone.ModelSpec(channels=2, width=4, depth=2, kernel_sizes=(1, 3), head_experts=2, d_emb=8),
     )
     return params, diffusion.make_schedule(5)
 
@@ -178,8 +178,8 @@ def test_backward_keeps_rules_and_tape(monkeypatch):
 
     monkeypatch.setattr(ad, "backward", spy)
     params = backbone.init_backbone(
-        np.random.default_rng(0), channels=2, width=4, depth=2,
-        kernel_sizes=(1, 3), head_experts=2, d_emb=8,
+        np.random.default_rng(0),
+        backbone.ModelSpec(channels=2, width=4, depth=2, kernel_sizes=(1, 3), head_experts=2, d_emb=8),
     )
     batch = np.random.default_rng(1).standard_normal((2, 2, 16))
     diffusion.train_step(params, batch, np.ones_like(batch), diffusion.make_schedule(5), np.random.default_rng(2))

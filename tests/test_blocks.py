@@ -98,7 +98,7 @@ class TestRFAMoE:
         for name, _ in named_params(params):
             params = replace_param(params, name, np.zeros_like(dict(named_params(params))[name]))
         x = rng.standard_normal((4, 4, 6))
-        npt.assert_array_equal(rfamoe_forward(x, params, (2, 2)), x)
+        npt.assert_array_equal(rfamoe_forward(x, params), x)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_naive_oracle(self, seed):
@@ -106,13 +106,13 @@ class TestRFAMoE:
         params = random_affine(self._params(rng, kernels=(1, 3, 5)), rng)
         x = rng.standard_normal((4, 4, 7))
         npt.assert_allclose(
-            rfamoe_forward(x, params, (2, 2)), naive_rfamoe(x, params, 2, 2), atol=1e-10
+            rfamoe_forward(x, params), naive_rfamoe(x, params, 2, 2), atol=1e-10
         )
 
     def test_router_stays_off_the_tape(self, rng):
         g = ad.Graph()
         params = lift_params(g, self._params(rng))
-        rfamoe_forward(g.leaf(rng.standard_normal((4, 4, 6))), params, (2, 2))
+        rfamoe_forward(g.leaf(rng.standard_normal((4, 4, 6))), params)
         consumed = {i for node in g.nodes for i in node.inputs}
         assert params.router.id not in consumed
         assert not {"mean", "softmax"} & {node.op for node in g.nodes}
@@ -128,7 +128,7 @@ class TestRFAMoE:
         active = len(np.unique(sel))
         assert active >= 2
         g = ad.Graph()
-        rfamoe_forward(g.leaf(x), lift_params(g, plain), (4, 3))
+        rfamoe_forward(g.leaf(x), lift_params(g, plain))
         ops = [node.op for node in g.nodes]
         assert ops.count("scatter_rows") == 1
         assert ops.count("take_rows") == active
@@ -149,7 +149,7 @@ class TestRFAMoE:
         x1 = g.leaf(x1)
         source = self._source(x1, lift)
         h0 = conv_with_bias(x1, lift)
-        rfamoe_forward(h0, params, (b, 3), source if with_source else None)
+        rfamoe_forward(h0, params, source if with_source else None)
         experts = {w.id: ad.value_of(w) for w in params.experts}
         composing = [node for node in g.nodes if node.op == "conv1d" and node.inputs[0] in experts]
         sel, _ = route_top1(h0, plain.router)
@@ -166,7 +166,7 @@ class TestRFAMoE:
         # added to the routed output cannot move the block's output.
         params = random_affine(self._params(rng, kernels=(1, 3, 5)), rng)
         x = rng.standard_normal((4, 4, 7))
-        y = rfamoe_forward(x, params, (2, 2))
+        y = rfamoe_forward(x, params)
         shift = 10.0 * rng.standard_normal((4, 1))
         scatter, calls = ad.scatter_rows, []
 
@@ -175,7 +175,7 @@ class TestRFAMoE:
             return ad.add(scatter(a, idx, n), shift)
 
         monkeypatch.setattr(ad, "scatter_rows", shifted_scatter)
-        npt.assert_allclose(rfamoe_forward(x, params, (2, 2)), y, rtol=0, atol=1e-12)
+        npt.assert_allclose(rfamoe_forward(x, params), y, rtol=0, atol=1e-12)
         assert calls == [4]
 
     @pytest.mark.parametrize("c", [1, 3])
@@ -198,7 +198,7 @@ class TestRFAMoE:
             grads = ad.backward(g, ad.tsum(ad.mul(y, probe)))
             return y.value, {n: grads.get(v.id, 0.0) for n, v in named_params(params)}
 
-        y, grads = run(lambda x, p, b, c: rfamoe_forward(x, p, (b, c)))
+        y, grads = run(lambda x, p, b, c: rfamoe_forward(x, p))
         y_ref, grads_ref = run(two_conv_rfamoe)
         npt.assert_allclose(y, y_ref, rtol=1e-12, atol=1e-12 * np.abs(y_ref).max())
         scale = max(np.abs(g).max() for g in grads_ref.values())
@@ -240,7 +240,7 @@ class TestRFAMoE:
         return z, m
 
     def _with_source(self, x1, lift, params, b, c):
-        return rfamoe_forward(conv_with_bias(x1, lift), params, (b, c), self._source(x1, lift))
+        return rfamoe_forward(conv_with_bias(x1, lift), params, self._source(x1, lift))
 
     @pytest.mark.parametrize("c", [1, 3])
     def test_lifted_source_matches_explicit_lift(self, c):
@@ -276,7 +276,7 @@ class TestRFAMoE:
         y_ref = explicit_lift_rfamoe(x1, lift, plain, b, 3)
         h0 = conv_with_bias(x1, lift)
         source = (x1, lift.weight.reshape(1, -1, 1))
-        y = rfamoe_forward(h0, plain, (b, 3), source)
+        y = rfamoe_forward(h0, plain, source)
         close = np.allclose(y, y_ref, rtol=1e-12, atol=1e-12 * np.abs(y_ref).max())
         assert close == (kernels == (1,))
 
@@ -285,7 +285,7 @@ class TestRFAMoE:
         # the residual plus the fusion conv applied to the gated body alone.
         params = self._params(rng, c=1)
         x = rng.standard_normal((1, 4, 6))
-        out = rfamoe_forward(x, params, (1, 1))
+        out = rfamoe_forward(x, params)
 
         pooled = x.mean(axis=2)
         sel = int(np.argmax(pooled @ params.router))
@@ -319,19 +319,19 @@ class TestRFAMoE:
         fused0 = body0 + body1 + 0.5
         fused1 = body1
         expected = np.stack([fused0 + ch0, fused1 + ch1])[None]
-        npt.assert_allclose(rfamoe_forward(x, params, (1, 1)), expected, atol=1e-12)
+        npt.assert_allclose(rfamoe_forward(x, params), expected, atol=1e-12)
 
     def test_shape_errors(self, rng):
         params = self._params(rng)
-        with pytest.raises(ValueError, match="factor"):
-            rfamoe_forward(rng.standard_normal((3, 4, 4)), params, (2, 2))
+        with pytest.raises(ValueError, match="N=3 maps is not a multiple of the block's C=2 channels"):
+            rfamoe_forward(rng.standard_normal((3, 4, 4)), params)
         odd = self._params(rng)
         odd.in_gamma = np.ones(3)
         odd.in_beta = np.zeros(3)
         with pytest.raises(ValueError, match="even"):
-            rfamoe_forward(rng.standard_normal((4, 4, 4)), odd, (2, 2))
+            rfamoe_forward(rng.standard_normal((4, 4, 4)), odd)
         with pytest.raises(ValueError, match="input width 2 differs from the block's width 4"):
-            rfamoe_forward(rng.standard_normal((4, 2, 4)), params, (2, 2))
+            rfamoe_forward(rng.standard_normal((4, 2, 4)), params)
         x = rng.standard_normal((4, 4, 5))
         m = rng.standard_normal((2, 4, 1))
         fit = r"do not fit \[N, R, T\] = \[4, R, 5\] and \[R, L, 1\] = \[R, 4, 1\]"
@@ -340,7 +340,16 @@ class TestRFAMoE:
             ((4, 2, 5), np.repeat(m, 3, axis=2)),
         ]:
             with pytest.raises(ValueError, match=fit):
-                rfamoe_forward(x, params, (2, 2), (rng.standard_normal(z_shape), m))
+                rfamoe_forward(x, params, (rng.standard_normal(z_shape), m))
+
+    def test_channels_come_from_the_fuse_map(self, rng):
+        # fuse is [C*L, C*L], so a block built for C = 3 rejects N = 4 maps
+        # and reads N = 6 as B = 2 samples of 3 channels.
+        params = random_affine(self._params(rng, c=3, kernels=(1, 3, 5)), rng)
+        with pytest.raises(ValueError, match="N=4 maps is not a multiple of the block's C=3 channels"):
+            rfamoe_forward(rng.standard_normal((4, 4, 5)), params)
+        x = rng.standard_normal((6, 4, 5))
+        npt.assert_allclose(rfamoe_forward(x, params), naive_rfamoe(x, params, 2, 3), atol=1e-10)
 
     def test_every_parameter_gradient(self, rng):
         params = self._params(rng, kernels=(1, 3))
@@ -352,7 +361,7 @@ class TestRFAMoE:
 
             def f(v, name=name, shape=shape):
                 patched = replace_param(params, name, ad.reshape(v, shape))
-                y = rfamoe_forward(x, patched, (1, 2))
+                y = rfamoe_forward(x, patched)
                 return ad.tsum(ad.mul(y, y))
 
             worst = max(worst, ad.finite_diff_check(f, np.asarray(leaf).ravel()))

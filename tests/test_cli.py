@@ -276,6 +276,41 @@ class TestExitCodes:
         assert "key 'width' was already set on line" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", ["beta_end = 1.5", "beta_start = 0.2\nbeta_end = 0.1"], ids=["high", "reversed"])
+    def test_schedule_checked_at_load(self, tmp_path, capsys, line):
+        # synth builds no schedule, yet a bad one fails when the config is loaded.
+        cfg = tmp_path / "sched.cfg"
+        cfg.write_text(_tiny_config(line))
+        out = tmp_path / "d"
+        assert main(["synth", "--config", str(cfg), "--out", str(out), "--n-samples", "2"]) == 2
+        assert "0 < beta_start <= beta_end < 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_synth_onto_a_file_is_2(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["synth", "--out", str(taken), "--n-samples", "2"]) == 2
+        assert f"data error: [Errno 17] File exists: '{taken}'" in capsys.readouterr().err
+
+    def test_eval_input_under_a_file_is_2(self, workspace, tmp_path, capsys):
+        truth = tmp_path / "taken" / "x.tsb1"
+        truth.parent.write_text("")
+        out = tmp_path / "ev"
+        assert main(["eval", "--truth", str(truth), "--pred", workspace["data"], "--out", str(out)]) == 2
+        assert f"data error: [Errno 20] Not a directory: '{truth}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_train_out_under_a_file_is_2_before_any_step(self, workspace, tmp_path, capsys, monkeypatch):
+        import moediff.training as training
+
+        steps = []
+        monkeypatch.setattr(training, "train_step", lambda *args: steps.append(args))
+        out = tmp_path / "taken" / "sub"
+        out.parent.write_text("")
+        assert main(["train", "--config", workspace["cfg"], "--data", workspace["data"], "--out", str(out)]) == 2
+        assert f"data error: [Errno 20] Not a directory: '{out}'" in capsys.readouterr().err
+        assert steps == []
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_loss_is_3(self, workspace, tmp_path):
         cfg = tmp_path / "explode.cfg"
@@ -303,7 +338,8 @@ class TestExitCodes:
          ("momentum = 1.5", "momentum"), ("width = 0", "width"), ("width = -2", "width"), ("d_emb = 0", "d_emb"),
          ("d_emb = 7", "d_emb"), ("head_experts = 0", "head_experts"), ("rfa_kernels = 3,4", "rfa_kernels"),
          ("rfa_kernels = 1,,3", "rfa_kernels"), ("lr = 0", "lr"), ("lr = -1", "lr"),
-         ("lr = nan", "lr"), ("lr = inf", "lr"), ("seed = -1", "seed")],
+         ("lr = nan", "lr"), ("lr = inf", "lr"), ("seed = -1", "seed"), ("beta_end = 1.5", "beta_end"),
+         ("beta_start = 0.2\nbeta_end = 0.1", "beta_start")],
     )
     def test_out_of_range_config_is_2(self, workspace, tmp_path, capsys, line, key):
         cfg = tmp_path / "bad.cfg"
@@ -580,10 +616,11 @@ def test_training_and_kshot_load_no_numpy_ma():
     code = """if True:
         import sys
         import numpy as np
-        from moediff import init_backbone, make_schedule, train_step
+        from moediff import ModelSpec, init_backbone, make_schedule, train_step
         from moediff.kshot import compare_kshot
         rng = np.random.default_rng(0)
-        params = init_backbone(rng, channels=2, width=4, depth=1, kernel_sizes=(1, 3), head_experts=2, d_emb=8)
+        spec = ModelSpec(channels=2, width=4, depth=1, kernel_sizes=(1, 3), head_experts=2, d_emb=8)
+        params = init_backbone(rng, spec)
         batch = rng.standard_normal((2, 2, 16))
         mask = np.ones_like(batch)
         mask[:, 0, 4:9] = 0.0

@@ -79,7 +79,7 @@ class TestValidation:
         [("depth", -1), ("batch", 0), ("train_steps", -3), ("momentum", 1.5), ("momentum", 1.0), ("momentum", -0.1),
          ("width", 0), ("width", -2), ("d_emb", 0), ("d_emb", 7), ("head_experts", 0), ("channels", 0),
          ("rfa_kernels", (3, 4)), ("lr", 0.0), ("lr", -1.0), ("lr", float("nan")), ("lr", float("inf")),
-         ("seed", -1)],
+         ("seed", -1), ("beta_end", 1.5), ("beta_start", 0.2)],
     )
     def test_out_of_range_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import moediff.autodiff as ad
 from moediff.backbone import (
+    ModelSpec,
     grads_like,
     init_backbone,
     lift_params,
@@ -197,8 +198,10 @@ class TestSample:
         import moediff.diffusion as diffusion
 
         params = init_backbone(
-            np.random.default_rng(4), channels=2, width=8, depth=2,
-            kernel_sizes=(1, 3, 5), head_experts=3, d_emb=16, gate_mode=gate_mode,
+            np.random.default_rng(4),
+            ModelSpec(
+                channels=2, width=8, depth=2, kernel_sizes=(1, 3, 5), head_experts=3, d_emb=16, gate_mode=gate_mode,
+            ),
         )
         gates = np.array([0.2, 0.5, 0.3]) if fixed_head else None
         x_bar = np.random.default_rng(5).standard_normal((3, 2, 24))
@@ -212,8 +215,8 @@ class TestSample:
 
     def test_output_shape(self, sched10):
         params = init_backbone(
-            np.random.default_rng(0), channels=3, width=4, depth=1,
-            kernel_sizes=(1, 3), head_experts=2, d_emb=8,
+            np.random.default_rng(0),
+            ModelSpec(channels=3, width=4, depth=1, kernel_sizes=(1, 3), head_experts=2, d_emb=8),
         )
         x_bar = np.zeros((2, 3, 128))
         assert sample(params, x_bar, sched10, np.random.default_rng(1)).shape == (2, 3, 128)
@@ -286,8 +289,10 @@ class TestTrainStep:
             if (len(np.unique(np.random.default_rng(s).integers(1, 11, size=b))) == b) == distinct
         )
         params = init_backbone(
-            np.random.default_rng(0), channels=2, width=8, depth=2,
-            kernel_sizes=(1, 3, 5), head_experts=3, d_emb=16, gate_mode=gate_mode,
+            np.random.default_rng(0),
+            ModelSpec(
+                channels=2, width=8, depth=2, kernel_sizes=(1, 3, 5), head_experts=3, d_emb=16, gate_mode=gate_mode,
+            ),
         )
         data_rng = np.random.default_rng(100)
         batch = data_rng.standard_normal((b, 2, 24))
@@ -313,7 +318,7 @@ class TestTrainStep:
         # gradient.
         shape = dict(shape)
         t_len, b = shape.pop("t_len"), shape.pop("batch")
-        params = init_backbone(np.random.default_rng(0), depth=2, d_emb=16, gate_mode=gate_mode, **shape)
+        params = init_backbone(np.random.default_rng(0), ModelSpec(depth=2, d_emb=16, gate_mode=gate_mode, **shape))
         data_rng = np.random.default_rng(100)
         batch = data_rng.standard_normal((b, shape["channels"], t_len))
         mask = (data_rng.random(batch.shape) < 0.7).astype(float)
@@ -331,8 +336,8 @@ class TestTrainStep:
         # gathered on the tape (input axis 2, the lift composed into their
         # weight); a deeper block's read its width-8 input maps.
         params = init_backbone(
-            np.random.default_rng(0), channels=2, width=8, depth=depth,
-            kernel_sizes=(1, 3, 5), head_experts=2, d_emb=8,
+            np.random.default_rng(0),
+            ModelSpec(channels=2, width=8, depth=depth, kernel_sizes=(1, 3, 5), head_experts=2, d_emb=8),
         )
         graph, _ = _step_graph(monkeypatch, params, sched10)
         blocks, axes = [], []  # input axes of each block's expert conv weights
@@ -354,8 +359,10 @@ class TestTrainStep:
         # value only if it is a leaf, a softmax output, or an input that a
         # consumer's rule reads (autodiff._READS); no other node holds one.
         params = init_backbone(
-            np.random.default_rng(0), channels=2, width=8, depth=2,
-            kernel_sizes=(1, 3, 5), head_experts=2, d_emb=8, gate_mode=gate_mode,
+            np.random.default_rng(0),
+            ModelSpec(
+                channels=2, width=8, depth=2, kernel_sizes=(1, 3, 5), head_experts=2, d_emb=8, gate_mode=gate_mode,
+            ),
         )
         graph, held = _step_graph(monkeypatch, params, sched10)
         read = {node.inputs[k] for node in graph.nodes for k in ad._READS.get(node.op, ())}
@@ -368,8 +375,10 @@ class TestTrainStep:
         # Once backward returns, every non-leaf node on the loss's path has
         # dropped its value and ctx; the leaves keep theirs.
         params = init_backbone(
-            np.random.default_rng(0), channels=2, width=8, depth=2,
-            kernel_sizes=(1, 3, 5), head_experts=2, d_emb=8, gate_mode=gate_mode,
+            np.random.default_rng(0),
+            ModelSpec(
+                channels=2, width=8, depth=2, kernel_sizes=(1, 3, 5), head_experts=2, d_emb=8, gate_mode=gate_mode,
+            ),
         )
         graph, _ = _step_graph(monkeypatch, params, sched10)
         reached = {len(graph.nodes) - 1}  # the loss is the last node recorded
@@ -386,8 +395,8 @@ class TestTrainStep:
 
     def test_zero_backbone_unit_loss(self, sched10):
         params = init_backbone(
-            np.random.default_rng(0), channels=3, width=4, depth=1,
-            kernel_sizes=(1, 3), head_experts=2, d_emb=8,
+            np.random.default_rng(0),
+            ModelSpec(channels=3, width=4, depth=1, kernel_sizes=(1, 3), head_experts=2, d_emb=8),
         )
         params = zip_map_params(lambda p, _: np.zeros_like(p), params, params)
         rng = np.random.default_rng(11)
@@ -410,8 +419,8 @@ class TestTrainStep:
 
         monkeypatch.setattr(diffusion, "noise_estimate", spy)
         params = init_backbone(
-            np.random.default_rng(0), channels=2, width=4, depth=1,
-            kernel_sizes=(1,), head_experts=1, d_emb=4,
+            np.random.default_rng(0),
+            ModelSpec(channels=2, width=4, depth=1, kernel_sizes=(1,), head_experts=1, d_emb=4),
         )
         batch = rng.standard_normal((6, 2, 8))
         train_step(params, batch, np.ones_like(batch), sched10, rng)
@@ -429,8 +438,8 @@ class TestTrainStep:
         from moediff.backbone import zip_map_params
 
         params = init_backbone(
-            np.random.default_rng(3), channels=2, width=4, depth=1,
-            kernel_sizes=(1, 3), head_experts=2, d_emb=8,
+            np.random.default_rng(3),
+            ModelSpec(channels=2, width=4, depth=1, kernel_sizes=(1, 3), head_experts=2, d_emb=8),
         )
         batch = np.random.default_rng(8).standard_normal((4, 2, 32))
         mask = np.ones_like(batch)
@@ -448,8 +457,10 @@ class TestTrainStep:
         # routed expert's output is taken as is, so no loss reads the
         # logits. The fusion-head router trains.
         params = init_backbone(
-            np.random.default_rng(0), channels=2, width=4, depth=2,
-            kernel_sizes=(1, 3), head_experts=2, d_emb=8, gate_mode=gate_mode,
+            np.random.default_rng(0),
+            ModelSpec(
+                channels=2, width=4, depth=2, kernel_sizes=(1, 3), head_experts=2, d_emb=8, gate_mode=gate_mode,
+            ),
         )
         batch = rng.standard_normal((4, 2, 16))
         _, grads = train_step(params, batch, np.ones_like(batch), sched10, rng)
@@ -468,7 +479,7 @@ class TestTrainStep:
         # gradient in that step.
         shape = dict(shape)
         t_len, b = shape.pop("t_len"), shape.pop("batch")
-        params = init_backbone(np.random.default_rng(0), depth=2, d_emb=16, **shape)
+        params = init_backbone(np.random.default_rng(0), ModelSpec(depth=2, d_emb=16, **shape))
         data_rng = np.random.default_rng(100)
         batch = data_rng.standard_normal((b, shape["channels"], t_len))
         mask = (data_rng.random(batch.shape) < 0.7).astype(float)

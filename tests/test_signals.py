@@ -180,20 +180,20 @@ class TestSignalsCsv:
     def test_handwritten_two_by_three(self, tmp_path):
         path = tmp_path / "sig.csv"
         path.write_text("channel_0,channel_1\n1.0,4.0\n2.0,5.0\n3.0,6.0\n")
-        arr = load_signals(path, "csv")
+        arr = load_signals(path)
         npt.assert_array_equal(arr, [[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]])
 
     def test_roundtrip_single_sample(self, tmp_path, rng):
         data = rng.standard_normal((1, 3, 20))
         path = tmp_path / "one.csv"
         save_signals(path, data, "csv")
-        npt.assert_array_equal(load_signals(path, "csv"), data)
+        npt.assert_array_equal(load_signals(path), data)
 
     def test_roundtrip_directory(self, tmp_path, rng):
         data = rng.standard_normal((4, 2, 16))
         path = tmp_path / "stack"
         save_signals(path, data, "csv")
-        npt.assert_array_equal(load_signals(path, "csv"), data)
+        npt.assert_array_equal(load_signals(path), data)
 
     def test_roundtrip_tsb1(self, tmp_path, rng):
         data = rng.standard_normal((4, 2, 16))
@@ -205,19 +205,19 @@ class TestSignalsCsv:
         path = tmp_path / "bad.csv"
         path.write_text("col_a,col_b\n1,2\n")
         with pytest.raises(TensorFormatError, match="line 1"):
-            load_signals(path, "csv")
+            load_signals(path)
 
     def test_ragged_row_names_line(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("channel_0,channel_1\n1.0,2.0\n3.0\n")
         with pytest.raises(TensorFormatError, match="line 3"):
-            load_signals(path, "csv")
+            load_signals(path)
 
     def test_non_numeric_cell(self, tmp_path):
         path = tmp_path / "nan.csv"
         path.write_text("channel_0\n1.0\npotato\n")
         with pytest.raises(TensorFormatError, match="line 3"):
-            load_signals(path, "csv")
+            load_signals(path)
 
     @pytest.mark.parametrize("as_dir", [False, True], ids=["file", "directory"])
     def test_non_utf8_byte_is_located(self, tmp_path, as_dir):
@@ -230,7 +230,7 @@ class TestSignalsCsv:
             (d / "sample_0000.csv").write_text("channel_0\n1.0\n2.0\n")
         located = f"{path}: line 3: byte 0xe9 at offset 16 is not UTF-8"
         with pytest.raises(TensorFormatError, match=re.escape(located)):
-            load_signals(d if as_dir else path, "csv")
+            load_signals(d if as_dir else path)
 
     def test_mismatched_directory_shapes(self, tmp_path):
         d = tmp_path / "stack"
@@ -238,7 +238,7 @@ class TestSignalsCsv:
         (d / "sample_0000.csv").write_text("channel_0\n1.0\n2.0\n")
         (d / "sample_0001.csv").write_text("channel_0\n1.0\n")
         with pytest.raises(TensorFormatError, match="disagree"):
-            load_signals(d, "csv")
+            load_signals(d)
 
 
 class TestLoadChecks:
@@ -259,7 +259,7 @@ class TestLoadChecks:
             csv = path / f"sample_{sample:04d}.csv"
             located = f"{csv}: line {step + 2}: non-finite value {value} in column channel_{channel}"
         with pytest.raises(TensorFormatError, match=re.escape(located)):
-            load_signals(path, fmt)
+            load_signals(path)
 
     @pytest.mark.parametrize("shape", [(0, 3, 256), (2, 0, 8), (2, 3, 0), (0, 5)])
     def test_empty_stack_names_the_shape(self, tmp_path, shape):
