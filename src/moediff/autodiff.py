@@ -37,10 +37,12 @@ _CDF_Q = (0.0883883476483184, 1.75566716318264, 16.064177579207, 86.780732202946
 # Past this |x| the tail is below 1e-300 and Phi rounds to 0 or 1; clamping
 # here keeps exp(-a^2/2) * P / Q finite at +-inf.
 _CDF_CLAMP = 40.0
-# Elements per block. The rational makes 32 passes over each block, which
-# with its two polynomial buffers (1.5 MiB) stays in a core's L2 cache
-# between them. Sweeping a whole [24, 16, 500] map at once ran ~60% slower.
-_CDF_BLOCK = 1 << 16
+# Elements per block, for the loops that sweep a map a block at a time
+# (the normal CDF, the instance norm's dx). The rational makes 32 passes
+# over each block, which with its two polynomial buffers (1.5 MiB) stays in
+# a core's L2 cache between them. Sweeping a whole [24, 16, 500] map at once
+# ran ~60% slower.
+_BLOCK = 1 << 16
 
 
 @dataclass
@@ -345,8 +347,8 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
     phi = np.abs(x, out=np.empty(x.shape))
     flat = phi.reshape(-1)
     np.minimum(flat, _CDF_CLAMP, out=flat)
-    for start in range(0, flat.size, _CDF_BLOCK):
-        a = flat[start : start + _CDF_BLOCK]
+    for start in range(0, flat.size, _BLOCK):
+        a = flat[start : start + _BLOCK]
         tail = _horner(_CDF_P, a)
         den = _horner(_CDF_Q, a)
         a *= a
@@ -390,11 +392,13 @@ def instance_norm(x, gamma, beta):
         )
     # The centred copy is made once and scaled into xhat in place; the
     # variance sums its squares as np.var does, so the result is bit-identical.
+    # The squares' buffer then takes the output.
     xhat = xv - xv.mean(axis=2, keepdims=True)
-    var = np.square(xhat).mean(axis=2, keepdims=True)  # population variance
+    out = np.square(xhat)
+    var = out.mean(axis=2, keepdims=True)  # population variance
     inv = 1.0 / np.sqrt(var + _NORM_EPS)
     xhat *= inv
-    out = gv[None, :, None] * xhat
+    np.multiply(gv[None, :, None], xhat, out=out)
     out += bv[None, :, None]
     return _node("instance_norm", out, (x, gamma, beta), {"xhat": xhat, "inv": inv})
 
@@ -489,10 +493,18 @@ def _bwd_conv1d(node, grad, vals):
 
 
 def _bwd_gelu(node, grad, vals):
+    """``grad * (phi + x * pdf(x))``, evaluated in one new buffer in place:
+    each step is the same float operation as the out-of-place form. out=
+    keeps a 0-d buffer an array, as in :func:`_normal_cdf`."""
     (x,) = vals
-    phi = node.ctx["phi"]
-    pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-    return [grad * (phi + x * pdf)]
+    out = np.multiply(x, -0.5, out=np.empty(x.shape))
+    out *= x
+    np.exp(out, out=out)
+    out *= _INV_SQRT2PI  # pdf
+    np.multiply(x, out, out=out)
+    out += node.ctx["phi"]
+    out *= grad
+    return [out]
 
 
 def _bwd_softmax(node, grad, vals):
@@ -501,15 +513,29 @@ def _bwd_softmax(node, grad, vals):
 
 
 def _bwd_instance_norm(node, grad, vals):
+    """``dbeta`` and ``dgamma`` are sums over the whole map; the product
+    ``dgamma`` sums is made in ``dx``'s buffer. ``dx = inv * (gh - mean(gh)
+    - xhat * mean(gh * xhat))``, ``gh = grad * gamma``, reads one (sample,
+    channel) row at a time, so it is evaluated a block of samples at a time
+    in two block-sized temporaries that every block reuses; each row gets
+    the same float operations, in the same order, as the whole-map form."""
     _, gamma, _ = vals
     xhat, inv = node.ctx["xhat"], node.ctx["inv"]
     dbeta = grad.sum(axis=(0, 2))
-    dgamma = (grad * xhat).sum(axis=(0, 2))
-    gh = grad * gamma[None, :, None]
-    # inv * (gh - mean(gh) - xhat * mean(gh * xhat)), evaluated in place.
-    dx = gh - gh.mean(axis=2, keepdims=True)
-    dx -= xhat * (gh * xhat).mean(axis=2, keepdims=True)
-    dx *= inv
+    dx = grad * xhat
+    dgamma = dx.sum(axis=(0, 2))
+    n, c, t = grad.shape
+    rows = max(1, _BLOCK // (c * t))
+    gh_buf, tmp_buf = np.empty((2, min(rows, n), c, t))
+    for start in range(0, n, rows):
+        blk = slice(start, start + rows)
+        out = dx[blk]
+        gh = np.multiply(grad[blk], gamma[None, :, None], out=gh_buf[: len(out)])
+        tmp = np.multiply(gh, xhat[blk], out=tmp_buf[: len(out)])
+        scale = tmp.mean(axis=2, keepdims=True)
+        np.subtract(gh, gh.mean(axis=2, keepdims=True), out=out)
+        out -= np.multiply(xhat[blk], scale, out=tmp)
+        out *= inv[blk]
     return [dx, dgamma, dbeta]
 
 
@@ -561,9 +587,10 @@ def backward(graph: Graph, loss) -> dict[int, np.ndarray]:
 
     A rule returns one gradient per input: a full array, or a
     :class:`Region` when the gradient is zero outside a few rows or a
-    slice. A region's piece is added into the input's accumulator in place;
-    an accumulator that a rule handed out (possibly a view other ids share)
-    is copied once before its first in-place add.
+    slice. A region's piece is added into the input's accumulator in place,
+    and so is a full gradient once backward owns the accumulator; an
+    accumulator that a rule handed out (possibly a view other ids share) is
+    never written: the first add into it allocates (``acc + g``) or copies.
     """
     loss_id = loss.id if isinstance(loss, Var) else int(loss)
     loss_node = graph.nodes[loss_id]
@@ -591,6 +618,8 @@ def backward(graph: Graph, loss) -> dict[int, np.ndarray]:
                 owned.add(input_id)
             elif acc is None:
                 acc = np.asarray(g, dtype=np.float64)
+            elif input_id in owned:
+                acc += g
             else:
                 acc = acc + g
                 owned.add(input_id)

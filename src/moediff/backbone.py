@@ -216,8 +216,10 @@ def noise_estimate(x_t, x_bar, t, params: BackboneParams, head_gates=None, *, co
         )
     h, source = _lift(x_t, params.lift_xt)
     for level, cond_map in zip(params.levels, cond):
-        main = rfamoe_forward(h, level.main, source)
-        h = ad.add(main, bridge_forward(cond_map, steps, level.bridge))
+        # Rebinding h drops each map once it is read: the level's input
+        # after the block, the block's output after the FiLM add.
+        h = rfamoe_forward(h, level.main, source)
+        h = ad.add(h, bridge_forward(cond_map, steps, level.bridge))
         source = None
     out = fusion_moe_forward(h, params.head, gates_override=head_gates)  # [N, 1, T]
     return ad.reshape(out, (b, c, t_len))

@@ -166,12 +166,19 @@ def rfamoe_forward(x, params: RFAMoEParams, source=None):
             rows.append(idx)
     routed = ad.scatter_rows(ad.concat(outs, axis=0), np.concatenate(rows), n)
 
+    # Each map is dropped at its last read: what a backward rule reads, the
+    # tape holds; the rest would only raise the peak of the stages after it.
+    del outs
     h = ad.instance_norm(routed, params.in_gamma, params.in_beta)
+    del routed
     half = l // 2
     gated = ad.mul(ad.gelu(ad.slice_axis(h, 1, 0, half)), ad.slice_axis(h, 1, half, l))
+    del h
 
     pw_weight, pw_bias = _compose_pointwise(params.gate_proj, params.fuse)
-    fused = ad.add(ad.conv1d(ad.reshape(gated, (n // c, c * half, t_len)), pw_weight), pw_bias)
+    fused = ad.conv1d(ad.reshape(gated, (n // c, c * half, t_len)), pw_weight)
+    del gated
+    fused = ad.add(fused, pw_bias)
     return ad.add(ad.reshape(fused, (n, l, t_len)), x)
 
 

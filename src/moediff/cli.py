@@ -267,6 +267,14 @@ def _cmd_gradcheck(cfg: RunConfig, args) -> int:
 
 def _cmd_theorem_check(cfg: RunConfig, args) -> int:
     rng = np.random.default_rng(cfg.seed)
+    # The step-then-average check draws steps from the whole schedule, and
+    # only a step above 1 adds the reverse step's noise, so a one-step
+    # config is stretched to two, which needs beta_start < beta_end.
+    if cfg.steps == 1 and cfg.beta_start == cfg.beta_end:
+        raise ValueError(
+            "theorem-check needs a schedule of at least 2 steps, to check a noisy reverse step "
+            f"(t > 1): steps = 1 is stretched to 2, which needs beta_start < beta_end, got both {cfg.beta_start}"
+        )
     sched = make_schedule(max(cfg.steps, 2), cfg.beta_start, cfg.beta_end)
     shape = (2, 3, 32)
     failed = False

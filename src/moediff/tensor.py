@@ -3,7 +3,8 @@
 All numeric state in this package lives in float64 numpy arrays: inputs
 and stored records C-contiguous (row-major), intermediates such as
 transposes possibly strided views. Arrays are treated as immutable values:
-operations never write into their inputs.
+operations never write into their inputs, and the autodiff's backward rules
+and accumulation write only into buffers they allocated themselves.
 
 TSB1 is the on-disk tensor format used for signals, masks, and checkpoint
 records: magic ``TSB1``, u32 little-endian rank, rank x u32 little-endian

@@ -7,8 +7,9 @@ rewrite each against the form it replaced, so they share everything else
 with the package: :func:`dense_backward` pins how ``backward`` accumulates
 (it reuses the package's rules for every op whose gradient is dense);
 :func:`two_pass_instance_norm` and its backward are the instance norm's
-earlier formulas; :func:`two_conv_rfamoe` is the block built from tape ops
-with its two pointwise convolutions left uncomposed; :func:`explicit_lift_rfamoe`
+earlier formulas, and :func:`out_of_place_gelu_backward` the GELU rule's;
+:func:`two_conv_rfamoe` is the block built from tape ops with its two
+pointwise convolutions left uncomposed; :func:`explicit_lift_rfamoe`
 is a first-level block run on its lifted input maps rather than on the
 lifted signal; both apply their convolutions with :func:`conv_with_bias`.
 """
@@ -87,6 +88,13 @@ def two_pass_instance_norm_backward(grad, gamma, xhat, inv):
         gh - gh.mean(axis=2, keepdims=True) - xhat * (gh * xhat).mean(axis=2, keepdims=True)
     )
     return dx, dgamma, dbeta
+
+
+def out_of_place_gelu_backward(grad, x, phi):
+    """The GELU rule as first written, out of place, given the forward's
+    ``phi`` = Phi(x)."""
+    pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+    return grad * (phi + x * pdf)
 
 
 def naive_gelu(x):

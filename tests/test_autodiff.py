@@ -19,6 +19,7 @@ from moediff.diffusion import make_schedule, train_step
 from oracles import (
     dense_backward,
     naive_conv1d,
+    out_of_place_gelu_backward,
     two_pass_instance_norm,
     two_pass_instance_norm_backward,
 )
@@ -218,7 +219,7 @@ class TestInstanceNorm:
         with pytest.raises(ValueError, match="length >= 2"):
             ad.instance_norm(np.zeros((1, 1, 1)), np.ones(1), np.zeros(1))
 
-    @pytest.mark.parametrize("shape", [(1, 1, 2), (3, 2, 2), (2, 3, 7), (4, 8, 64), (6, 16, 33)])
+    @pytest.mark.parametrize("shape", [(1, 1, 2), (3, 2, 2), (2, 3, 7), (4, 8, 64), (6, 16, 33), (8, 32, 500)])
     def test_bit_identical_to_two_pass_formulas(self, rng, shape):
         # One centred copy, scaled in place, gives the same bits as np.var's
         # own pass, forward and backward.
@@ -238,6 +239,23 @@ class TestInstanceNorm:
         for a, b in zip(got, two_pass_instance_norm_backward(grad, gamma, ref_xhat, ref_inv)):
             npt.assert_array_equal(a, b)
 
+    def test_backward_allocates_little_beyond_dx(self, rng):
+        # A train-wide map: dx is made in place, a block of samples at a
+        # time, in two block-sized temporaries (1 MiB in all); the
+        # whole-map form peaks at three maps.
+        shape = (24, 32, 500)
+        x, grad = rng.standard_normal(shape), rng.standard_normal(shape)
+        g = ad.Graph()
+        out = ad.instance_norm(g.leaf(x), g.leaf(np.ones(32)), g.leaf(np.zeros(32)))
+        node, size = g.nodes[out.id], x.nbytes
+        tracemalloc.start()
+        try:
+            dx, _, _ = ad._bwd_instance_norm(node, grad, [x, np.ones(32), np.zeros(32)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * size, f"the rule peaked at {peak / size:.2f} maps"
+
 
 class TestGelu:
     def test_zero(self):
@@ -250,6 +268,38 @@ class TestGelu:
         expected = 1.0 * 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))
         npt.assert_allclose(ad.gelu(np.asarray(1.0)), expected, atol=1e-15)
         npt.assert_allclose(expected, 0.8413447, atol=1e-7)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda r: np.asarray(r.standard_normal()),
+            lambda r: r.standard_normal((6, 4, 16)),
+            lambda r: r.standard_normal((6, 8, 16))[:, :4],  # the gated half rfamoe_forward passes
+        ],
+        ids=["0d", "contiguous", "half-slice"],
+    )
+    def test_rule_bit_identical_to_out_of_place_form(self, rng, make):
+        x = make(rng) * 3.0
+        g = ad.Graph()
+        node = g.nodes[ad.gelu(g.leaf(x)).id]
+        grad = rng.standard_normal(x.shape)
+        (got,) = ad._bwd_gelu(node, grad, [x])
+        npt.assert_array_equal(got, out_of_place_gelu_backward(grad, x, node.ctx["phi"]))
+
+    def test_rule_allocates_only_its_output(self, rng):
+        # The half-slice of a train-wide map; the out-of-place form peaks
+        # at two outputs' worth.
+        x = rng.standard_normal((24, 32, 500))[:, :16]
+        g = ad.Graph()
+        node = g.nodes[ad.gelu(g.leaf(x)).id]
+        grad = rng.standard_normal(x.shape)
+        tracemalloc.start()
+        try:
+            (out,) = ad._bwd_gelu(node, grad, [x])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * out.nbytes, f"the rule peaked at {peak / out.nbytes:.2f} outputs"
 
 
 def _erf_cdf(v):

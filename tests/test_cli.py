@@ -311,6 +311,25 @@ class TestExitCodes:
         assert f"data error: [Errno 20] Not a directory: '{out}'" in capsys.readouterr().err
         assert steps == []
 
+    @pytest.mark.parametrize("line, key", [("drop_length = 33", "drop_length"), ("drop_channels = 3", "drop_channels")])
+    def test_train_mask_key_too_large_is_2_before_any_output(self, workspace, tmp_path, capsys, line, key):
+        # The dataset is 2 channels x 32 steps, as the config says.
+        cfg = tmp_path / "mask.cfg"
+        cfg.write_text(_tiny_config(line))
+        out = tmp_path / "x"
+        assert main(["train", "--config", str(cfg), "--data", workspace["data"], "--out", str(out)]) == 2
+        assert f"data error: {key} must lie in 1.." in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_theorem_check_one_step_flat_schedule_is_2(self, tmp_path, capsys):
+        cfg = tmp_path / "flat.cfg"
+        cfg.write_text("steps = 1\nbeta_start = 0.01\nbeta_end = 0.01\n")
+        out = tmp_path / "thm"
+        assert main(["theorem-check", "--config", str(cfg), "--trials", "5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "theorem-check needs a schedule of at least 2 steps, to check a noisy reverse step" in err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_loss_is_3(self, workspace, tmp_path):
         cfg = tmp_path / "explode.cfg"

@@ -3,6 +3,7 @@ update, the training objective, and the ancestral sampler."""
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -268,14 +269,9 @@ def _step_graph(monkeypatch, params, sched):
 
 # The toy profile's model and a train-wide-shaped one (perfbench's two
 # training workloads), each with its batch size and a short signal.
-TRAIN_SHAPES = pytest.mark.parametrize(
-    "shape",
-    [
-        dict(channels=3, width=16, kernel_sizes=(3, 5, 7, 9, 11), head_experts=4, t_len=64, batch=8),
-        dict(channels=12, width=32, kernel_sizes=tuple(range(3, 32, 2)), head_experts=16, t_len=96, batch=2),
-    ],
-    ids=["toy", "wide"],
-)
+TOY_SHAPE = dict(channels=3, width=16, kernel_sizes=(3, 5, 7, 9, 11), head_experts=4, t_len=64, batch=8)
+WIDE_SHAPE = dict(channels=12, width=32, kernel_sizes=tuple(range(3, 32, 2)), head_experts=16, t_len=96, batch=2)
+TRAIN_SHAPES = pytest.mark.parametrize("shape", [TOY_SHAPE, WIDE_SHAPE], ids=["toy", "wide"])
 
 
 class TestTrainStep:
@@ -328,6 +324,36 @@ class TestTrainStep:
         assert loss == ref_loss
         for (name, g), (_, r) in zip(named_params(grads), named_params(ref_grads)):
             npt.assert_array_equal(g, r, err_msg=name)
+
+    def test_peak_stays_within_four_maps_of_the_tape(self, sched10, monkeypatch):
+        # The wide model at the benchmark's signal length, T = 500, where
+        # the [N, L, T] maps outweigh the parameter gradients (at T = 96 the
+        # backward peaks at the composed pointwise weight's gradient). Maps
+        # dropped at their last read and the GELU and instance-norm rules
+        # run in place keep the step's peak 3.2 maps above what is held at
+        # backward entry; keeping them peaked 5.0 maps above, in the forward.
+        shape = dict(WIDE_SHAPE, t_len=500)
+        t_len, b = shape.pop("t_len"), shape.pop("batch")
+        params = init_backbone(np.random.default_rng(0), ModelSpec(depth=2, d_emb=16, **shape))
+        data_rng = np.random.default_rng(100)
+        batch = data_rng.standard_normal((b, shape["channels"], t_len))
+        mask = (data_rng.random(batch.shape) < 0.7).astype(float)
+        held, original = [], ad.backward
+
+        def spy(graph, loss):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return original(graph, loss)
+
+        monkeypatch.setattr(ad, "backward", spy)
+        tracemalloc.start()
+        try:
+            train_step(params, batch, mask, sched10, np.random.default_rng(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        feature_map = b * shape["channels"] * shape["width"] * t_len * 8
+        above = (peak - held[0]) / feature_map
+        assert above <= 4.0, f"the step peaked {above:.2f} maps above the bytes held at backward entry"
 
     @pytest.mark.parametrize("depth", [1, 2])
     def test_first_level_experts_run_on_the_signal(self, sched10, monkeypatch, depth):
