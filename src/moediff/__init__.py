@@ -36,7 +36,7 @@ from .kshot import (
     verify_convex_combination,
     weight_sweep,
 )
-from .masking import MaskSpec, apply_mask, continuous_mask, random_mask
+from .masking import apply_mask, continuous_mask, draw_mask, random_mask
 from .metrics import MetricsReport, evaluate, mad, prd, ssd
 from .synth import SyntheticConfig, synth_generate
 from .tensor import pin_heap_thresholds, read_tsb1, write_tsb1

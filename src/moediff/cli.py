@@ -10,7 +10,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -30,12 +29,12 @@ from .kshot import (
     verify_convex_combination,
     weight_sweep,
 )
-from .masking import MaskSpec, apply_mask
+from .masking import apply_mask, draw_mask
 from .metrics import evaluate, write_report
 from .signals import load_signals, save_signals
 from .synth import SyntheticConfig, synth_generate
 from .tensor import write_csv, write_tsb1
-from .training import train, training_mask_spec
+from .training import train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -78,13 +77,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="out", help="output directory (default: out)")
 
 
-def _add_mask_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mask-kind", choices=("random", "continuous"))
-    p.add_argument("--mask-ratio", type=float)
-    p.add_argument("--drop-length", type=int)
-    p.add_argument("--drop-channels", type=int)
-
-
 # SyntheticConfig fields that synth takes as flags, with the dataclass's defaults
 _SYNTH_FLAGS = ("f_min", "f_max", "harmonics", "spike_prob", "amp_jitter", "noise_sigma")
 
@@ -110,7 +102,6 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True, help="signals to mask and reconstruct")
-    _add_mask_flags(p)
 
     p = sub.add_parser("eval", help="score a reconstruction against the truth")
     _add_common(p)
@@ -128,7 +119,6 @@ def build_parser() -> _Parser:
         action="store_true",
         help="write wall_seconds as 0.0 for byte-reproducible output",
     )
-    _add_mask_flags(p)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every layer")
     _add_common(p)
@@ -146,18 +136,7 @@ def build_parser() -> _Parser:
     p.add_argument("--shots", type=_positive_int, default=12)
     p.add_argument("--sample", type=int, default=0)
     p.add_argument("--channel", type=int, default=0)
-    _add_mask_flags(p)
     return parser
-
-
-# MaskSpec field -> the flag that overrides it
-_MASK_FLAGS = dict(kind="mask_kind", ratio="mask_ratio", drop_length="drop_length", drop_channels="drop_channels")
-
-
-def _mask_spec(cfg: RunConfig, args) -> MaskSpec:
-    """The training mask spec with the given mask flags applied."""
-    updates = {key: getattr(args, flag) for key, flag in _MASK_FLAGS.items()}
-    return dataclasses.replace(training_mask_spec(cfg), **{k: v for k, v in updates.items() if v is not None})
 
 
 def _masked_task(cfg: RunConfig, args, data_path):
@@ -171,7 +150,7 @@ def _masked_task(cfg: RunConfig, args, data_path):
         raise ValueError(
             f"checkpoint expects {params.spec.channels} channels, {data_path} has {signals.shape[1]}"
         )
-    mask = _mask_spec(cfg, args).build(*signals.shape, np.random.default_rng(cfg.seed))
+    mask = draw_mask(cfg, *signals.shape, np.random.default_rng(cfg.seed))
     sched = make_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
     return params, signals, mask, apply_mask(signals, mask), sched
 

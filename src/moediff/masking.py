@@ -2,38 +2,27 @@
 
 Masks are float64 tensors of 0s and 1s with 0 marking a missing entry; the
 conditioning signal is the elementwise product of signal and mask, so
-missing values are encoded as zeros.
+missing values are encoded as zeros. A run's mask, in training and
+imputation alike, is set only by its config's ``mask_*``, ``drop_*`` and
+``shared_window`` keys; :func:`draw_mask` draws it and checks the run
+lengths against the masked data, whose shape can differ from the config's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .config import RunConfig
 from .tensor import as_tensor, require_binary
 
 
-@dataclass(frozen=True)
-class MaskSpec:
-    """Declarative description of a missingness pattern; :meth:`build`
-    draws it from the caller's generator."""
-
-    kind: str  # "random" | "continuous"
-    ratio: float = 0.0
-    drop_length: int = 0
-    drop_channels: int = 1
-    shared_window: bool = False
-
-    def build(self, b: int, c: int, t_len: int, rng: np.random.Generator) -> np.ndarray:
-        """A [b, c, t_len] mask drawn from ``rng``."""
-        if self.kind == "random":
-            return random_mask(b, c, t_len, self.ratio, rng)
-        if self.kind == "continuous":
-            return continuous_mask(
-                b, c, t_len, self.drop_length, self.drop_channels, rng, self.shared_window
-            )
-        raise ValueError(f"mask kind must be 'random' or 'continuous', got {self.kind!r}")
+def draw_mask(cfg: RunConfig, b: int, c: int, t_len: int, rng: np.random.Generator) -> np.ndarray:
+    """A [b, c, t_len] mask of the config's mask keys, drawn from ``rng``."""
+    if cfg.mask_kind == "random":
+        return random_mask(b, c, t_len, cfg.mask_ratio, rng)
+    if cfg.mask_kind == "continuous":
+        return continuous_mask(b, c, t_len, cfg.drop_length, cfg.drop_channels, rng, cfg.shared_window)
+    raise ValueError(f"mask_kind must be 'random' or 'continuous', got {cfg.mask_kind!r}")
 
 
 def random_mask(b: int, c: int, t_len: int, ratio: float, rng: np.random.Generator) -> np.ndarray:

@@ -24,7 +24,7 @@ from .backbone import (
 )
 from .config import RunConfig
 from .diffusion import make_schedule, train_step
-from .masking import MaskSpec
+from .masking import draw_mask
 from .tensor import write_csv
 
 
@@ -97,13 +97,12 @@ def train(cfg: RunConfig, data: np.ndarray, out_dir, resume_from=None):
         velocity = zip_map_params(lambda p, _: np.zeros_like(p), params, params)
 
     os.makedirs(out_dir, exist_ok=True)
-    mask_spec = training_mask_spec(cfg)
     losses = []
     for step in range(start_step, cfg.train_steps):
         rng = _step_rng(cfg.seed, step)
         idx = rng.choice(n, size=cfg.batch, replace=cfg.batch > n)
         batch = data[idx]
-        mask = mask_spec.build(len(idx), cfg.channels, cfg.t_len, rng)
+        mask = draw_mask(cfg, len(idx), cfg.channels, cfg.t_len, rng)
         loss, grads = train_step(params, batch, mask, sched, rng)
         if not np.isfinite(loss):
             raise NanLossError(step)
@@ -117,13 +116,3 @@ def train(cfg: RunConfig, data: np.ndarray, out_dir, resume_from=None):
     save_backbone(os.path.join(out_dir, "checkpoint.ckp1"), params, extra=extra)
     write_csv(os.path.join(out_dir, "loss_curve.csv"), ["step", "loss"], losses)
     return params, losses
-
-
-def training_mask_spec(cfg: RunConfig) -> MaskSpec:
-    return MaskSpec(
-        kind=cfg.mask_kind,
-        ratio=cfg.mask_ratio,
-        drop_length=cfg.drop_length,
-        drop_channels=cfg.drop_channels,
-        shared_window=cfg.shared_window,
-    )

@@ -26,10 +26,10 @@ from moediff.backbone import (
 )
 from moediff.config import RunConfig
 from moediff.diffusion import make_schedule, sample
-from moediff.masking import apply_mask
+from moediff.masking import apply_mask, draw_mask
 from moediff.synth import SyntheticConfig, synth_generate
 from moediff.tensor import read_checkpoint, write_checkpoint
-from moediff.training import init_from_config, train, training_mask_spec
+from moediff.training import init_from_config, train
 from oracles import naive_backbone, random_affine
 
 
@@ -212,7 +212,7 @@ class TestConditionRouting:
         cfg = RunConfig(channels=3, t_len=64, width=4, depth=1, rfa_kernels=(1, 3, 5), head_experts=2, d_emb=8,
                         batch=4, train_steps=5, drop_length=10)
         data = synth_generate(SyntheticConfig(8, 3, 64, seed=1))
-        mask = training_mask_spec(cfg).build(*data.shape, np.random.default_rng(cfg.seed))
+        mask = draw_mask(cfg, *data.shape, np.random.default_rng(cfg.seed))
         x_bar = apply_mask(data, mask)
         observed = mask.reshape(-1, cfg.t_len).all(axis=1)  # one flag per [N, L, T] map
         assert observed.sum() == 16

@@ -3,6 +3,8 @@ byte-level reproducibility of every seeded command."""
 
 import itertools
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moediff.cli import main
+from moediff.cli import _COMMANDS, build_parser, main
+from moediff.config import load_config
+from moediff.masking import draw_mask
 from moediff.signals import load_signals
-from moediff.tensor import read_checkpoint, write_checkpoint, write_tsb1
+from moediff.tensor import read_checkpoint, read_tsb1, write_checkpoint, write_tsb1
 
 TINY_CONFIG = """
 steps = 4
@@ -106,16 +110,33 @@ class TestPipeline:
         assert (ev / "metrics.csv").exists()
 
     def test_impute_nothing_missing_skips_region_metrics(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "nothing_missing.cfg"
+        cfg.write_text(_tiny_config("mask_kind = random\nmask_ratio = 0.0"))
         out = tmp_path / "imp0"
         rc = main(
-            ["impute", "--config", workspace["cfg"], "--checkpoint", workspace["ckpt"],
-             "--input", workspace["data"], "--out", str(out),
-             "--mask-kind", "random", "--mask-ratio", "0.0"]
+            ["impute", "--config", str(cfg), "--checkpoint", workspace["ckpt"],
+             "--input", workspace["data"], "--out", str(out)]
         )
         assert rc == 0
         assert (out / "metrics_full.csv").exists()
         assert not (out / "metrics_missing.csv").exists()
         assert "skipped" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("lines", ["", "mask_kind = random\nmask_ratio = 0.25"], ids=["continuous", "random"])
+    def test_impute_mask_is_the_configs_draw(self, workspace, tmp_path, lines):
+        # The config's mask keys are the only statement of the mask, drawn
+        # from the configured seed.
+        cfg = tmp_path / "mask.cfg"
+        cfg.write_text(_tiny_config(lines))
+        out = tmp_path / "imp"
+        rc = main(["impute", "--config", str(cfg), "--checkpoint", workspace["ckpt"],
+                   "--input", workspace["data"], "--out", str(out)])
+        assert rc == 0
+        run = load_config(cfg)
+        signals = load_signals(workspace["data"])
+        want = draw_mask(run, *signals.shape, np.random.default_rng(run.seed))
+        np.testing.assert_array_equal(read_tsb1(out / "mask.tsb1"), want)
+        assert 0 < want.sum() < want.size
 
     def test_compare_kshot(self, workspace, tmp_path):
         out = tmp_path / "ks"
@@ -321,6 +342,17 @@ class TestExitCodes:
         assert f"data error: {key} must lie in 1.." in capsys.readouterr().err
         assert not out.exists()
 
+    def test_train_t_len_below_two_is_2_before_any_output(self, tmp_path, capsys):
+        # A matching dataset: one record of 2 channels x 1 step.
+        data = tmp_path / "one_step.csv"
+        data.write_text("channel_0,channel_1\n0.5,-0.5\n")
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(_tiny_config("t_len = 1\ndrop_length = 1"))
+        out = tmp_path / "x"
+        assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(out)]) == 2
+        assert "data error: t_len must be >= 2, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_theorem_check_one_step_flat_schedule_is_2(self, tmp_path, capsys):
         cfg = tmp_path / "flat.cfg"
         cfg.write_text("steps = 1\nbeta_start = 0.01\nbeta_end = 0.01\n")
@@ -358,7 +390,8 @@ class TestExitCodes:
          ("d_emb = 7", "d_emb"), ("head_experts = 0", "head_experts"), ("rfa_kernels = 3,4", "rfa_kernels"),
          ("rfa_kernels = 1,,3", "rfa_kernels"), ("lr = 0", "lr"), ("lr = -1", "lr"),
          ("lr = nan", "lr"), ("lr = inf", "lr"), ("seed = -1", "seed"), ("beta_end = 1.5", "beta_end"),
-         ("beta_start = 0.2\nbeta_end = 0.1", "beta_start")],
+         ("beta_start = 0.2\nbeta_end = 0.1", "beta_start"), ("mask_kind = random\nmask_ratio = 1.5", "mask_ratio"),
+         ("mask_kind = random\nmask_ratio = nan", "mask_ratio")],
     )
     def test_out_of_range_config_is_2(self, workspace, tmp_path, capsys, line, key):
         cfg = tmp_path / "bad.cfg"
@@ -426,6 +459,20 @@ class TestExitCodes:
                    "--resume", workspace["ckpt"]])
         assert rc == 2
         assert located in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--mask-kind", "random"), ("--mask-ratio", "0.0"),
+                                             ("--drop-length", "4"), ("--drop-channels", "1")])
+    @pytest.mark.parametrize("command, data_flag", [("impute", "--input"), ("compare-kshot", "--data"),
+                                                    ("error-dist", "--data")])
+    def test_mask_flags_are_1(self, workspace, tmp_path, capsys, command, data_flag, flag, value):
+        # The mask is set in the config only; no flag restates a mask key.
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", workspace["cfg"], "--checkpoint", workspace["ckpt"],
+                  data_flag, workspace["data"], flag, value, "--out", str(out)])
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("ks", ["1,x", "2,-1", "", "0", "1,,2"])
@@ -615,6 +662,27 @@ class TestDeterminism:
         a = (out1 / "dataset.tsb1").read_bytes()
         b = (out2 / "dataset.tsb1").read_bytes()
         assert a != b
+
+
+def _readme_commands():
+    """Every ``moediff ...`` command in README's bash blocks, continuation
+    lines joined and comments stripped, as argument lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = "".join(re.findall(r"```bash\n(.*?)```", text, flags=re.S)).replace("\\\n", " ").splitlines()
+    argvs = (shlex.split(line, comments=True) for line in lines)
+    return [argv for argv in argvs if argv[:1] == ["moediff"]]
+
+
+def test_readme_commands_parse(capsys):
+    # Parsing only, nothing runs: a flag the CLI no longer has fails here.
+    commands = _readme_commands()
+    assert sorted({argv[1] for argv in commands}) == sorted(_COMMANDS)
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}\n{capsys.readouterr().err}")
 
 
 def test_import_loads_no_scipy():

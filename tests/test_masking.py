@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moediff.masking import MaskSpec, apply_mask, continuous_mask, random_mask
+from moediff.config import RunConfig
+from moediff.masking import apply_mask, continuous_mask, draw_mask, random_mask
 
 
 def _runs_of_zeros(row):
@@ -95,21 +96,21 @@ class TestContinuousMask:
                 assert int((mask[i, c] == 0).sum()) == drop_length
 
 
-class TestMaskSpec:
+class TestDrawMask:
     def test_reproducible_from_seed(self):
         # Two generators with the same seed draw the same mask.
-        spec = MaskSpec(kind="continuous", drop_length=5, drop_channels=2)
-        a = spec.build(3, 4, 20, np.random.default_rng(77))
-        npt.assert_array_equal(a, spec.build(3, 4, 20, np.random.default_rng(77)))
+        cfg = RunConfig(mask_kind="continuous", drop_length=5, drop_channels=2)
+        a = draw_mask(cfg, 3, 4, 20, np.random.default_rng(77))
+        npt.assert_array_equal(a, draw_mask(cfg, 3, 4, 20, np.random.default_rng(77)))
 
     def test_random_kind(self):
-        spec = MaskSpec(kind="random", ratio=0.5)
-        a = spec.build(2, 2, 50, np.random.default_rng(1))
+        cfg = RunConfig(mask_kind="random", mask_ratio=0.5)
+        a = draw_mask(cfg, 2, 2, 50, np.random.default_rng(1))
         assert set(np.unique(a)) <= {0.0, 1.0}
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            MaskSpec(kind="banded").build(1, 1, 8, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="mask_kind .* got 'banded'"):
+            draw_mask(RunConfig(mask_kind="banded"), 1, 1, 8, np.random.default_rng(0))
 
 
 class TestApplyMask:
