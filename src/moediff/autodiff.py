@@ -47,21 +47,29 @@ _BLOCK = 1 << 16
 
 @dataclass
 class Node:
-    """One tape entry. ``held`` is the forward value when a backward rule
-    reads it: a leaf's, a softmax output's, or an input's named in
-    ``_READS`` by a consumer; :func:`backward` drops it from each non-leaf
-    node it has passed. Otherwise it is ``None`` and ``value`` is a
-    read-only NaN stand-in of ``shape``, enough for the rules that read
-    only shapes; a rule that read it would give NaN gradients."""
+    """One tape entry. A backward rule reads the forward value of a leaf,
+    of a softmax output and of an input named in ``_READS`` by a consumer;
+    the tape keeps each such value in one of two ways. A node whose value
+    can be rebuilt exactly from values the tape keeps anyway (an op in
+    ``_REBUILD``) gets ``recipe``, the input nodes ``_REBUILD[op]`` reads;
+    ``value`` rebuilds it the first time a rule reads it and keeps it in
+    ``held``. Every other kept value is ``held`` from the forward on.
+    :func:`backward` drops both from each non-leaf node it passes. A node
+    with neither has ``value`` a read-only NaN stand-in of ``shape``,
+    enough for the rules that read only shapes; a rule that read it would
+    give NaN gradients."""
 
     op: str
     inputs: tuple[int, ...]
     shape: tuple[int, ...]
     ctx: dict = field(default_factory=dict)
     held: np.ndarray | None = None
+    recipe: tuple["Node", ...] | None = field(default=None, repr=False)
 
     @property
     def value(self) -> np.ndarray:
+        if self.held is None and self.recipe is not None:
+            self.held = _REBUILD[self.op](self, self.recipe)
         return self.held if self.held is not None else _stand_in(self.shape)
 
 
@@ -138,17 +146,34 @@ def _graph_of(*args) -> Graph | None:
 def _node(op: str, out, args, ctx: dict | None = None):
     """``out`` recorded as an ``op`` node over ``args`` when any of them is
     on a graph (plain operands become leaves); otherwise ``out`` itself.
-    The inputs ``_READS`` names for ``op`` are held on the tape from here
-    on. Backward rules read input shapes from the input values, so ``ctx``
-    holds only what those values do not."""
+    The inputs ``_READS`` names for ``op`` are kept on the tape from here
+    on: by a recipe where :func:`_rebuildable` finds one, else by holding
+    the array. Backward rules read input shapes from the input values, so
+    ``ctx`` holds only what those values do not."""
     g = _graph_of(*args)
     if g is None:
         return out
     ids = tuple(a.id if isinstance(a, Var) else g.leaf(a).id for a in args)
     for k in _READS.get(op, ()):
-        if isinstance(args[k], Var):
+        if isinstance(args[k], Var) and not _rebuildable(g.nodes, args[k].id):
             g.nodes[args[k].id].held = args[k].value
     return g._record(op, ids, out, {} if ctx is None else ctx)
+
+
+def _rebuildable(nodes: list[Node], nid: int) -> bool:
+    """Whether node ``nid``'s value is kept without holding a new array:
+    it is held or has a recipe already, or it gets one here. A ``gelu``,
+    ``mul`` or ``instance_norm`` node always can: the inputs its rebuild
+    reads are ones its own rule reads, so the tape keeps them. A ``slice``
+    or ``reshape`` can when its input is rebuildable in turn."""
+    node = nodes[nid]
+    if node.held is None and node.recipe is None:
+        if node.op not in _REBUILD:
+            return False
+        if node.op in ("slice", "reshape") and not _rebuildable(nodes, node.inputs[0]):
+            return False
+        node.recipe = tuple(nodes[i] for i in node.inputs)
+    return True
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -398,9 +423,16 @@ def instance_norm(x, gamma, beta):
     var = out.mean(axis=2, keepdims=True)  # population variance
     inv = 1.0 / np.sqrt(var + _NORM_EPS)
     xhat *= inv
-    np.multiply(gv[None, :, None], xhat, out=out)
-    out += bv[None, :, None]
+    _scale_shift(gv, xhat, bv, out)
     return _node("instance_norm", out, (x, gamma, beta), {"xhat": xhat, "inv": inv})
+
+
+def _scale_shift(gamma: np.ndarray, xhat: np.ndarray, beta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``gamma * xhat + beta`` per channel of [N, C, T] ``xhat``, written
+    into ``out``: the norm's output, as its forward and its rebuild form it."""
+    np.multiply(gamma[None, :, None], xhat, out=out)
+    out += beta[None, :, None]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -557,16 +589,60 @@ _BACKWARD: dict[str, Callable] = {
     "instance_norm": _bwd_instance_norm,
 }
 
-# Input positions whose values each op's rule reads; every other rule reads
-# only its inputs' shapes (softmax reads its own output, which is held).
+# Input positions whose values each op's rule (or, for instance_norm's
+# beta, its rebuild) reads; every other rule reads only its inputs' shapes
+# (softmax reads its own output, which is held).
 _READS: dict[str, tuple[int, ...]] = {
     "mul": (0, 1),
     "matmul": (0, 1),
     "bmm": (0, 1),
     "conv1d": (0, 1),
     "gelu": (0,),
-    "instance_norm": (1,),
+    "instance_norm": (1, 2),
 }
+
+
+# ---------------------------------------------------------------------------
+# rebuilding kept values
+# ---------------------------------------------------------------------------
+# Each rebuild repeats its forward's float operations on the same operands,
+# in plain numpy, so a rebuilt value equals the forward's bit for bit and
+# records nothing. ``inputs`` are the node's input nodes (``Node.recipe``).
+
+
+def _rebuild_slice(node, inputs):
+    ctx = node.ctx
+    return inputs[0].value[_axis_index(len(node.shape), ctx["axis"], ctx["start"], ctx["stop"])]
+
+
+def _rebuild_reshape(node, inputs):
+    return inputs[0].value.reshape(node.shape)
+
+
+def _rebuild_mul(node, inputs):
+    return inputs[0].value * inputs[1].value
+
+
+def _rebuild_gelu(node, inputs):
+    return inputs[0].value * node.ctx["phi"]
+
+
+def _rebuild_instance_norm(node, inputs):
+    xhat = node.ctx["xhat"]
+    return _scale_shift(inputs[1].value, xhat, inputs[2].value, np.empty_like(xhat))
+
+
+_REBUILD: dict[str, Callable] = {
+    "slice": _rebuild_slice,
+    "reshape": _rebuild_reshape,
+    "mul": _rebuild_mul,
+    "gelu": _rebuild_gelu,
+    "instance_norm": _rebuild_instance_norm,
+}
+
+# Rules whose gradients may be views of the incoming gradient (shared with
+# another input or id); every other rule returns fresh arrays.
+_VIEW_RULES = frozenset(("add", "reshape", "concat"))
 
 
 def backward(graph: Graph, loss) -> dict[int, np.ndarray]:
@@ -578,19 +654,25 @@ def backward(graph: Graph, loss) -> dict[int, np.ndarray]:
     The returned map is keyed by leaf id; a leaf the loss does not reach is
     absent (use ``.get(id)``).
     A rule is handed each input's ``Node.value``: the held value of a leaf
-    or of an input ``_READS`` declares, a NaN stand-in of its shape otherwise.
+    or of an input ``_READS`` declares, a NaN stand-in of its shape
+    otherwise. A kept value with a recipe (the norm output, the slices and
+    reshapes over it, the GELU output and the gated product) is rebuilt
+    when the first rule reads it, at the top of its block's backward, and
+    lives until its own node is passed: once per backward.
 
     Backward consumes the graph: once a non-leaf node's rule has run, its
-    held value and ctx are dropped. Every consumer that reads the node has
-    a larger id, so its rule has already run. Leaves keep their values; a
-    second ``backward`` on the same graph raises ``ValueError``.
+    held value, recipe and ctx are dropped. Every consumer that reads the
+    node has a larger id, so its rule has already run. Leaves keep their
+    values; a second ``backward`` on the same graph raises ``ValueError``.
 
     A rule returns one gradient per input: a full array, or a
     :class:`Region` when the gradient is zero outside a few rows or a
-    slice. A region's piece is added into the input's accumulator in place,
-    and so is a full gradient once backward owns the accumulator; an
-    accumulator that a rule handed out (possibly a view other ids share) is
-    never written: the first add into it allocates (``acc + g``) or copies.
+    slice. The first gradient an input gets becomes its accumulator, and
+    later ones are added into it in place, once backward owns it: a region
+    is added into fresh zeros, and a fresh array from a rule outside
+    ``_VIEW_RULES`` is owned as it is. An accumulator that a view rule
+    handed out (possibly a view other ids share) is never written: the
+    first add into it allocates (``acc + g``) or copies.
     """
     loss_id = loss.id if isinstance(loss, Var) else int(loss)
     loss_node = graph.nodes[loss_id]
@@ -600,7 +682,7 @@ def backward(graph: Graph, loss) -> dict[int, np.ndarray]:
         raise ValueError("backward: this graph was consumed by an earlier backward; record a new one")
     graph.spent = True
     grads: dict[int, np.ndarray] = {loss_id: np.asarray(1.0)}
-    owned: set[int] = set()  # ids whose accumulator backward allocated itself
+    owned: set[int] = set()  # ids whose accumulator backward may write
     for nid in range(loss_id, -1, -1):
         node = graph.nodes[nid]
         if node.op == "leaf" or nid not in grads:
@@ -618,13 +700,15 @@ def backward(graph: Graph, loss) -> dict[int, np.ndarray]:
                 owned.add(input_id)
             elif acc is None:
                 acc = np.asarray(g, dtype=np.float64)
+                if node.op not in _VIEW_RULES:
+                    owned.add(input_id)
             elif input_id in owned:
                 acc += g
             else:
                 acc = acc + g
                 owned.add(input_id)
             grads[input_id] = acc
-        node.held = None
+        node.held = node.recipe = None
         node.ctx = {}
     return grads
 

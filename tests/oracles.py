@@ -12,15 +12,19 @@ earlier formulas, and :func:`out_of_place_gelu_backward` the GELU rule's;
 pointwise convolutions left uncomposed; :func:`explicit_lift_rfamoe`
 is a first-level block run on its lifted input maps rather than on the
 lifted signal; both apply their convolutions with :func:`conv_with_bias`.
+:func:`holding_train_step` is a training step whose tape holds every value
+a rule reads as the forward's array, rebuilding none.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 
 import moediff.autodiff as ad
 from moediff.backbone import named_params, replace_param
 from moediff.blocks import rfamoe_forward, route_top1
+from moediff.diffusion import train_step
 
 
 def random_affine(params, rng):
@@ -245,3 +249,11 @@ def dense_backward(graph, loss):
             else:
                 grads[input_id] = np.asarray(g, dtype=np.float64)
     return grads
+
+
+def holding_train_step(*args):
+    """``train_step`` on a tape that keeps no recipe: every value a backward
+    rule reads is held as the array the forward made. ``dense_backward``
+    reads ``Node.value``, so it shares any recipe's error; this does not."""
+    with mock.patch.object(ad, "_rebuildable", lambda nodes, nid: nodes[nid].held is not None):
+        return train_step(*args)

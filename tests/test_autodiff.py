@@ -506,14 +506,36 @@ class TestBackward:
         y = ad.gelu(ad.mul(x, c))
         loss = ad.tsum(ad.softmax(y))
         spare = ad.gelu(x)  # not on the loss's path
-        ad.mul(spare, 2.0)  # holds spare's value
+        ad.mul(spare, 2.0)  # keeps spare's value, as a recipe: x * phi
         ad.backward(g, loss)
         for nid, node in enumerate(g.nodes):
             if node.op == "leaf":
                 assert node.held is not None, nid
             elif nid != spare.id:
-                assert node.held is None and node.ctx == {}, (nid, node.op)
-        assert g.nodes[spare.id].held is not None and "phi" in g.nodes[spare.id].ctx
+                assert node.held is None and node.recipe is None and node.ctx == {}, (nid, node.op)
+        node = g.nodes[spare.id]
+        assert node.held is None and node.recipe is not None and "phi" in node.ctx
+        npt.assert_array_equal(node.value, spare.value)
+
+    def test_backward_owns_a_fresh_first_gradient(self):
+        # A 2 MiB leaf read by two matmuls gets two fresh 2 MiB gradients.
+        # Backward owns the first, as a matmul rule's result is fresh, and
+        # adds the second into it in place; allocating their sum as a third
+        # array would peak near 3 leaf sizes.
+        size = 1 << 21
+        g = ad.Graph()
+        rng = np.random.default_rng(0)
+        w = g.leaf(rng.standard_normal((512, 512)))
+        u, v = rng.standard_normal((2, 512, 1))
+        loss = ad.tsum(ad.add(ad.matmul(w, u), ad.matmul(w, v)))
+        tracemalloc.start()
+        try:
+            grads = ad.backward(g, loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        npt.assert_array_equal(grads[w.id], np.ones((512, 1)) @ v.T + np.ones((512, 1)) @ u.T)
+        assert peak < 2.1 * size, f"backward peaked at {peak / size:.2f} leaf sizes"
 
     def test_second_backward_is_rejected(self):
         g = ad.Graph()
@@ -620,11 +642,13 @@ class TestTapeHolds:
         assert not node.value.flags.writeable
         npt.assert_array_equal(y.value, 2 * np.arange(6.0).reshape(2, 3))
 
-    @pytest.mark.parametrize("op, held", [(ad.add, 1), (ad.mul, 20)], ids=["add", "mul"])
-    def test_forward_keeps_only_values_rules_read(self, op, held):
-        # A 20-op chain of 1 MiB arrays. The add rule reads no value, so
-        # only the last output (through its Var) is alive after the
-        # forward; the mul rule reads both inputs, so every link is held.
+    @pytest.mark.parametrize("op", [ad.add, ad.mul], ids=["add", "mul"])
+    def test_forward_keeps_only_values_rules_read(self, op):
+        # A 20-op chain of 1 MiB arrays. The add rule reads no value, so no
+        # link is kept. The mul rule reads both inputs, and a product is
+        # rebuilt from its two inputs, so every link but the last is kept as
+        # a recipe that gives its forward value. Either way only the last
+        # output (through its Var) is alive after the forward.
         size = 1 << 20
         g = ad.Graph()
         x = g.leaf(np.ones(size // 8))
@@ -637,7 +661,17 @@ class TestTapeHolds:
             current, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert held * size <= current < (held + 1) * size, f"forward holds {current / size:.1f} MiB"
+        assert size <= current < 2 * size, f"forward holds {current / size:.1f} MiB"
+        links = g.nodes[2:]
+        assert len(links) == 20 and all(node.held is None for node in links)
+        assert links[-1].recipe is None
+        want = np.ones(size // 8)
+        for k, node in enumerate(links[:-1]):
+            want = want * 1.5
+            if op is ad.add:
+                assert node.recipe is None, k
+            else:
+                npt.assert_array_equal(node.value, want, err_msg=f"link {k}")
 
 
 class TestFiniteDiffCheck:
