@@ -114,11 +114,6 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--ks", type=_shot_counts, default="1,2,4", help="comma-separated shot counts >= 1")
-    p.add_argument(
-        "--no-timing",
-        action="store_true",
-        help="write wall_seconds as 0.0 for byte-reproducible output",
-    )
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every layer")
     _add_common(p)
@@ -141,8 +136,10 @@ def build_parser() -> _Parser:
 
 def _masked_task(cfg: RunConfig, args, data_path):
     """The shared start of the commands that mask a dataset and reconstruct
-    it with a checkpoint: (params, signals, mask, x_bar, schedule). A
-    dataset whose channel count differs from the checkpoint's raises
+    it with a checkpoint: (params, signals, mask, x_bar, schedule, rng). The
+    mask is drawn from ``default_rng(seed)``; ``rng``, for the sampler, from
+    a child of the seed's SeedSequence, so the two streams are independent.
+    A dataset whose channel count differs from the checkpoint's raises
     ValueError naming it."""
     params, _ = load_backbone(args.checkpoint, gate_mode=cfg.gate_mode)
     signals = load_signals(data_path)
@@ -152,7 +149,8 @@ def _masked_task(cfg: RunConfig, args, data_path):
         )
     mask = draw_mask(cfg, *signals.shape, np.random.default_rng(cfg.seed))
     sched = make_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
-    return params, signals, mask, apply_mask(signals, mask), sched
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+    return params, signals, mask, apply_mask(signals, mask), sched, rng
 
 
 def _cmd_synth(cfg: RunConfig, args) -> int:
@@ -183,8 +181,8 @@ def _cmd_train(cfg: RunConfig, args) -> int:
 
 
 def _cmd_impute(cfg: RunConfig, args) -> int:
-    params, signals, mask, x_bar, sched = _masked_task(cfg, args, args.input)
-    recon = sample(params, x_bar, sched, np.random.default_rng(cfg.seed))
+    params, signals, mask, x_bar, sched, rng = _masked_task(cfg, args, args.input)
+    recon = sample(params, x_bar, sched, rng)
     os.makedirs(args.out, exist_ok=True)
     write_tsb1(os.path.join(args.out, "reconstruction.tsb1"), recon)
     write_tsb1(os.path.join(args.out, "mask.tsb1"), mask)
@@ -212,23 +210,18 @@ def _cmd_eval(cfg: RunConfig, args) -> int:
 
 
 def _cmd_compare_kshot(cfg: RunConfig, args) -> int:
-    params, truth, mask, x_bar, sched = _masked_task(cfg, args, args.data)
-    rows = compare_kshot(
-        params,
-        truth,
-        x_bar,
-        sched,
-        args.ks,
-        np.random.default_rng(cfg.seed),
-        region=mask,
-        timing=not args.no_timing,
-    )
+    params, truth, mask, x_bar, sched, rng = _masked_task(cfg, args, args.data)
+    rows = compare_kshot(params, truth, x_bar, sched, args.ks, rng, region=mask)
     os.makedirs(args.out, exist_ok=True)
+    # Wall times go to a file of their own, so every other output is
+    # byte-identical across seeded reruns.
     dest = os.path.join(args.out, "kshot.csv")
-    write_csv(dest, ["K", "prd", "ssd", "mad", "wall_seconds"], rows)
-    for k, p, s, m, w in rows:
-        print(f"K={k}: prd={p:.4f} ssd={s:.4f} mad={m:.4f} wall={w:.3f}s")
-    print(f"wrote {dest}")
+    timing = os.path.join(args.out, "kshot_timing.csv")
+    write_csv(dest, ["K", "prd", "ssd", "mad"], [row[:4] for row in rows])
+    write_csv(timing, ["K", "wall_seconds"], [(k, w) for k, *_, w in rows])
+    for k, p, s, m, _ in rows:
+        print(f"K={k}: prd={p:.4f} ssd={s:.4f} mad={m:.4f}")
+    print(f"wrote {dest} and {timing}")
     return EXIT_OK
 
 
@@ -307,7 +300,7 @@ def _cmd_theorem_check(cfg: RunConfig, args) -> int:
 
 
 def _cmd_error_dist(cfg: RunConfig, args) -> int:
-    params, truth, mask, x_bar, sched = _masked_task(cfg, args, args.data)
+    params, truth, _, x_bar, sched, rng = _masked_task(cfg, args, args.data)
     if not 0 <= args.sample < truth.shape[0]:
         raise ValueError(
             f"--sample {args.sample} outside 0..{truth.shape[0] - 1}: "
@@ -316,13 +309,11 @@ def _cmd_error_dist(cfg: RunConfig, args) -> int:
     if not 0 <= args.channel < truth.shape[1]:
         raise ValueError(f"channel {args.channel} outside 0..{truth.shape[1] - 1}")
     if args.mode == "shots":
-        ensemble = kshot_ensemble(
-            params, x_bar, sched, args.shots, np.random.default_rng(cfg.seed)
-        )
+        ensemble = kshot_ensemble(params, x_bar, sched, args.shots, rng)
         names, table = shot_error_table(ensemble, truth, args.sample, args.channel)
     else:
         names, table = fixed_expert_error_table(
-            params, x_bar, truth, sched, cfg.seed, args.sample, args.channel
+            params, x_bar, truth, sched, int(rng.integers(2**63)), args.sample, args.channel
         )
     os.makedirs(args.out, exist_ok=True)
     dest = os.path.join(args.out, "error_distribution.csv")

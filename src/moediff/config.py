@@ -96,15 +96,15 @@ _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no":
 
 def _parse_value(field: dataclasses.Field, raw: str):
     raw = raw.strip()
-    if field.type in ("int", int):
+    if field.type == "int":
         return int(raw)
-    if field.type in ("float", float):
+    if field.type == "float":
         return float(raw)
-    if field.type in ("bool", bool):
+    if field.type == "bool":
         if raw.lower() not in _BOOL:
             raise ValueError(f"expected a boolean, got {raw!r}")
         return _BOOL[raw.lower()]
-    if field.type in ("tuple", tuple):
+    if field.type == "tuple":
         items = raw.split(",")
         if any(not p.strip() for p in items):
             raise ValueError(f"empty item in list {raw!r}")

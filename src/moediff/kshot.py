@@ -286,12 +286,10 @@ def compare_kshot(
     ks,
     rng: np.random.Generator,
     region=None,
-    timing: bool = True,
 ):
     """Aggregate metrics of K-shot averaged reconstructions for each K.
 
-    Returns rows of (k, prd, ssd, mad, wall_seconds); wall_seconds is 0.0
-    when ``timing`` is off so output files stay byte-reproducible.
+    Returns rows of (k, prd, ssd, mad, wall_seconds).
     """
     from .metrics import evaluate
 
@@ -300,7 +298,7 @@ def compare_kshot(
         shot_rng = np.random.default_rng(rng.integers(0, 2**63, dtype=np.uint64))
         start = time.perf_counter()
         recon = kshot_average(params, x_bar, sched, int(k), shot_rng)
-        elapsed = time.perf_counter() - start if timing else 0.0
+        elapsed = time.perf_counter() - start
         report = evaluate(truth, recon, region=region)
         agg = report.aggregate
         rows.append((int(k), agg.prd, agg.ssd, agg.mad, elapsed))

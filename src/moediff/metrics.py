@@ -79,7 +79,12 @@ def evaluate(truth, pred, region=None) -> MetricsReport:
             if not missing.any():
                 raise ValueError(f"evaluate: sample {i} has an empty missing region")
             x, x_hat = x[missing], x_hat[missing]
-        rows.append(SampleMetrics(prd=prd(x, x_hat), ssd=ssd(x, x_hat), mad=mad(x, x_hat)))
+        try:
+            p = prd(x, x_hat)
+        except ValueError:
+            where = " in its missing region" if region is not None else ""
+            raise ValueError(f"evaluate: sample {i} has zero reference energy{where}; prd undefined") from None
+        rows.append(SampleMetrics(prd=p, ssd=ssd(x, x_hat), mad=mad(x, x_hat)))
     agg = SampleMetrics(
         prd=float(np.mean([r.prd for r in rows])),
         ssd=float(np.mean([r.ssd for r in rows])),

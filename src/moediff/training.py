@@ -85,7 +85,13 @@ def train(cfg: RunConfig, data: np.ndarray, out_dir, resume_from=None):
     else:
         params, aux = load_backbone(resume_from)
         cfg.check_spec(params.spec, f"checkpoint {resume_from}")
-        start_step = int(aux.get("meta.step", np.asarray(0.0)))
+        step = aux.get("meta.step", np.asarray(0.0))
+        if step.ndim != 0 or not (np.isfinite(step) and step >= 0 and step == np.floor(step)):
+            raise ValueError(
+                f"checkpoint {resume_from}: record 'meta.step' holds {step.tolist()}, "
+                "not a whole number of steps >= 0"
+            )
+        start_step = int(step)
         if start_step > cfg.train_steps:
             raise ValueError(
                 f"train_steps = {cfg.train_steps} is below the {start_step} steps "

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from moediff.cli import _COMMANDS, build_parser, main
+from moediff.backbone import load_backbone
 from moediff.config import load_config
-from moediff.masking import draw_mask
+from moediff.diffusion import make_schedule, sample
+from moediff.masking import apply_mask, draw_mask
 from moediff.signals import load_signals
 from moediff.tensor import read_checkpoint, read_tsb1, write_checkpoint, write_tsb1
 
@@ -138,6 +140,21 @@ class TestPipeline:
         np.testing.assert_array_equal(read_tsb1(out / "mask.tsb1"), want)
         assert 0 < want.sum() < want.size
 
+    def test_impute_samples_from_its_own_stream(self, workspace, tmp_path):
+        # The sampler draws from a child of the seed's SeedSequence, not
+        # from the stream the mask was drawn from.
+        out = tmp_path / "imp"
+        assert main(["impute", "--config", workspace["cfg"], "--checkpoint", workspace["ckpt"],
+                     "--input", workspace["data"], "--out", str(out)]) == 0
+        run = load_config(workspace["cfg"])
+        params, _ = load_backbone(workspace["ckpt"])
+        x_bar = apply_mask(load_signals(workspace["data"]), read_tsb1(out / "mask.tsb1"))
+        sched = make_schedule(run.steps, run.beta_start, run.beta_end)
+        recon = read_tsb1(out / "reconstruction.tsb1")
+        rng = np.random.default_rng(np.random.SeedSequence(run.seed).spawn(1)[0])
+        np.testing.assert_array_equal(recon, sample(params, x_bar, sched, rng))
+        assert not np.array_equal(recon, sample(params, x_bar, sched, np.random.default_rng(run.seed)))
+
     def test_compare_kshot(self, workspace, tmp_path):
         out = tmp_path / "ks"
         rc = main(
@@ -145,9 +162,11 @@ class TestPipeline:
              "--data", workspace["data"], "--ks", "1,2", "--out", str(out)]
         )
         assert rc == 0
-        lines = (out / "kshot.csv").read_text().strip().split("\n")
-        assert lines[0] == "K,prd,ssd,mad,wall_seconds"
-        assert len(lines) == 3
+        rows = [line.split(",") for line in (out / "kshot.csv").read_text().strip().split("\n")]
+        timing = [line.split(",") for line in (out / "kshot_timing.csv").read_text().strip().split("\n")]
+        assert rows[0] == ["K", "prd", "ssd", "mad"]
+        assert timing[0] == ["K", "wall_seconds"]
+        assert [r[0] for r in timing] == [r[0] for r in rows] == ["K", "1", "2"]
 
     def test_error_dist_both_modes(self, workspace, tmp_path):
         for mode, ncols in (("shots", 3), ("experts", 2)):
@@ -443,6 +462,21 @@ class TestExitCodes:
         assert sorted(os.listdir(out)) == ["checkpoint.ckp1"]
 
     @pytest.mark.parametrize(
+        "step", [[2.0, 3.0], np.nan, np.inf, -2.0, 1.5], ids=["vector", "nan", "inf", "negative", "fraction"]
+    )
+    def test_resume_with_bad_stored_step_is_2(self, workspace, tmp_path, capsys, step):
+        records = read_checkpoint(workspace["ckpt"])
+        records["meta.step"] = np.asarray(step)
+        ckpt = tmp_path / "bad_step.ckp1"
+        write_checkpoint(ckpt, records)
+        out = tmp_path / "run"
+        rc = main(["train", "--config", workspace["cfg"], "--data", workspace["data"], "--out", str(out),
+                   "--resume", str(ckpt)])
+        assert rc == 2
+        assert f"checkpoint {ckpt}: record 'meta.step' holds" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "config_line, located",
         [("width = 8\ndepth = 2", "width = 4, the config sets width = 8"),
          ("rfa_kernels = 1,5", "rfa_kernels = (1, 3), the config sets rfa_kernels = (1, 5)"),
@@ -473,6 +507,37 @@ class TestExitCodes:
                   data_flag, workspace["data"], flag, value, "--out", str(out)])
         assert exc.value.code == 1
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_timing_flag_is_1(self, workspace, tmp_path, capsys):
+        # Wall times have a file of their own, so no flag turns them off.
+        out = tmp_path / "ks"
+        with pytest.raises(SystemExit) as exc:
+            main(["compare-kshot", "--config", workspace["cfg"], "--checkpoint", workspace["ckpt"],
+                  "--data", workspace["data"], "--no-timing", "--out", str(out)])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --no-timing" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("with_region", [False, True], ids=["whole", "missing_region"])
+    def test_eval_zero_energy_sample_is_2_naming_it(self, workspace, tmp_path, capsys, with_region):
+        truth = load_signals(workspace["data"])
+        region = np.ones_like(truth)
+        region[:, 0, 5:9] = 0.0
+        if with_region:
+            truth[3][region[3] == 0.0] = 0.0
+        else:
+            truth[3] = 0.0
+        files = {"--truth": tmp_path / "truth.tsb1", "--pred": workspace["data"]}
+        write_tsb1(files["--truth"], truth)
+        if with_region:
+            files["--region"] = tmp_path / "region.tsb1"
+            write_tsb1(files["--region"], region)
+        out = tmp_path / "ev"
+        assert main(["eval", *itertools.chain.from_iterable((k, str(v)) for k, v in files.items()),
+                     "--out", str(out)]) == 2
+        where = " in its missing region" if with_region else ""
+        assert f"evaluate: sample 3 has zero reference energy{where}; prd undefined" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("ks", ["1,x", "2,-1", "", "0", "1,,2"])
@@ -611,7 +676,10 @@ class TestDeterminism:
         a, b = _tree_bytes(dirs[0]), _tree_bytes(dirs[1])
         assert a.keys() == b.keys() and a
         for name in a:
-            assert a[name] == b[name], f"{name} differs between reruns"
+            # Wall times are the one output that may differ: they live in
+            # files of their own, named *_timing.csv.
+            if not name.endswith("_timing.csv"):
+                assert a[name] == b[name], f"{name} differs between reruns"
 
     def test_synth(self, workspace, tmp_path):
         self._run_twice(
@@ -641,7 +709,7 @@ class TestDeterminism:
     def test_compare_kshot_without_timing(self, workspace, tmp_path):
         self._run_twice(
             lambda out: ["compare-kshot", "--config", workspace["cfg"], "--checkpoint", workspace["ckpt"],
-                         "--data", workspace["data"], "--ks", "1,2", "--no-timing", "--out", out],
+                         "--data", workspace["data"], "--ks", "1,2", "--out", out],
             tmp_path,
         )
 
