@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -134,6 +135,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@contextlib.contextmanager
+def _located(where: str):
+    """Prefix a ValueError raised in the block with ``where``, its inputs."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def _masked_task(cfg: RunConfig, args, data_path):
     """The shared start of the commands that mask a dataset and reconstruct
     it with a checkpoint: (params, signals, mask, x_bar, schedule, rng). The
@@ -183,25 +193,27 @@ def _cmd_train(cfg: RunConfig, args) -> int:
 def _cmd_impute(cfg: RunConfig, args) -> int:
     params, signals, mask, x_bar, sched, rng = _masked_task(cfg, args, args.input)
     recon = sample(params, x_bar, sched, rng)
+    with _located(args.input):  # scored before any output, so a failure writes nothing
+        reports = {"metrics_full.csv": evaluate(signals, recon)}
+    try:
+        reports["metrics_missing.csv"] = evaluate(signals, recon, region=mask)
+    except ValueError as exc:
+        print(f"missing-region metrics skipped: {exc}")
     os.makedirs(args.out, exist_ok=True)
     write_tsb1(os.path.join(args.out, "reconstruction.tsb1"), recon)
     write_tsb1(os.path.join(args.out, "mask.tsb1"), mask)
-    write_report(os.path.join(args.out, "metrics_full.csv"), evaluate(signals, recon))
-    try:
-        missing = evaluate(signals, recon, region=mask)
-    except ValueError as exc:
-        print(f"missing-region metrics skipped: {exc}")
-    else:
-        write_report(os.path.join(args.out, "metrics_missing.csv"), missing)
+    for name, report in reports.items():
+        write_report(os.path.join(args.out, name), report)
     print(f"wrote reconstruction for {signals.shape[0]} samples to {args.out}")
     return EXIT_OK
 
 
 def _cmd_eval(cfg: RunConfig, args) -> int:
-    truth = load_signals(args.truth)
-    pred = load_signals(args.pred)
+    truth, pred = load_signals(args.truth), load_signals(args.pred)
     region = load_signals(args.region) if args.region else None
-    report = evaluate(truth, pred, region=region)
+    files = f"--truth {args.truth}, --pred {args.pred}" + (f", --region {args.region}" if args.region else "")
+    with _located(files):
+        report = evaluate(truth, pred, region=region)
     os.makedirs(args.out, exist_ok=True)
     write_report(os.path.join(args.out, "metrics.csv"), report)
     a = report.aggregate
@@ -211,7 +223,8 @@ def _cmd_eval(cfg: RunConfig, args) -> int:
 
 def _cmd_compare_kshot(cfg: RunConfig, args) -> int:
     params, truth, mask, x_bar, sched, rng = _masked_task(cfg, args, args.data)
-    rows = compare_kshot(params, truth, x_bar, sched, args.ks, rng, region=mask)
+    with _located(args.data):
+        rows = compare_kshot(params, truth, x_bar, sched, args.ks, rng, region=mask)
     os.makedirs(args.out, exist_ok=True)
     # Wall times go to a file of their own, so every other output is
     # byte-identical across seeded reruns.
@@ -239,15 +252,7 @@ def _cmd_gradcheck(cfg: RunConfig, args) -> int:
 
 def _cmd_theorem_check(cfg: RunConfig, args) -> int:
     rng = np.random.default_rng(cfg.seed)
-    # The step-then-average check draws steps from the whole schedule, and
-    # only a step above 1 adds the reverse step's noise, so a one-step
-    # config is stretched to two, which needs beta_start < beta_end.
-    if cfg.steps == 1 and cfg.beta_start == cfg.beta_end:
-        raise ValueError(
-            "theorem-check needs a schedule of at least 2 steps, to check a noisy reverse step "
-            f"(t > 1): steps = 1 is stretched to 2, which needs beta_start < beta_end, got both {cfg.beta_start}"
-        )
-    sched = make_schedule(max(cfg.steps, 2), cfg.beta_start, cfg.beta_end)
+    sched = make_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
     shape = (2, 3, 32)
     failed = False
 
@@ -301,13 +306,10 @@ def _cmd_theorem_check(cfg: RunConfig, args) -> int:
 
 def _cmd_error_dist(cfg: RunConfig, args) -> int:
     params, truth, _, x_bar, sched, rng = _masked_task(cfg, args, args.data)
-    if not 0 <= args.sample < truth.shape[0]:
-        raise ValueError(
-            f"--sample {args.sample} outside 0..{truth.shape[0] - 1}: "
-            f"{args.data} holds {truth.shape[0]} records"
-        )
-    if not 0 <= args.channel < truth.shape[1]:
-        raise ValueError(f"channel {args.channel} outside 0..{truth.shape[1] - 1}")
+    for flag, index, size, what in (("--sample", args.sample, truth.shape[0], "records"),
+                                    ("--channel", args.channel, truth.shape[1], "channels")):
+        if not 0 <= index < size:
+            raise ValueError(f"{flag} {index} outside 0..{size - 1}: {args.data} holds {size} {what}")
     if args.mode == "shots":
         ensemble = kshot_ensemble(params, x_bar, sched, args.shots, rng)
         names, table = shot_error_table(ensemble, truth, args.sample, args.channel)

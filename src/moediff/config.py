@@ -69,8 +69,6 @@ class RunConfig:
             self.model_spec()
         except SpecError as exc:
             raise ValueError(f"{_SPEC_KEYS[exc.field]} {exc.reason}") from None
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
         make_schedule(self.steps, self.beta_start, self.beta_end)
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")

@@ -52,17 +52,17 @@ class ReverseCoefficients:
     sigma: float
 
 
-def make_schedule(t_steps: int, beta_start: float = 1e-4, beta_end: float = 0.05) -> NoiseSchedule:
-    """Linear beta schedule over ``t_steps`` diffusion steps."""
-    if t_steps < 1:
-        raise ValueError(f"t_steps must be >= 1, got {t_steps}")
+def make_schedule(steps: int, beta_start: float = 1e-4, beta_end: float = 0.05) -> NoiseSchedule:
+    """Linear beta schedule over ``steps`` diffusion steps."""
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ValueError(
             f"betas must satisfy 0 < beta_start <= beta_end < 1, got ({beta_start}, {beta_end})"
         )
-    if t_steps > 1 and beta_start == beta_end:
+    if steps > 1 and beta_start == beta_end:
         raise ValueError("beta_start must be < beta_end for schedules longer than one step")
-    return NoiseSchedule.from_betas(np.linspace(beta_start, beta_end, t_steps))
+    return NoiseSchedule.from_betas(np.linspace(beta_start, beta_end, steps))
 
 
 def reverse_coefficients(sched: NoiseSchedule, t: int) -> ReverseCoefficients:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .backbone import BackboneParams, condition_features
 from .diffusion import NoiseSchedule, reverse_step, sample
+from .metrics import evaluate
 from .tensor import as_tensor
 
 _SIMPLEX_TOL = 1e-9
@@ -291,8 +292,6 @@ def compare_kshot(
 
     Returns rows of (k, prd, ssd, mad, wall_seconds).
     """
-    from .metrics import evaluate
-
     rows = []
     for k in ks:
         shot_rng = np.random.default_rng(rng.integers(0, 2**63, dtype=np.uint64))

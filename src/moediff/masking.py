@@ -4,8 +4,8 @@ Masks are float64 tensors of 0s and 1s with 0 marking a missing entry; the
 conditioning signal is the elementwise product of signal and mask, so
 missing values are encoded as zeros. A run's mask, in training and
 imputation alike, is set only by its config's ``mask_*``, ``drop_*`` and
-``shared_window`` keys; :func:`draw_mask` draws it and checks the run
-lengths against the masked data, whose shape can differ from the config's.
+``shared_window`` keys; :func:`draw_mask` draws it, and :func:`check_runs`
+holds the rule that a continuous mask's runs fit the masked data.
 """
 
 from __future__ import annotations
@@ -32,6 +32,14 @@ def random_mask(b: int, c: int, t_len: int, ratio: float, rng: np.random.Generat
     return (rng.random((b, c, t_len)) >= ratio).astype(np.float64)
 
 
+def check_runs(c: int, t_len: int, drop_length: int, drop_channels: int) -> None:
+    """Raise ValueError unless ``drop_channels`` runs of ``drop_length`` fit a [c, t_len] mask."""
+    if not 1 <= drop_length <= t_len:
+        raise ValueError(f"drop_length must lie in 1..{t_len}, got {drop_length}")
+    if not 1 <= drop_channels <= c:
+        raise ValueError(f"drop_channels must lie in 1..{c}, got {drop_channels}")
+
+
 def continuous_mask(
     b: int,
     c: int,
@@ -47,10 +55,7 @@ def continuous_mask(
     Runs are placed independently per chosen channel unless
     ``shared_window`` aligns them at one start position per sample.
     """
-    if not 1 <= drop_length <= t_len:
-        raise ValueError(f"drop_length must lie in 1..{t_len}, got {drop_length}")
-    if not 1 <= drop_channels <= c:
-        raise ValueError(f"drop_channels must lie in 1..{c}, got {drop_channels}")
+    check_runs(c, t_len, drop_length, drop_channels)
     mask = np.ones((b, c, t_len))
     for i in range(b):
         chans = rng.choice(c, size=drop_channels, replace=False)

@@ -24,7 +24,7 @@ from .backbone import (
 )
 from .config import RunConfig
 from .diffusion import make_schedule, train_step
-from .masking import draw_mask
+from .masking import check_runs, draw_mask
 from .tensor import write_csv
 
 
@@ -70,13 +70,8 @@ def train(cfg: RunConfig, data: np.ndarray, out_dir, resume_from=None):
             f"dataset shape {data.shape} does not match config "
             f"(channels={cfg.channels}, t_len={cfg.t_len})"
         )
-    if cfg.mask_kind == "continuous":
-        # Checked against the config, which the data matches, so a bad key
-        # fails before the output directory is made.
-        for key, size_key in (("drop_length", "t_len"), ("drop_channels", "channels")):
-            value, size = getattr(cfg, key), getattr(cfg, size_key)
-            if not 1 <= value <= size:
-                raise ValueError(f"{key} must lie in 1..{size} for {size_key} = {size}, got {value}")
+    if cfg.mask_kind == "continuous":  # before the output directory is made
+        check_runs(cfg.channels, cfg.t_len, cfg.drop_length, cfg.drop_channels)
     sched = make_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
 
     start_step = 0

@@ -282,6 +282,27 @@ class TestExitCodes:
         assert "region must contain only 0.0 and 1.0 entries" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", ["eval_region", "eval_shapes", "error_dist_channel"])
+    def test_data_error_names_its_files_and_flag(self, workspace, tmp_path, capsys, case):
+        data = load_signals(workspace["data"])
+        bad = str(tmp_path / "bad.tsb1")
+        if case == "eval_region":
+            write_tsb1(bad, np.full_like(data, 0.5))
+            argv = ["eval", "--truth", workspace["data"], "--pred", workspace["data"], "--region", bad]
+            located = f"--region {bad}: region must contain only 0.0 and 1.0 entries"
+        elif case == "eval_shapes":
+            write_tsb1(bad, data[:, :, :16])
+            argv = ["eval", "--truth", workspace["data"], "--pred", bad]
+            located = f"--truth {workspace['data']}, --pred {bad}: evaluate: reference shape (8, 2, 32) != "
+        else:
+            argv = ["error-dist", "--config", workspace["cfg"], "--checkpoint", workspace["ckpt"],
+                    "--data", workspace["data"], "--channel", "5"]
+            located = f"--channel 5 outside 0..1: {workspace['data']} holds 2 channels"
+        out = tmp_path / "x"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert located in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, bad, located",
         [("eval --truth", (1, 0, 5, np.nan), "non-finite value nan at [sample, channel, timestep] = [1, 0, 5]"),
@@ -372,13 +393,47 @@ class TestExitCodes:
         assert "data error: t_len must be >= 2, got 1" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_theorem_check_one_step_flat_schedule_is_2(self, tmp_path, capsys):
+    def test_theorem_check_one_step_flat_schedule_is_0(self, tmp_path, capsys):
+        # The configured schedule is checked as it is: a one-step schedule
+        # checks its only step, the deterministic t = 1 step.
         cfg = tmp_path / "flat.cfg"
         cfg.write_text("steps = 1\nbeta_start = 0.01\nbeta_end = 0.01\n")
         out = tmp_path / "thm"
-        assert main(["theorem-check", "--config", str(cfg), "--trials", "5", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "theorem-check needs a schedule of at least 2 steps, to check a noisy reverse step" in err
+        assert main(["theorem-check", "--config", str(cfg), "--trials", "5", "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.count("[PASS]") == 4 and "[FAIL]" not in stdout
+        assert (out / "expert_sweep.csv").exists()
+
+    def test_oversized_drop_length_same_message_from_train_and_compare_kshot(self, workspace, tmp_path, capsys):
+        # The run-length rule lives in masking alone: train checks it against
+        # the config before --out exists, compare-kshot when it draws the mask.
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(_tiny_config("drop_length = 33"))
+        errors = []
+        for argv in (["train", "--data", workspace["data"]],
+                     ["compare-kshot", "--checkpoint", workspace["ckpt"], "--data", workspace["data"]]):
+            out = tmp_path / argv[0]
+            assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+            errors.append(capsys.readouterr().err)
+            assert not out.exists()
+        assert errors[0] == errors[1] == "data error: drop_length must lie in 1..32, got 33\n"
+
+    @pytest.mark.parametrize(
+        "argv, located",
+        [(["impute", "--input"], "evaluate: sample 0 has zero reference energy; prd undefined"),
+         (["compare-kshot", "--ks", "1", "--data"],
+          "evaluate: sample 0 has zero reference energy in its missing region; prd undefined")],
+        ids=["impute", "compare_kshot"],
+    )
+    def test_scoring_error_is_2_naming_the_dataset(self, workspace, tmp_path, capsys, argv, located):
+        # Four all-zero records sample fine but cannot be scored; impute
+        # scores before it makes --out, so it writes nothing.
+        data = str(tmp_path / "zeros.tsb1")
+        write_tsb1(data, np.zeros((4, 2, 32)))
+        out = tmp_path / "x"
+        assert main([*argv, data, "--config", workspace["cfg"], "--checkpoint", workspace["ckpt"],
+                     "--out", str(out)]) == 2
+        assert f"data error: {data}: {located}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

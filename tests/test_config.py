@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from moediff.config import RunConfig, load_config, parse_config
+from moediff.diffusion import make_schedule
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -84,6 +85,13 @@ class TestValidation:
     def test_out_of_range_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
             RunConfig(**{key: value}).check()
+
+    def test_steps_rule_is_make_schedules(self):
+        # The config states no schedule rule of its own: its check calls
+        # make_schedule, whose message names the config key.
+        for build in (lambda: RunConfig(steps=0).check(), lambda: make_schedule(0)):
+            with pytest.raises(ValueError, match=r"^steps must be >= 1, got 0$"):
+                build()
 
     def test_model_keys_build_the_spec(self):
         cfg = RunConfig(width=8, depth=2, rfa_kernels=(3, 5), head_experts=3, d_emb=16, channels=4)
