@@ -23,10 +23,10 @@ from .kshot import (
     ConvexLoss,
     compare_kshot,
     expert_count_sweep,
-    fixed_expert_error_table,
+    error_table,
+    fixed_expert_runs,
     jensen_check,
     kshot_ensemble,
-    shot_error_table,
     verify_convex_combination,
     weight_sweep,
 )
@@ -157,7 +157,8 @@ def _masked_task(cfg: RunConfig, args, data_path):
         raise ValueError(
             f"checkpoint expects {params.spec.channels} channels, {data_path} has {signals.shape[1]}"
         )
-    mask = draw_mask(cfg, *signals.shape, np.random.default_rng(cfg.seed))
+    with _located(data_path):  # a dataset shorter than the config's runs
+        mask = draw_mask(cfg, *signals.shape, np.random.default_rng(cfg.seed))
     sched = make_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     return params, signals, mask, apply_mask(signals, mask), sched, rng
@@ -312,11 +313,10 @@ def _cmd_error_dist(cfg: RunConfig, args) -> int:
             raise ValueError(f"{flag} {index} outside 0..{size - 1}: {args.data} holds {size} {what}")
     if args.mode == "shots":
         ensemble = kshot_ensemble(params, x_bar, sched, args.shots, rng)
-        names, table = shot_error_table(ensemble, truth, args.sample, args.channel)
+        recons, label = [*ensemble.shots, ensemble.average()], "shot"
     else:
-        names, table = fixed_expert_error_table(
-            params, x_bar, truth, sched, int(rng.integers(2**63)), args.sample, args.channel
-        )
+        recons, label = fixed_expert_runs(params, x_bar, sched, int(rng.integers(2**63))), "expert"
+    names, table = error_table(recons, label, truth, args.sample, args.channel)
     os.makedirs(args.out, exist_ok=True)
     dest = os.path.join(args.out, "error_distribution.csv")
     write_csv(dest, names, table)

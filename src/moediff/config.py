@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .backbone import ModelSpec, SpecError
 from .diffusion import make_schedule
+from .masking import check_kind, check_ratio
 from .tensor import read_text
 
 # ModelSpec field -> the config key that sets it
@@ -82,10 +83,8 @@ class RunConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.t_len < 2:  # synth's rule; each block's instance norm needs two time steps
             raise ValueError(f"t_len must be >= 2, got {self.t_len}")
-        if self.mask_kind not in ("random", "continuous"):
-            raise ValueError(f"mask_kind must be 'random' or 'continuous', got {self.mask_kind!r}")
-        if not 0.0 <= self.mask_ratio <= 1.0:  # nan fails this too
-            raise ValueError(f"mask_ratio must be finite and lie in [0, 1], got {self.mask_ratio}")
+        check_kind(self.mask_kind)
+        check_ratio(self.mask_ratio)
         return self
 
 

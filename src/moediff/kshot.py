@@ -233,45 +233,22 @@ def expert_count_sweep(eps_pool, ks, x_t, t: int, sched: NoiseSchedule, target):
 # ---------------------------------------------------------------------------
 
 
-def shot_error_table(ensemble: ShotEnsemble, truth, sample_index: int, channel: int):
-    """Per-timestamp signed error of each shot and of the averaged output.
-
-    Returns (column names, table) where the table has one row per
-    timestamp: [timestamp, shot errors..., fused error].
-    """
-    truth = as_tensor(truth)
-    ref = truth[sample_index, channel]
-    cols = [s[sample_index, channel] - ref for s in ensemble.shots]
-    fused = ensemble.average()[sample_index, channel] - ref
-    names = ["timestamp"] + [f"shot_{i}" for i in range(len(cols))] + ["fused"]
-    table = np.column_stack([np.arange(len(ref), dtype=np.float64)] + cols + [fused])
-    return names, table
-
-
-def fixed_expert_error_table(
-    params: BackboneParams,
-    x_bar,
-    truth,
-    sched: NoiseSchedule,
-    seed: int,
-    sample_index: int,
-    channel: int,
-):
-    """Per-timestamp error of each fixed-expert head variant and of the
-    routed head, all sampled from one shared seed so only the head differs.
-    The condition maps are computed once for every variant."""
-    truth = as_tensor(truth)
-    ref = truth[sample_index, channel]
+def fixed_expert_runs(params: BackboneParams, x_bar, sched: NoiseSchedule, seed: int) -> list:
+    """One reconstruction per head expert fixed alone, then the routed head's,
+    all from one seed so only the head differs; the condition maps are computed once."""
     x_bar = as_tensor(x_bar)
     cond = condition_features(x_bar, params)
-    k = len(params.head.experts)
-    cols = []
-    for gates in [*np.eye(k), None]:  # each expert alone, then the routed head
-        rec = sample(params, x_bar, sched, np.random.default_rng(seed), head_gates=gates, cond=cond)
-        cols.append(rec[sample_index, channel] - ref)
-    names = ["timestamp"] + [f"expert_{j}" for j in range(k)] + ["fused"]
-    table = np.column_stack([np.arange(len(ref), dtype=np.float64)] + cols)
-    return names, table
+    gates = [*np.eye(len(params.head.experts)), None]
+    return [sample(params, x_bar, sched, np.random.default_rng(seed), head_gates=g, cond=cond) for g in gates]
+
+
+def error_table(recons, label: str, truth, sample_index: int, channel: int):
+    """(column names, table) of each reconstruction's signed error at every timestamp.
+    The columns are ``timestamp``, ``<label>_0``... and ``fused``, the last reconstruction."""
+    ref = as_tensor(truth)[sample_index, channel]
+    cols = [as_tensor(r)[sample_index, channel] - ref for r in recons]
+    names = ["timestamp"] + [f"{label}_{i}" for i in range(len(cols) - 1)] + ["fused"]
+    return names, np.column_stack([np.arange(len(ref), dtype=np.float64)] + cols)
 
 
 # ---------------------------------------------------------------------------

@@ -4,31 +4,45 @@ Masks are float64 tensors of 0s and 1s with 0 marking a missing entry; the
 conditioning signal is the elementwise product of signal and mask, so
 missing values are encoded as zeros. A run's mask, in training and
 imputation alike, is set only by its config's ``mask_*``, ``drop_*`` and
-``shared_window`` keys; :func:`draw_mask` draws it, and :func:`check_runs`
-holds the rule that a continuous mask's runs fit the masked data.
+``shared_window`` keys; :func:`draw_mask` draws it, and :func:`check_kind`,
+:func:`check_ratio` and :func:`check_runs` state the rules those keys obey.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .config import RunConfig
 from .tensor import as_tensor, require_binary
+
+if TYPE_CHECKING:  # config imports this module to check its mask kind and ratio
+    from .config import RunConfig
+
+
+def check_kind(kind: str) -> None:
+    """Raise ValueError unless ``kind`` names a mask :func:`draw_mask` can draw."""
+    if kind not in ("random", "continuous"):
+        raise ValueError(f"mask_kind must be 'random' or 'continuous', got {kind!r}")
+
+
+def check_ratio(ratio: float) -> None:
+    """Raise ValueError unless ``ratio`` lies in [0, 1]."""
+    if not 0.0 <= ratio <= 1.0:  # nan fails this too
+        raise ValueError(f"mask_ratio must be finite and lie in [0, 1], got {ratio}")
 
 
 def draw_mask(cfg: RunConfig, b: int, c: int, t_len: int, rng: np.random.Generator) -> np.ndarray:
     """A [b, c, t_len] mask of the config's mask keys, drawn from ``rng``."""
+    check_kind(cfg.mask_kind)
     if cfg.mask_kind == "random":
         return random_mask(b, c, t_len, cfg.mask_ratio, rng)
-    if cfg.mask_kind == "continuous":
-        return continuous_mask(b, c, t_len, cfg.drop_length, cfg.drop_channels, rng, cfg.shared_window)
-    raise ValueError(f"mask_kind must be 'random' or 'continuous', got {cfg.mask_kind!r}")
+    return continuous_mask(b, c, t_len, cfg.drop_length, cfg.drop_channels, rng, cfg.shared_window)
 
 
 def random_mask(b: int, c: int, t_len: int, ratio: float, rng: np.random.Generator) -> np.ndarray:
     """Each entry is independently missing (0) with probability ``ratio``."""
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError(f"mask ratio must lie in [0, 1], got {ratio}")
+    check_ratio(ratio)
     return (rng.random((b, c, t_len)) >= ratio).astype(np.float64)
 
 

@@ -23,10 +23,10 @@ from moediff.gradcheck import check_backbone_params, check_blocks, check_primiti
 from moediff.kshot import (
     ConvexLoss,
     compare_kshot,
+    error_table,
     expert_count_sweep,
     jensen_check,
     kshot_ensemble,
-    shot_error_table,
     verify_convex_combination,
     weight_sweep,
 )
@@ -272,7 +272,7 @@ def test_criterion_08_toy_end_to_end(toy_run):
         avg_ssd = _region_ssd(held, ens.average(), mask)
         assert np.all(avg_ssd <= per_shot.max(axis=0) + 1e-12)
 
-        _, table = shot_error_table(ens, held, sample_index=0, channel=0)
+        _, table = error_table([*ens.shots, ens.average()], "shot", held, sample_index=0, channel=0)
         npt.assert_allclose(table[:, 1:-1].mean(axis=1), table[:, -1], atol=1e-10)
 
 

@@ -132,7 +132,7 @@ def test_spoiled_copy_spoils_only_its_reconstruction():
 
 
 def test_kshot_condition_call_counts(monkeypatch):
-    # Every shot, and every head variant of the fixed-expert table, samples
+    # Every shot, and every head variant of the fixed-expert runs, samples
     # the same x_bar: the condition path runs once per call, not once per run.
     import moediff.backbone as backbone
     import moediff.kshot as kshot
@@ -148,7 +148,7 @@ def test_kshot_condition_call_counts(monkeypatch):
         if what == "ensemble":
             kshot.kshot_ensemble(params, x_bar, sched, n_runs, np.random.default_rng(1))
         else:
-            kshot.fixed_expert_error_table(params, x_bar, x_bar, sched, 1, 0, 0)
+            kshot.fixed_expert_runs(params, x_bar, sched, 1)
         assert _count(calls, "rfamoe_forward", cond_blocks) == params.spec.depth, what
         assert _count(calls, "rfamoe_forward", main_blocks) == params.spec.depth * sched.t_steps * n_runs, what
         monkeypatch.undo()

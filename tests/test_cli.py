@@ -406,7 +406,8 @@ class TestExitCodes:
 
     def test_oversized_drop_length_same_message_from_train_and_compare_kshot(self, workspace, tmp_path, capsys):
         # The run-length rule lives in masking alone: train checks it against
-        # the config before --out exists, compare-kshot when it draws the mask.
+        # the config before --out exists, compare-kshot when it draws the mask
+        # at the dataset's shape, so its message names the dataset.
         cfg = tmp_path / "long.cfg"
         cfg.write_text(_tiny_config("drop_length = 33"))
         errors = []
@@ -416,7 +417,16 @@ class TestExitCodes:
             assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
             errors.append(capsys.readouterr().err)
             assert not out.exists()
-        assert errors[0] == errors[1] == "data error: drop_length must lie in 1..32, got 33\n"
+        rule = "drop_length must lie in 1..32, got 33\n"
+        assert errors == [f"data error: {rule}", f"data error: {workspace['data']}: {rule}"]
+
+    def test_runs_longer_than_t_len_load_for_commands_that_draw_no_mask(self, tmp_path):
+        # The run rule is checked at the masked data's shape, not at load:
+        # a t_len = 16 config with the default drop_length of 26 still synthesises.
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text("channels = 2\nt_len = 16\n")
+        assert main(["synth", "--config", str(cfg), "--n-samples", "2", "--out", str(tmp_path / "d")]) == 0
+        assert read_tsb1(str(tmp_path / "d" / "dataset.tsb1")).shape == (2, 2, 16)
 
     @pytest.mark.parametrize(
         "argv, located",
@@ -434,6 +444,24 @@ class TestExitCodes:
         assert main([*argv, data, "--config", workspace["cfg"], "--checkpoint", workspace["ckpt"],
                      "--out", str(out)]) == 2
         assert f"data error: {data}: {located}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, data_flag", [("impute", "--input"), ("compare-kshot", "--data"),
+                                                    ("error-dist", "--data")])
+    def test_dataset_shorter_than_runs_is_2_naming_it(self, workspace, tmp_path, capsys, command, data_flag):
+        # The config's 4-step runs fit its t_len of 32 but not a 1-step dataset.
+        data = str(tmp_path / "short.tsb1")
+        write_tsb1(data, np.ones((2, 2, 1)))
+        out = tmp_path / "x"
+        assert main([command, data_flag, data, "--config", workspace["cfg"], "--checkpoint", workspace["ckpt"],
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"data error: {data}: drop_length must lie in 1..1, got 4\n"
+        assert not out.exists()
+
+    def test_synth_names_the_bad_size(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["synth", "--n-samples", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "data error: n_samples must be >= 1, got 0\n"
         assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 from moediff.diffusion import reverse_step, sample
 from moediff.kshot import (
     ConvexLoss,
+    error_table,
     expert_count_sweep,
-    fixed_expert_error_table,
+    fixed_expert_runs,
     jensen_check,
     kshot_average,
     kshot_ensemble,
-    shot_error_table,
     verify_convex_combination,
     weight_sweep,
 )
@@ -269,40 +269,45 @@ class TestErrorTables:
     def test_single_shot_fused_equals_shot(self, tiny_backbone, sched10, rng):
         truth = rng.standard_normal((1, 2, 10))
         ens = kshot_ensemble(tiny_backbone, truth, sched10, 1, np.random.default_rng(2))
-        names, table = shot_error_table(ens, truth, 0, 1)
+        names, table = error_table([*ens.shots, ens.average()], "shot", truth, 0, 1)
         assert names == ["timestamp", "shot_0", "fused"]
         npt.assert_array_equal(table[:, 1], table[:, 2])
 
     def test_symmetric_errors_cancel(self, rng):
         truth = rng.standard_normal((1, 1, 6))
         e = rng.standard_normal(6)
-        from moediff.kshot import ShotEnsemble
-
-        ens = ShotEnsemble(shots=[truth + e, truth - e], seeds=[0, 1])
-        _, table = shot_error_table(ens, truth, 0, 0)
+        shots = [truth + e, truth - e]
+        _, table = error_table([*shots, np.mean(shots, axis=0)], "shot", truth, 0, 0)
         npt.assert_allclose(table[:, -1], 0.0, atol=1e-12)
 
     def test_mean_of_shot_errors_equals_average_error(self, tiny_backbone, sched10, rng):
         truth = rng.standard_normal((1, 2, 10))
         ens = kshot_ensemble(tiny_backbone, truth, sched10, 12, np.random.default_rng(8))
-        _, table = shot_error_table(ens, truth, 0, 0)
+        _, table = error_table([*ens.shots, ens.average()], "shot", truth, 0, 0)
         shot_cols = table[:, 1:-1]
         npt.assert_allclose(shot_cols.mean(axis=1), table[:, -1], atol=1e-10)
+
+    def test_table_equals_columns_built_from_shot_errors(self, rng):
+        truth = rng.standard_normal((3, 2, 7))
+        shots = [truth + rng.standard_normal(truth.shape) for _ in range(4)]
+        names, table = error_table([*shots, np.mean(shots, axis=0)], "shot", truth, 2, 1)
+        ref = truth[2, 1]
+        cols = [np.arange(7.0)] + [s[2, 1] - ref for s in shots] + [np.mean(shots, axis=0)[2, 1] - ref]
+        assert names == ["timestamp", "shot_0", "shot_1", "shot_2", "shot_3", "fused"]
+        npt.assert_array_equal(table, np.column_stack(cols))
 
     def test_fixed_expert_table_equals_per_variant_sample_calls(self, tiny_backbone, sched10, rng):
         truth = rng.standard_normal((2, 2, 10))
         x_bar = truth * (rng.random(truth.shape) > 0.3)
-        _, table = fixed_expert_error_table(
-            tiny_backbone, x_bar, truth, sched10, seed=4, sample_index=1, channel=1
-        )
+        recons = fixed_expert_runs(tiny_backbone, x_bar, sched10, seed=4)
+        _, table = error_table(recons, "expert", truth, sample_index=1, channel=1)
         for col, gates in enumerate([np.array([1.0, 0.0]), np.array([0.0, 1.0]), None], start=1):
             rec = sample(tiny_backbone, x_bar, sched10, np.random.default_rng(4), head_gates=gates)
             npt.assert_array_equal(table[:, col], rec[1, 1] - truth[1, 1])
 
     def test_fixed_expert_table_shape(self, tiny_backbone, sched10, rng):
         truth = rng.standard_normal((1, 2, 10))
-        names, table = fixed_expert_error_table(
-            tiny_backbone, truth, truth, sched10, seed=4, sample_index=0, channel=0
-        )
+        recons = fixed_expert_runs(tiny_backbone, truth, sched10, seed=4)
+        names, table = error_table(recons, "expert", truth, sample_index=0, channel=0)
         assert names == ["timestamp", "expert_0", "expert_1", "fused"]
         assert table.shape == (10, 4)

@@ -112,6 +112,24 @@ class TestDrawMask:
         with pytest.raises(ValueError, match="mask_kind .* got 'banded'"):
             draw_mask(RunConfig(mask_kind="banded"), 1, 1, 8, np.random.default_rng(0))
 
+    def test_config_and_draws_raise_one_message(self):
+        # masking states the kind and ratio rules once; the config's check,
+        # draw_mask and random_mask all raise its words.
+        rng = np.random.default_rng(0)
+        for kind, ratio, want in [
+            ("banded", 0.3, "mask_kind must be 'random' or 'continuous', got 'banded'"),
+            ("random", 1.5, "mask_ratio must be finite and lie in [0, 1], got 1.5"),
+            ("random", float("nan"), "mask_ratio must be finite and lie in [0, 1], got nan"),
+        ]:
+            cfg = RunConfig(mask_kind=kind, mask_ratio=ratio)
+            calls = [cfg.check, lambda: draw_mask(cfg, 1, 1, 8, rng)]
+            if kind == "random":
+                calls.append(lambda: random_mask(1, 1, 8, ratio, rng))
+            for call in calls:
+                with pytest.raises(ValueError) as info:
+                    call()
+                assert str(info.value) == want
+
 
 class TestApplyMask:
     def test_all_ones_identity(self, rng):
